@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "exec/sma_scan.h"
+#include "planner/planner.h"
 #include "sma/builder.h"
 #include "sma/grade.h"
 #include "tpch/loader.h"
@@ -69,10 +70,7 @@ int main(int argc, char** argv) {
       Check(db.pool.DropAll());
       const storage::IoStats base = db.disk.stats();
       exec::SmaScan scan(t, pred, &smas);
-      Check(scan.Init());
-      storage::TupleRef row;
-      uint64_t rows = 0;
-      while (Check(scan.Next(&row))) ++rows;
+      Check(plan::RunToCompletion(&scan));
       const storage::IoStats used = db.disk.stats() - base;
       const double modeled = used.ModeledSeconds(db.model);
       const uint64_t sma_pages = smas.TotalPages();

@@ -4,6 +4,7 @@
 // the date-restricted leaves.
 
 #include "bench/bench_util.h"
+#include "planner/planner.h"
 #include "tpch/loader.h"
 #include "workloads/q3.h"
 
@@ -13,15 +14,7 @@ using bench::Check;
 namespace {
 
 uint64_t Drain(exec::Operator* op) {
-  Check(op->Init());
-  storage::TupleRef row;
-  uint64_t n = 0;
-  bool more = Check(op->Next(&row));
-  while (more) {
-    ++n;
-    more = Check(op->Next(&row));
-  }
-  return n;
+  return Check(plan::RunToCompletion(op)).rows.size();
 }
 
 }  // namespace

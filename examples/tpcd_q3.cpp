@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "planner/planner.h"
 #include "storage/catalog.h"
 #include "tpch/loader.h"
 #include "util/stopwatch.h"
@@ -31,20 +32,10 @@ T Check(util::Result<T> r) {
 }
 
 std::string DrainToText(exec::Operator* op, uint64_t* rows_out) {
-  Check(op->Init());
-  std::string out;
-  storage::TupleRef row;
-  uint64_t n = 0;
-  while (Check(op->Next(&row))) {
-    ++n;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      if (c > 0) out += " | ";
-      out += row.GetValue(c).ToString();
-    }
-    out += '\n';
-  }
-  *rows_out = n;
-  return out;
+  const plan::QueryResult result = Check(plan::RunToCompletion(op));
+  *rows_out = result.rows.size();
+  const std::string text = result.ToString();
+  return text.substr(text.find('\n') + 1);  // rows only, no header line
 }
 
 }  // namespace

@@ -608,8 +608,8 @@ Status Database::Execute(std::string_view statement) {
     return MaybeSyncWal();
   }
   if (tokens[0].text == "set") {
-    // `set <knob> = <value>`. Execution knobs: dop (0 = auto/hardware),
-    // batch_size (0 = row mode). Governor knobs (DESIGN.md §10):
+    // `set <knob> = <value>`. Execution knob: dop (0 = auto/hardware).
+    // Governor knobs (DESIGN.md §10):
     // timeout_ms (0 = none), memory_limit (bytes, 0 = unbudgeted),
     // max_concurrent_queries (0 = admission off), allow_degraded (0/1).
     // Durability knobs (DESIGN.md §12): wal_sync_interval (0 = manual),
@@ -644,10 +644,6 @@ Status Database::Execute(std::string_view statement) {
       const int64_t n = tokens[3].value;
       if (tokens[1].text == "dop") {
         set_degree_of_parallelism(static_cast<size_t>(n));
-        return Status::OK();
-      }
-      if (tokens[1].text == "batch_size") {
-        set_batch_size(static_cast<size_t>(n));
         return Status::OK();
       }
       if (tokens[1].text == "timeout_ms") {
@@ -688,7 +684,7 @@ Status Database::Execute(std::string_view statement) {
     }
     return Status::InvalidArgument(
         "malformed set statement; expected 'set <knob> = <value>' with knob "
-        "in {dop, batch_size, timeout_ms, memory_limit, "
+        "in {dop, timeout_ms, memory_limit, "
         "max_concurrent_queries, allow_degraded, wal_sync_interval, "
         "slow_query_ms, log_level, storage, storage_path}");
   }
@@ -736,7 +732,6 @@ SessionKnobs Database::DefaultKnobs() const {
   std::lock_guard<std::mutex> lock(knobs_mu_);
   SessionKnobs k;
   k.dop = options_.planner.degree_of_parallelism;
-  k.batch_size = options_.planner.batch_size;
   k.timeout_ms = options_.timeout_ms;
   k.query_memory_limit = options_.query_memory_limit;
   k.allow_degraded = options_.planner.allow_degraded;
@@ -850,7 +845,6 @@ Result<plan::QueryResult> Database::QueryWithKnobs(
     popts = options_.planner;
   }
   popts.degree_of_parallelism = knobs.dop;
-  popts.batch_size = knobs.batch_size;
   popts.allow_degraded = knobs.allow_degraded;
 
   ctx.set_trace_id(trace_id);

@@ -49,7 +49,6 @@ class Session;
 /// only the copy.
 struct SessionKnobs {
   size_t dop = 0;               ///< 0 = auto (hardware concurrency)
-  size_t batch_size = 0;        ///< 0 = row mode (filled from planner default)
   int64_t timeout_ms = 0;       ///< 0 = no deadline
   size_t query_memory_limit = 0;  ///< 0 = bounded only by the global budget
   bool allow_degraded = true;
@@ -230,8 +229,8 @@ class Database {
 
   // --- statements ----------------------------------------------------------
   /// Executes a DDL-ish statement. Currently: `define sma ...` (§2.1), the
-  /// session settings `set <knob> = <n>` for the knobs dop, batch_size,
-  /// timeout_ms, memory_limit, max_concurrent_queries, allow_degraded, and
+  /// session settings `set <knob> = <n>` for the knobs dop, timeout_ms,
+  /// memory_limit, max_concurrent_queries, allow_degraded, and
   /// wal_sync_interval, plus the storage selectors `set storage = sim|file`
   /// (only while no tables exist) and `set storage_path = '<dir>'`.
   util::Status Execute(std::string_view statement);
@@ -246,17 +245,6 @@ class Database {
   size_t degree_of_parallelism() const {
     std::lock_guard<std::mutex> lock(knobs_mu_);
     return options_.planner.degree_of_parallelism;
-  }
-
-  /// Default batch size for aggregation plans; equivalent to
-  /// `set batch_size = <n>`. 0 = tuple-at-a-time (row mode).
-  void set_batch_size(size_t batch_size) {
-    std::lock_guard<std::mutex> lock(knobs_mu_);
-    options_.planner.batch_size = batch_size;
-  }
-  size_t batch_size() const {
-    std::lock_guard<std::mutex> lock(knobs_mu_);
-    return options_.planner.batch_size;
   }
 
   /// Default query deadline; equivalent to `set timeout_ms = <n>`. 0 = none.
@@ -319,10 +307,10 @@ class Database {
 
   // --- sessions ------------------------------------------------------------
   /// Opens a client session: a lightweight handle with its own copy of the
-  /// execution knobs (dop, batch_size, timeout_ms, memory_limit,
-  /// allow_degraded) whose `set` statements scope to the session, and whose
-  /// queries are admitted session-aware (a session already running a query
-  /// is never starved behind — or deadlocked on — its own admission slot).
+  /// execution knobs (dop, timeout_ms, memory_limit, allow_degraded) whose
+  /// `set` statements scope to the session, and whose queries are admitted
+  /// session-aware (a session already running a query is never starved
+  /// behind — or deadlocked on — its own admission slot).
   /// Sessions are cheap; open one per client thread. The Database must
   /// outlive every Session it created.
   std::unique_ptr<Session> CreateSession();
@@ -508,7 +496,7 @@ class Database {
   /// the lock order: write_mu_ -> bucket latch -> pool mutex -> WAL mutex.
   mutable std::mutex write_mu_;
   /// Guards the mutable session-default knobs inside options_ (planner
-  /// dop/batch_size/allow_degraded, timeout_ms, query_memory_limit,
+  /// dop/allow_degraded, timeout_ms, query_memory_limit,
   /// wal_sync_interval, max_concurrent_queries). Leaf lock.
   mutable std::mutex knobs_mu_;
   /// Guards the states_ map itself (find/emplace). Values are stable across

@@ -39,10 +39,6 @@ Status Session::Execute(std::string_view statement) {
       set_degree_of_parallelism(static_cast<size_t>(n));
       return Status::OK();
     }
-    if (tokens[1].text == "batch_size") {
-      set_batch_size(static_cast<size_t>(n));
-      return Status::OK();
-    }
     if (tokens[1].text == "timeout_ms") {
       set_timeout_ms(n);
       return Status::OK();

@@ -2,9 +2,9 @@
 //
 // A Database is one shared engine; a Session is what a client thread holds.
 // Each session carries its own copy of the execution knobs (dop,
-// batch_size, timeout_ms, memory_limit, allow_degraded), so `set`
-// statements issued through a session change only that session — two
-// clients tuning dop never race each other or in-flight queries. Global
+// timeout_ms, memory_limit, allow_degraded), so `set` statements issued
+// through a session change only that session — two clients tuning dop
+// never race each other or in-flight queries. Global
 // knobs (max_concurrent_queries, wal_sync_interval, storage selectors)
 // forward to the Database and stay database-scoped.
 //
@@ -41,7 +41,6 @@ class Session {
   /// CreateSession time, then mutated only by this session's setters).
   const SessionKnobs& knobs() const { return knobs_; }
   void set_degree_of_parallelism(size_t dop) { knobs_.dop = dop; }
-  void set_batch_size(size_t n) { knobs_.batch_size = n; }
   void set_timeout_ms(int64_t ms) { knobs_.timeout_ms = ms; }
   void set_query_memory_limit(size_t bytes) {
     knobs_.query_memory_limit = bytes;
@@ -55,9 +54,9 @@ class Session {
       std::string_view sql, std::shared_ptr<util::CancelToken> cancel);
 
   /// Executes a statement. `set` statements on the session knobs (dop,
-  /// batch_size, timeout_ms, memory_limit, allow_degraded) scope to this
-  /// session; everything else — define sma, global governor/durability
-  /// knobs, storage selectors — forwards to the Database.
+  /// timeout_ms, memory_limit, allow_degraded) scope to this session;
+  /// everything else — define sma, global governor/durability knobs,
+  /// storage selectors — forwards to the Database.
   util::Status Execute(std::string_view statement);
 
   /// Mutations forward to the Database's single-writer path (serialized on

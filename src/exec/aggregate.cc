@@ -9,7 +9,6 @@ namespace smadb::exec {
 using storage::Field;
 using storage::Schema;
 using storage::TupleBuffer;
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 using util::TypeId;
@@ -94,33 +93,6 @@ Result<Schema> AggResultSchema(const Schema& input,
     fields.push_back(f);
   }
   return Schema(std::move(fields));
-}
-
-void GroupState::AddTuple(const TupleRef& t) {
-  ++row_count_;
-  for (size_t i = 0; i < aggs_->size(); ++i) {
-    const AggSpec& a = (*aggs_)[i];
-    switch (a.kind) {
-      case AggKind::kCount:
-        break;  // row_count_ carries it
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        acc_[i] += a.arg->EvalInt(t);
-        break;
-      case AggKind::kMin: {
-        const int64_t v = a.arg->EvalInt(t);
-        acc_[i] = defined_[i] ? std::min(acc_[i], v) : v;
-        defined_[i] = true;
-        break;
-      }
-      case AggKind::kMax: {
-        const int64_t v = a.arg->EvalInt(t);
-        acc_[i] = defined_[i] ? std::max(acc_[i], v) : v;
-        defined_[i] = true;
-        break;
-      }
-    }
-  }
 }
 
 void GroupState::AddSummary(size_t idx, int64_t value) {

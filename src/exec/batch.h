@@ -30,8 +30,10 @@
 
 namespace smadb::exec {
 
-/// Default rows per batch: big enough to amortize per-batch overhead,
-/// small enough that a few decoded columns stay L1/L2-resident.
+/// Rows per batch an operator configures for the batches it owns: big
+/// enough to amortize per-batch overhead, small enough that a few decoded
+/// columns stay L1/L2-resident (X8 found 64..4096 within 4 % of each
+/// other).
 inline constexpr size_t kDefaultBatchSize = 1024;
 
 struct Batch {

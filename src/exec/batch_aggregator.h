@@ -1,19 +1,18 @@
-// BatchAggregator: fused grouping-aggregation kernels over column batches.
+// BatchAggregator: fused grouping-aggregation kernels over column batches —
+// how GAggr, SMA_GAggr (ambivalent buckets) and ParallelScanAggr fold
+// tuples. Per batch it runs two passes: (1) one pass over the selection
+// vector resolving each row's group id from fixed-width raw key bytes (with
+// a last-key cache that exploits the paper's time-of-creation clustering —
+// consecutive tuples usually share a group), then (2) one tight accumulate
+// loop per aggregate over pre-evaluated argument vectors: array arithmetic
+// instead of a Value/serialize/std::map lookup and an expression-tree walk
+// per row.
 //
-// The batch-at-a-time counterpart of GroupState::AddTuple. Per batch it
-// runs two passes: (1) one pass over the selection vector resolving each
-// row's group id from fixed-width raw key bytes (with a last-key cache that
-// exploits the paper's time-of-creation clustering — consecutive tuples
-// usually share a group), then (2) one tight accumulate loop per aggregate
-// over pre-evaluated argument vectors. This replaces, per row, a
-// Value/serialize/std::map lookup and a per-aggregate expression-tree walk
-// with array arithmetic.
-//
-// Exactness: sums/min/max accumulate in the same int64 arithmetic as the
-// row path, and FlushInto folds the partials through GroupState::
-// AddBucketCount/AddSummary — the same entry points the SMA path uses — so
-// a flush-then-Emit reproduces the row path bit for bit, in the same
-// deterministic key order.
+// Exactness: sums/min/max accumulate in int64 (decimals as cents), and
+// FlushInto folds the partials through GroupState::AddBucketCount/
+// AddSummary — the same entry points the SMA path uses — so partials from
+// any mix of buckets, batches and workers finalize to the same groups, in
+// the same deterministic key order.
 
 #ifndef SMADB_EXEC_BATCH_AGGREGATOR_H_
 #define SMADB_EXEC_BATCH_AGGREGATOR_H_

@@ -4,7 +4,6 @@
 
 namespace smadb::exec {
 
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 
@@ -74,30 +73,6 @@ Status BucketReader::PinPage() {
   if (has_snapshot_) n = snapshot_.VisibleSlots(page_, n);
   page_count_ = n;
   return Status::OK();
-}
-
-Result<bool> BucketReader::Next(TupleRef* out) {
-  while (open_) {
-    if (slot_ >= page_count_) {
-      if (page_ + 1 >= page_end_) {
-        open_ = false;
-        Close();
-        break;
-      }
-      ++page_;
-      slot_ = 0;
-      SMADB_RETURN_NOT_OK(PinPage());
-      continue;
-    }
-    if (storage::Table::PageSlotDeleted(*guard_.page(), slot_)) {
-      ++slot_;
-      continue;
-    }
-    *out = table_->PageTuple(*guard_.page(), slot_);
-    ++slot_;
-    return true;
-  }
-  return false;
 }
 
 Result<bool> BucketReader::NextBatch(storage::ColumnBatch* cols) {

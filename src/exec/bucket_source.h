@@ -173,13 +173,9 @@ class BucketReader {
   /// opens one bucket at a time).
   util::Status Open(uint32_t first_page, uint32_t end_page);
 
-  /// Next live tuple of the range; false when exhausted. The view stays
-  /// valid until the following Next/Open/Close.
-  util::Result<bool> Next(storage::TupleRef* out);
-
-  /// Bulk form of Next: decodes live tuples column-at-a-time into `cols`
-  /// until the batch fills or the range is exhausted. Returns whether any
-  /// rows were appended. Do not interleave with Next() within one range.
+  /// Decodes the range's live tuples column-at-a-time into `cols` until
+  /// the batch fills or the range is exhausted. Returns whether any rows
+  /// were appended.
   util::Result<bool> NextBatch(storage::ColumnBatch* cols);
 
   /// Drops the page pin and the bucket latch.

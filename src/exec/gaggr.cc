@@ -5,93 +5,49 @@
 
 namespace smadb::exec {
 
-using storage::TupleRef;
 using util::Result;
 using util::Status;
-using util::Value;
 
 Result<std::unique_ptr<GAggr>> GAggr::Make(std::unique_ptr<Operator> child,
                                            std::vector<size_t> group_by,
-                                           std::vector<AggSpec> aggs,
-                                           size_t batch_size) {
+                                           std::vector<AggSpec> aggs) {
   SMADB_ASSIGN_OR_RETURN(
       storage::Schema schema,
       AggResultSchema(child->output_schema(), group_by, aggs));
   return std::unique_ptr<GAggr>(new GAggr(std::move(child),
                                           std::move(group_by),
                                           std::move(aggs),
-                                          std::move(schema), batch_size));
+                                          std::move(schema)));
 }
 
 Status GAggr::Init() {
   obs::OpTimer timer(prof_);
-  results_.clear();
-  next_ = 0;
+  results_.Reset();
   SMADB_RETURN_NOT_OK(child_->Init());
 
-  GroupTable groups(&aggs_);
-  // Charges against the query budget are deltas of the table's running
-  // footprint estimate, so repeated charges never double-count.
-  size_t charged = 0;
-  auto charge_groups = [&]() -> Status {
-    if (groups.approx_bytes() > charged) {
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(groups.approx_bytes() - charged, "GroupTable"));
-      charged = groups.approx_bytes();
-    }
-    return Status::OK();
-  };
-  if (batch_size_ > 0) {
-    // Vectorized consumption: project only what grouping, aggregation, and
-    // the child's own predicates read, then run fused kernels per batch.
-    BatchAggregator aggregator(&child_->output_schema(), &group_by_, &aggs_);
-    std::vector<bool> mask = aggregator.RequiredColumns();
-    child_->AddRequiredBatchColumns(&mask);
-    Batch batch;
-    batch.Configure(&child_->output_schema(), batch_size_, std::move(mask));
-    SMADB_RETURN_NOT_OK(ChargeMemory(batch.cols.ApproxBytes(), "ColumnBatch"));
-    while (true) {
-      SMADB_RETURN_NOT_OK(CheckRuntime("GAggr"));
-      SMADB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-      if (!has) break;
-      aggregator.AddBatch(batch);
-    }
-    aggregator.FlushInto(&groups);
-    SMADB_RETURN_NOT_OK(charge_groups());
-  } else {
-    std::vector<Value> key(group_by_.size());
-    TupleRef t;
-    size_t rows_since_check = 0;
-    while (true) {
-      if (++rows_since_check >= kRowsPerCheck) {
-        rows_since_check = 0;
-        SMADB_RETURN_NOT_OK(CheckRuntime("GAggr"));
-        SMADB_RETURN_NOT_OK(charge_groups());
-      }
-      SMADB_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-      if (!has) break;
-      for (size_t i = 0; i < group_by_.size(); ++i) {
-        key[i] = t.GetValue(group_by_[i]);
-      }
-      groups.Get(key)->AddTuple(t);
-    }
-    SMADB_RETURN_NOT_OK(charge_groups());
+  // Project only what grouping, aggregation, and the child's own
+  // predicates read, then run fused kernels per batch.
+  BatchAggregator aggregator(&child_->output_schema(), &group_by_, &aggs_);
+  std::vector<bool> mask = aggregator.RequiredColumns();
+  child_->AddRequiredBatchColumns(&mask);
+  Batch batch;
+  SMADB_RETURN_NOT_OK(
+      ConfigureBatch(&batch, &child_->output_schema(), std::move(mask)));
+  while (true) {
+    SMADB_RETURN_NOT_OK(CheckRuntime("GAggr"));
+    SMADB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
+    if (!has) break;
+    aggregator.AddBatch(batch);
   }
-  SMADB_RETURN_NOT_OK(groups.Emit(&schema_, &results_));
+  GroupTable groups(&aggs_);
+  aggregator.FlushInto(&groups);
+  SMADB_RETURN_NOT_OK(ChargeMemory(groups.approx_bytes(), "GroupTable"));
+  SMADB_RETURN_NOT_OK(groups.Emit(&schema_, &results_.rows));
   if (prof_ != nullptr) {
-    prof_->NotePeakBytes(charged);
-    prof_->SetDetail(util::Format("groups=%zu mode=%s", results_.size(),
-                                  batch_size_ > 0 ? "batch" : "row"));
+    prof_->NotePeakBytes(groups.approx_bytes());
+    prof_->SetDetail(util::Format("groups=%zu", results_.rows.size()));
   }
   return Status::OK();
-}
-
-Result<bool> GAggr::Next(TupleRef* out) {
-  if (next_ >= results_.size()) return false;
-  *out = results_[next_].AsRef();
-  ++next_;
-  if (prof_ != nullptr) prof_->AddRows(1);
-  return true;
 }
 
 }  // namespace smadb::exec

@@ -15,22 +15,21 @@ namespace smadb::exec {
 class GAggr final : public Operator {
  public:
   /// Groups the child's output on `group_by` (child-schema ordinals) and
-  /// computes `aggs`. Construction validates via Make().
-  ///
-  /// `batch_size` > 0 consumes the child through NextBatch with the fused
-  /// BatchAggregator kernels (projection limited to the group-by, aggregate
-  /// and child-required columns); 0 keeps the tuple-at-a-time loop. Both
-  /// paths produce bit-identical results in the same order.
+  /// computes `aggs` with the fused BatchAggregator kernels, pulling child
+  /// batches projected to the group-by, aggregate and child-required
+  /// columns. Construction validates via Make().
   static util::Result<std::unique_ptr<GAggr>> Make(
       std::unique_ptr<Operator> child, std::vector<size_t> group_by,
-      std::vector<AggSpec> aggs, size_t batch_size = 0);
+      std::vector<AggSpec> aggs);
 
   const storage::Schema& output_schema() const override { return schema_; }
 
   /// Pipeline breaker: consumes the entire child here.
   util::Status Init() override;
 
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override {
+    return results_.Emit(out, prof_);
+  }
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);
@@ -38,24 +37,21 @@ class GAggr final : public Operator {
     child_->BindContext(ctx);
   }
 
-  size_t num_groups() const { return results_.size(); }
+  size_t num_groups() const { return results_.rows.size(); }
 
  private:
   GAggr(std::unique_ptr<Operator> child, std::vector<size_t> group_by,
-        std::vector<AggSpec> aggs, storage::Schema schema, size_t batch_size)
+        std::vector<AggSpec> aggs, storage::Schema schema)
       : child_(std::move(child)),
         group_by_(std::move(group_by)),
         aggs_(std::move(aggs)),
-        schema_(std::move(schema)),
-        batch_size_(batch_size) {}
+        schema_(std::move(schema)) {}
 
   std::unique_ptr<Operator> child_;
   std::vector<size_t> group_by_;
   std::vector<AggSpec> aggs_;
   storage::Schema schema_;
-  size_t batch_size_;
-  std::vector<storage::TupleBuffer> results_;
-  size_t next_ = 0;
+  RowEmitter results_;
 };
 
 }  // namespace smadb::exec

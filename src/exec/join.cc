@@ -54,30 +54,31 @@ Status HashJoin::Init() {
   obs::OpTimer timer(prof_);
   build_rows_.clear();
   build_index_.clear();
+  left_batch_.Clear();
+  left_pos_ = 0;
+  left_done_ = false;
   matches_ = nullptr;
   match_pos_ = 0;
 
   SMADB_RETURN_NOT_OK(right_->Init());
   const Schema& rs = right_->output_schema();
-  TupleRef t;
-  size_t rows_since_check = 0;
+  Batch batch;
+  SMADB_RETURN_NOT_OK(ConfigureBatch(&batch, &rs));
   while (true) {
-    // The build side materializes in memory — checkpoint + charge it
-    // against the budget at kRowsPerCheck granularity.
-    if (++rows_since_check >= kRowsPerCheck) {
-      rows_since_check = 0;
-      SMADB_RETURN_NOT_OK(CheckRuntime("HashJoin"));
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(kRowsPerCheck * rs.tuple_size(), "HashJoin"));
-    }
-    SMADB_ASSIGN_OR_RETURN(bool has, right_->Next(&t));
+    // The build side materializes in memory — checkpoint and charge it
+    // against the budget batch by batch.
+    SMADB_RETURN_NOT_OK(CheckRuntime("HashJoin"));
+    SMADB_ASSIGN_OR_RETURN(bool has, right_->NextBatch(&batch));
     if (!has) break;
-    TupleBuffer row(&rs);
-    for (size_t c = 0; c < rs.num_fields(); ++c) {
-      row.SetValue(c, t.GetValue(c));
+    SMADB_RETURN_NOT_OK(
+        ChargeMemory(batch.sel.count() * rs.tuple_size(), "HashJoin"));
+    const int64_t* keys = batch.cols.Ints(right_col_);
+    for (size_t k = 0; k < batch.sel.count(); ++k) {
+      const uint32_t r = batch.sel.row(k);
+      build_index_[keys[r]].push_back(build_rows_.size());
+      build_rows_.emplace_back(&rs);
+      batch.cols.MaterializeRow(r, &build_rows_.back());
     }
-    build_index_[t.GetRawInt(right_col_)].push_back(build_rows_.size());
-    build_rows_.push_back(std::move(row));
   }
   if (prof_ != nullptr) {
     prof_->NotePeakBytes(build_rows_.size() * rs.tuple_size());
@@ -86,33 +87,52 @@ Status HashJoin::Init() {
   return left_->Init();
 }
 
-void HashJoin::EmitCombined(const TupleRef& left_tuple, size_t right_idx) {
-  const Schema& ls = left_->output_schema();
-  const Schema& rs = right_->output_schema();
+void HashJoin::EmitCombined(size_t right_idx, storage::ColumnBatch* out) {
+  const size_t left_fields = left_->output_schema().num_fields();
   const TupleRef right_tuple = build_rows_[right_idx].AsRef();
-  for (size_t c = 0; c < ls.num_fields(); ++c) {
-    out_buffer_.SetValue(c, left_tuple.GetValue(c));
+  for (size_t c = 0; c < schema_.num_fields(); ++c) {
+    if (!out->decoded(c)) continue;
+    out_buffer_.SetValue(
+        c, c < left_fields ? left_batch_.cols.GetValue(c, left_row_)
+                           : right_tuple.GetValue(c - left_fields));
   }
-  for (size_t c = 0; c < rs.num_fields(); ++c) {
-    out_buffer_.SetValue(ls.num_fields() + c, right_tuple.GetValue(c));
-  }
+  out->AppendRow(out_buffer_.AsRef());
 }
 
-Result<bool> HashJoin::Next(TupleRef* out) {
-  while (true) {
+Result<bool> HashJoin::NextBatch(Batch* out) {
+  obs::OpTimer timer(prof_);
+  if (!left_batch_.configured()) {
+    const Schema& ls = left_->output_schema();
+    const std::vector<bool>& wanted = out->cols.projection();
+    std::vector<bool> mask(wanted.begin(), wanted.begin() + ls.num_fields());
+    mask[left_col_] = true;
+    left_->AddRequiredBatchColumns(&mask);
+    SMADB_RETURN_NOT_OK(ConfigureBatch(&left_batch_, &ls, std::move(mask)));
+  }
+  out->Clear();
+  while (!out->cols.full()) {
     if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      EmitCombined(current_left_, (*matches_)[match_pos_]);
-      ++match_pos_;
-      *out = out_buffer_.AsRef();
-      if (prof_ != nullptr) prof_->AddRows(1);
-      return true;
+      EmitCombined((*matches_)[match_pos_++], &out->cols);
+      continue;
     }
-    SMADB_ASSIGN_OR_RETURN(bool has, left_->Next(&current_left_));
-    if (!has) return false;
-    auto it = build_index_.find(current_left_.GetRawInt(left_col_));
+    if (left_pos_ >= left_batch_.sel.count()) {
+      if (left_done_) break;
+      SMADB_ASSIGN_OR_RETURN(bool has, left_->NextBatch(&left_batch_));
+      if (!has) {
+        left_done_ = true;
+        break;
+      }
+      left_pos_ = 0;
+      continue;
+    }
+    left_row_ = left_batch_.sel.row(left_pos_++);
+    auto it = build_index_.find(left_batch_.cols.Ints(left_col_)[left_row_]);
     matches_ = it == build_index_.end() ? nullptr : &it->second;
     match_pos_ = 0;
   }
+  out->SelectAll();
+  if (prof_ != nullptr) prof_->AddRows(out->num_rows());
+  return out->num_rows() > 0;
 }
 
 Result<std::unique_ptr<SmaSemiJoin>> SmaSemiJoin::Make(
@@ -155,15 +175,25 @@ Status SmaSemiJoin::Init() {
     BucketReader s_reader(s_);
     s_reader.set_snapshot(s_snap);
     SMADB_RETURN_NOT_OK(s_reader.Open(0, s_snap.pages));
-    TupleRef t;
+    std::vector<bool> mask(s_->schema().num_fields(), false);
+    mask[s_col_] = true;
+    if (s_pred_ != nullptr) s_pred_->AddReferencedColumns(&mask);
+    Batch batch;
+    SMADB_RETURN_NOT_OK(ConfigureBatch(&batch, &s_->schema(), std::move(mask)));
     while (true) {
-      SMADB_ASSIGN_OR_RETURN(bool has, s_reader.Next(&t));
+      SMADB_RETURN_NOT_OK(CheckRuntime("SmaSemiJoin"));
+      batch.Clear();
+      SMADB_ASSIGN_OR_RETURN(bool has, s_reader.NextBatch(&batch.cols));
       if (!has) break;
-      if (s_pred_ != nullptr && !s_pred_->Eval(t)) continue;
-      const int64_t v = t.GetRawInt(s_col_);
-      s_min = s_min.has_value() ? std::min(*s_min, v) : v;
-      s_max = s_max.has_value() ? std::max(*s_max, v) : v;
-      if (need_values) s_values_.insert(v);
+      batch.SelectAll();
+      if (s_pred_ != nullptr) s_pred_->EvalBatch(batch.cols, &batch.sel);
+      const int64_t* values = batch.cols.Ints(s_col_);
+      for (size_t k = 0; k < batch.sel.count(); ++k) {
+        const int64_t v = values[batch.sel.row(k)];
+        s_min = s_min.has_value() ? std::min(*s_min, v) : v;
+        s_max = s_max.has_value() ? std::max(*s_max, v) : v;
+        if (need_values) s_values_.insert(v);
+      }
     }
   }
 
@@ -251,20 +281,23 @@ Status SmaSemiJoin::NextBucket() {
   return r_reader_.Open(first, end);
 }
 
-Result<bool> SmaSemiJoin::Next(TupleRef* out) {
+Result<bool> SmaSemiJoin::NextBatch(Batch* out) {
   while (!done_) {
-    TupleRef t;
-    SMADB_ASSIGN_OR_RETURN(bool has, r_reader_.Next(&t));
+    out->Clear();
+    SMADB_ASSIGN_OR_RETURN(bool has, r_reader_.NextBatch(&out->cols));
     if (!has) {
       SMADB_RETURN_NOT_OK(NextBucket());
       continue;
     }
-    const bool r_ok = curr_r_grade_ == sma::Grade::kQualifies ||
-                      r_pred_ == nullptr || r_pred_->Eval(t);
-    if (r_ok && (curr_all_match_ || Matches(t.GetRawInt(r_col_)))) {
-      *out = t;
-      return true;
+    out->SelectAll();
+    if (curr_r_grade_ != sma::Grade::kQualifies) {
+      r_pred_->EvalBatch(out->cols, &out->sel);
     }
+    if (!curr_all_match_) {
+      const int64_t* values = out->cols.Ints(r_col_);
+      out->sel.Filter([&](uint32_t r) { return Matches(values[r]); });
+    }
+    return true;
   }
   return false;
 }

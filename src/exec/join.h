@@ -26,8 +26,9 @@
 namespace smadb::exec {
 
 /// Equi hash join: output = concatenation of left and right fields.
-/// The build side (right) is materialized in Init; duplicates on either
-/// side produce the full cross product of matches.
+/// The build side (right) is materialized in Init; the probe side (left)
+/// streams batch by batch. Duplicates on either side produce the full
+/// cross product of matches, in left order, then build order.
 class HashJoin final : public Operator {
  public:
   /// `left_col` / `right_col` are ordinals into the children's schemas;
@@ -39,7 +40,7 @@ class HashJoin final : public Operator {
   const storage::Schema& output_schema() const override { return schema_; }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override;
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);
@@ -59,7 +60,9 @@ class HashJoin final : public Operator {
         schema_(std::move(schema)),
         out_buffer_(&schema_) {}
 
-  void EmitCombined(const storage::TupleRef& left_tuple, size_t right_idx);
+  /// Appends the current left row joined with build row `right_idx` to
+  /// `out`, decoding only the columns `out` projects.
+  void EmitCombined(size_t right_idx, storage::ColumnBatch* out);
 
   std::unique_ptr<Operator> left_;
   size_t left_col_;
@@ -71,8 +74,12 @@ class HashJoin final : public Operator {
   std::vector<storage::TupleBuffer> build_rows_;
   std::unordered_map<int64_t, std::vector<size_t>> build_index_;
 
-  // Probe state.
-  storage::TupleRef current_left_;
+  // Probe state. The left batch is configured at the first NextBatch, from
+  // the consumer's projection plus the join key.
+  Batch left_batch_;
+  size_t left_pos_ = 0;    // next selection index into left_batch_
+  uint32_t left_row_ = 0;  // the left row whose matches are being emitted
+  bool left_done_ = false;
   const std::vector<size_t>* matches_ = nullptr;
   size_t match_pos_ = 0;
   storage::TupleBuffer out_buffer_;
@@ -101,7 +108,17 @@ class SmaSemiJoin final : public Operator {
   }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
+
+  /// Streams R's candidate buckets batch by batch (a batch never spans
+  /// buckets): the R predicate refines the selection unless the bucket
+  /// qualifies, and the join probe refines it unless every tuple of the
+  /// bucket provably matches.
+  util::Result<bool> NextBatch(Batch* out) override;
+
+  void AddRequiredBatchColumns(std::vector<bool>* mask) const override {
+    (*mask)[r_col_] = true;
+    if (r_pred_ != nullptr) r_pred_->AddReferencedColumns(mask);
+  }
 
   /// Buckets skipped by the reduction (the §4 payoff).
   uint64_t buckets_pruned() const { return buckets_pruned_; }

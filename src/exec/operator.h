@@ -1,7 +1,8 @@
 // Physical-algebra operator interface: the iterator concept of Graefe [7]
-// the paper's SMA_Scan / SMA_GAggr plug into (Init / Next / implicit close
-// via destructor), extended with a batch-at-a-time protocol (NextBatch)
-// that operators adopt incrementally — see DESIGN.md §9.
+// the paper's SMA_Scan / SMA_GAggr plug into (Init / NextBatch / implicit
+// close via destructor). Operators exchange column batches, never single
+// tuples; plan::RunToCompletion is the one place where batches turn into
+// result rows — see DESIGN.md §9.
 
 #ifndef SMADB_EXEC_OPERATOR_H_
 #define SMADB_EXEC_OPERATOR_H_
@@ -17,47 +18,25 @@
 
 namespace smadb::exec {
 
-/// Pull-based physical operator. Row usage:
-///   op.Init();  while (op.Next(&t) yields true) consume(t);
-/// Batch usage:
+/// Pull-based physical operator:
 ///   batch.Configure(&op.output_schema(), n, projection);
 ///   op.Init();  while (op.NextBatch(&batch) yields true) consume(batch);
-/// Do not interleave Next and NextBatch on one instance between Init calls.
 class Operator {
  public:
   virtual ~Operator() = default;
 
-  /// Schema of the tuples Next() produces.
+  /// Schema of the rows NextBatch() produces.
   virtual const storage::Schema& output_schema() const = 0;
 
   /// Prepares the operator; pipeline breakers do their work here.
   virtual util::Status Init() = 0;
-
-  /// Produces the next tuple into `*out`. The view stays valid until the
-  /// following Next()/destruction. Returns false at end of stream.
-  virtual util::Result<bool> Next(storage::TupleRef* out) = 0;
 
   /// Produces the next batch into `*out` (pre-Configured by the caller
   /// against output_schema()). Returns false at end of stream; true means
   /// rows were decoded — the selection may still be empty, in which case
   /// the consumer skips the batch and pulls again. Batch contents stay
   /// valid until the following NextBatch()/Init().
-  ///
-  /// The default adapter loops Next(), so every operator is batch-capable;
-  /// operators with native batch paths (TableScan, SmaScan, Filter)
-  /// override it to decode column-at-a-time and drive the predicate through
-  /// selection vectors.
-  virtual util::Result<bool> NextBatch(Batch* out) {
-    out->Clear();
-    storage::TupleRef t;
-    while (!out->cols.full()) {
-      SMADB_ASSIGN_OR_RETURN(bool has, Next(&t));
-      if (!has) break;
-      out->cols.AppendRow(t);
-    }
-    out->SelectAll();
-    return out->num_rows() > 0;
-  }
+  virtual util::Result<bool> NextBatch(Batch* out) = 0;
 
   /// Sets `mask[c]` for every column of output_schema() this operator reads
   /// while producing batches (e.g. a scan's predicate columns). Consumers
@@ -97,14 +76,42 @@ class Operator {
     return util::QueryContext::Charge(ctx_, bytes, component);
   }
 
-  /// Rows between checkpoints on row-at-a-time paths (roughly one page's
-  /// worth, so row and batch modes observe cancellation equally fast).
-  static constexpr size_t kRowsPerCheck = 512;
+  /// Configures a batch this operator owns and charges its column vectors
+  /// against the query budget as "ColumnBatch" (DESIGN.md §10).
+  util::Status ConfigureBatch(Batch* batch, const storage::Schema* schema,
+                              std::vector<bool> projection = {}) const {
+    batch->Configure(schema, kDefaultBatchSize, std::move(projection));
+    return ChargeMemory(batch->cols.ApproxBytes(), "ColumnBatch");
+  }
 
   util::QueryContext* ctx_ = nullptr;
   /// This operator's profile node; null unless the query runs under
   /// `explain analyze`. Feed with relaxed tallies, always null-guarded.
   obs::OperatorProfile* prof_ = nullptr;
+};
+
+/// Serves a pipeline breaker's materialized result rows batch by batch —
+/// the one emitter GAggr, SMA_GAggr, ParallelScanAggr and Sort share.
+struct RowEmitter {
+  std::vector<storage::TupleBuffer> rows;
+  size_t next = 0;
+
+  void Reset() {
+    rows.clear();
+    next = 0;
+  }
+
+  /// Copies the next rows into `out`, up to its capacity, and tallies them
+  /// on `prof` (may be null); false once every row has been served.
+  bool Emit(Batch* out, obs::OperatorProfile* prof) {
+    out->Clear();
+    while (next < rows.size() && !out->cols.full()) {
+      out->cols.AppendRow(rows[next++].AsRef());
+    }
+    out->SelectAll();
+    if (prof != nullptr) prof->AddRows(out->num_rows());
+    return out->num_rows() > 0;
+  }
 };
 
 }  // namespace smadb::exec

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/batch.h"
 #include "exec/batch_aggregator.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -10,22 +9,19 @@
 namespace smadb::exec {
 
 using sma::Grade;
-using storage::TupleRef;
 using util::Result;
 using util::Status;
-using util::Value;
 
 Result<std::unique_ptr<ParallelScanAggr>> ParallelScanAggr::Make(
     storage::Table* table, expr::PredicatePtr pred,
     std::vector<size_t> group_by, std::vector<AggSpec> aggs,
-    const sma::SmaSet* smas, size_t degree_of_parallelism,
-    size_t batch_size) {
+    const sma::SmaSet* smas, size_t degree_of_parallelism) {
   SMADB_ASSIGN_OR_RETURN(storage::Schema schema,
                          AggResultSchema(table->schema(), group_by, aggs));
   const size_t dop = std::max<size_t>(1, degree_of_parallelism);
   return std::unique_ptr<ParallelScanAggr>(new ParallelScanAggr(
       table, std::move(pred), std::move(group_by), std::move(aggs), smas,
-      std::move(schema), dop, batch_size));
+      std::move(schema), dop));
 }
 
 Status ParallelScanAggr::Init() {
@@ -38,42 +34,39 @@ Status ParallelScanAggr::Init() {
     // can never double-count buckets in the profile.
     prof_->AddBuckets(stats_.qualifying_buckets, stats_.disqualifying_buckets,
                       stats_.ambivalent_buckets);
-    prof_->SetDetail(util::Format("groups=%zu dop=%zu mode=%s",
-                                  results_.size(), dop_,
-                                  batch_size_ > 0 ? "batch" : "row"));
+    prof_->SetDetail(
+        util::Format("groups=%zu dop=%zu", results_.rows.size(), dop_));
     if (!s.ok()) prof_->MarkFailed(s.ToString());
   }
   return s;
 }
 
 Status ParallelScanAggr::InitImpl() {
-  results_.clear();
-  next_ = 0;
+  results_.Reset();
   stats_ = SmaScanStats();
 
   BucketSource source(table_, pred_, smas_);
 
-  // Per-worker state: grader and reader hold page pins, the group table and
-  // census are the worker's private partial results.
+  // Per-worker state: grader and reader hold page pins; the fused
+  // aggregator's partial groups are the worker's private results, flushed
+  // into `groups` after the parallel region and merged (and charged) there.
   struct WorkerState {
     std::unique_ptr<sma::BucketGrader> grader;
     BucketReader reader;
+    BatchAggregator aggregator;
+    Batch batch;
     GroupTable groups;
     SmaScanStats stats;
-    std::vector<Value> key;
-    // Vectorized morsels: batch + fused aggregator, flushed into `groups`
-    // after the parallel region. Null in row mode.
-    std::unique_ptr<BatchAggregator> aggregator;
-    Batch batch;
-    size_t charged = 0;  // bytes of `groups` already charged
-    WorkerState(storage::Table* table, const std::vector<AggSpec>* aggs,
-                size_t key_width)
-        : reader(table), groups(aggs), key(key_width) {}
+    WorkerState(storage::Table* table, const std::vector<size_t>* group_by,
+                const std::vector<AggSpec>* aggs)
+        : reader(table),
+          aggregator(&table->schema(), group_by, aggs),
+          groups(aggs) {}
   };
   std::vector<WorkerState> workers;
   workers.reserve(dop_);
   for (size_t w = 0; w < dop_; ++w) {
-    workers.emplace_back(table_, &aggs_, group_by_.size());
+    workers.emplace_back(table_, &group_by_, &aggs_);
     WorkerState& ws = workers.back();
     // Unconditional, like the serial NextGraded path: even without SMA
     // support the grader still resolves trivial predicates (True grades
@@ -83,16 +76,10 @@ Status ParallelScanAggr::InitImpl() {
     // Every worker reads the same consistent append prefix the source
     // captured; pages appended mid-run stay invisible.
     ws.reader.set_snapshot(source.snapshot());
-    if (batch_size_ > 0) {
-      ws.aggregator =
-          std::make_unique<BatchAggregator>(&table_->schema(), &group_by_,
-                                            &aggs_);
-      std::vector<bool> mask = ws.aggregator->RequiredColumns();
-      pred_->AddReferencedColumns(&mask);
-      ws.batch.Configure(&table_->schema(), batch_size_, std::move(mask));
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(ws.batch.cols.ApproxBytes(), "ColumnBatch"));
-    }
+    std::vector<bool> mask = ws.aggregator.RequiredColumns();
+    pred_->AddReferencedColumns(&mask);
+    SMADB_RETURN_NOT_OK(
+        ConfigureBatch(&ws.batch, &table_->schema(), std::move(mask)));
   }
 
   // The cancel token reaches the claim loop itself: once tripped, no new
@@ -117,42 +104,21 @@ Status ParallelScanAggr::InitImpl() {
         const auto [first, end] =
             table_->BucketPageRange(static_cast<uint32_t>(b));
         SMADB_RETURN_NOT_OK(ws.reader.Open(first, end));
-        if (ws.aggregator != nullptr) {
-          // Vectorized morsel: decode the bucket column-at-a-time and map
-          // its grade onto the selection vector — qualifying buckets keep
-          // the dense all-rows selection with no predicate evaluation.
-          while (true) {
-            ws.batch.Clear();
-            SMADB_ASSIGN_OR_RETURN(bool has,
-                                   ws.reader.NextBatch(&ws.batch.cols));
-            if (!has) break;
-            ws.batch.SelectAll();
-            if (g != Grade::kQualifies) {
-              pred_->EvalBatch(ws.batch.cols, &ws.batch.sel);
-            }
-            ws.aggregator->AddBatch(ws.batch);
+        // Decode the bucket column-at-a-time and map its grade onto the
+        // selection vector — qualifying buckets keep the dense all-rows
+        // selection with no predicate evaluation (§3.1).
+        while (true) {
+          ws.batch.Clear();
+          SMADB_ASSIGN_OR_RETURN(bool has,
+                                 ws.reader.NextBatch(&ws.batch.cols));
+          if (!has) break;
+          ws.batch.SelectAll();
+          if (g != Grade::kQualifies) {
+            pred_->EvalBatch(ws.batch.cols, &ws.batch.sel);
           }
-        } else {
-          TupleRef t;
-          while (true) {
-            SMADB_ASSIGN_OR_RETURN(bool has, ws.reader.Next(&t));
-            if (!has) break;
-            // Qualifying buckets need no per-tuple predicate re-check
-            // (§3.1).
-            if (g != Grade::kQualifies && !pred_->Eval(t)) continue;
-            for (size_t i = 0; i < group_by_.size(); ++i) {
-              ws.key[i] = t.GetValue(group_by_[i]);
-            }
-            ws.groups.Get(ws.key)->AddTuple(t);
-          }
+          ws.aggregator.AddBatch(ws.batch);
         }
         ws.reader.Close();
-        // Charge this bucket's group-table growth against the budget.
-        if (ws.groups.approx_bytes() > ws.charged) {
-          SMADB_RETURN_NOT_OK(ChargeMemory(
-              ws.groups.approx_bytes() - ws.charged, "GroupTable"));
-          ws.charged = ws.groups.approx_bytes();
-        }
         return Status::OK();
       },
       cancel);
@@ -169,7 +135,7 @@ Status ParallelScanAggr::InitImpl() {
 
   GroupTable groups(&aggs_);
   for (WorkerState& ws : workers) {
-    if (ws.aggregator != nullptr) ws.aggregator->FlushInto(&ws.groups);
+    ws.aggregator.FlushInto(&ws.groups);
     const size_t before = groups.approx_bytes();
     groups.MergeFrom(ws.groups);
     // Merge-phase growth carries its own component name so a budget trip
@@ -179,16 +145,7 @@ Status ParallelScanAggr::InitImpl() {
           ChargeMemory(groups.approx_bytes() - before, "GroupTable.merge"));
     }
   }
-  SMADB_RETURN_NOT_OK(groups.Emit(&schema_, &results_));
-  return Status::OK();
-}
-
-Result<bool> ParallelScanAggr::Next(TupleRef* out) {
-  if (next_ >= results_.size()) return false;
-  *out = results_[next_].AsRef();
-  ++next_;
-  if (prof_ != nullptr) prof_->AddRows(1);
-  return true;
+  return groups.Emit(&schema_, &results_.rows);
 }
 
 }  // namespace smadb::exec

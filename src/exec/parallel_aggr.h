@@ -5,10 +5,13 @@
 // buckets through the BucketSource counter, grade them against the SMAs
 // (when present), fetch only qualifying/ambivalent buckets through private
 // BucketReaders, and aggregate into private GroupTables; the partial tables
-// are merged at the end. The merge is exact — sum/count/min/max compose
-// associatively and commutatively, averages are finalized from the merged
-// sum and count — so the result equals the serial GAggr∘Scan pipeline for
-// every degree of parallelism.
+// are merged at the end. Every morsel carries batches: workers decode
+// buckets column-at-a-time, map the bucket grade onto the selection vector
+// (qualifying = dense all-rows, no predicate evaluation), and aggregate
+// through the fused BatchAggregator kernels. The merge is exact —
+// sum/count/min/max compose associatively and commutatively, averages are
+// finalized from the merged sum and count — so the result equals the
+// serial GAggr∘Scan pipeline for every degree of parallelism.
 
 #ifndef SMADB_EXEC_PARALLEL_AGGR_H_
 #define SMADB_EXEC_PARALLEL_AGGR_H_
@@ -30,28 +33,23 @@ class ParallelScanAggr final : public Operator {
   /// may be null: the operator then degenerates to a parallel full scan
   /// (every bucket ambivalent), which is the parallel form of
   /// GAggr∘TableScan; with SMAs it parallelizes GAggr∘SMA_Scan.
-  ///
-  /// `batch_size` > 0 makes every morsel carry batches: workers decode
-  /// buckets column-at-a-time, map the bucket grade onto the selection
-  /// vector (qualifying = dense all-rows, no predicate evaluation), and
-  /// aggregate through the fused BatchAggregator kernels. 0 keeps the
-  /// tuple-at-a-time worker loop. Results are identical.
   static util::Result<std::unique_ptr<ParallelScanAggr>> Make(
       storage::Table* table, expr::PredicatePtr pred,
       std::vector<size_t> group_by, std::vector<AggSpec> aggs,
-      const sma::SmaSet* smas, size_t degree_of_parallelism,
-      size_t batch_size = 0);
+      const sma::SmaSet* smas, size_t degree_of_parallelism);
 
   const storage::Schema& output_schema() const override { return schema_; }
 
   /// Pipeline breaker: the whole parallel aggregation runs here.
   util::Status Init() override;
 
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override {
+    return results_.Emit(out, prof_);
+  }
 
   /// Merged bucket census across all workers (equals the serial census).
   const SmaScanStats& stats() const { return stats_; }
-  size_t num_groups() const { return results_.size(); }
+  size_t num_groups() const { return results_.rows.size(); }
   size_t degree_of_parallelism() const { return dop_; }
 
   void BindContext(util::QueryContext* ctx) override {
@@ -67,15 +65,14 @@ class ParallelScanAggr final : public Operator {
   ParallelScanAggr(storage::Table* table, expr::PredicatePtr pred,
                    std::vector<size_t> group_by, std::vector<AggSpec> aggs,
                    const sma::SmaSet* smas, storage::Schema schema,
-                   size_t dop, size_t batch_size)
+                   size_t dop)
       : table_(table),
         pred_(std::move(pred)),
         group_by_(std::move(group_by)),
         aggs_(std::move(aggs)),
         smas_(smas),
         schema_(std::move(schema)),
-        dop_(dop),
-        batch_size_(batch_size) {}
+        dop_(dop) {}
 
   storage::Table* table_;
   expr::PredicatePtr pred_;
@@ -84,10 +81,8 @@ class ParallelScanAggr final : public Operator {
   const sma::SmaSet* smas_;
   storage::Schema schema_;
   size_t dop_;
-  size_t batch_size_;
 
-  std::vector<storage::TupleBuffer> results_;
-  size_t next_ = 0;
+  RowEmitter results_;
   SmaScanStats stats_;
 };
 

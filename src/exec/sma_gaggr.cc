@@ -12,7 +12,6 @@ namespace smadb::exec {
 using sma::AggFunc;
 using sma::Grade;
 using sma::Sma;
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 using util::Value;
@@ -50,11 +49,12 @@ bool GroupingRefines(const std::vector<size_t>& query_groups,
 
 }  // namespace
 
-/// One worker's vectorized ambivalent-bucket machinery: a private reader
-/// (page pins), a reusable batch projected to the predicate + group-by +
-/// aggregate columns, and the fused-kernel partial aggregator. The partials
-/// are flushed into the worker's GroupTable once its buckets are done —
-/// exact, since group merging is associative and commutative.
+/// One worker's ambivalent-bucket machinery: a private snapshot-clamped
+/// reader (page pins), a reusable batch projected to the predicate +
+/// group-by + aggregate columns (configured by the owning operator), and
+/// the fused-kernel partial aggregator. The partials are flushed into the
+/// worker's GroupTable once its buckets are done — exact, since group
+/// merging is associative and commutative.
 struct SmaGAggrBatchState {
   BucketReader reader;
   Batch batch;
@@ -62,13 +62,8 @@ struct SmaGAggrBatchState {
 
   SmaGAggrBatchState(storage::Table* table,
                      const std::vector<size_t>* group_by,
-                     const std::vector<AggSpec>* aggs,
-                     const expr::PredicatePtr& pred, size_t batch_size)
-      : reader(table), aggregator(&table->schema(), group_by, aggs) {
-    std::vector<bool> mask = aggregator.RequiredColumns();
-    pred->AddReferencedColumns(&mask);
-    batch.Configure(&table->schema(), batch_size, std::move(mask));
-  }
+                     const std::vector<AggSpec>* aggs)
+      : reader(table), aggregator(&table->schema(), group_by, aggs) {}
 };
 
 SmaGAggr::AggBinding SmaGAggr::BindAggregate(AggFunc func,
@@ -197,45 +192,26 @@ Status SmaGAggr::ProcessQualifying(GroupTable* groups,
   return Status::OK();
 }
 
-Status SmaGAggr::ProcessAmbivalent(GroupTable* groups, uint64_t b,
+Status SmaGAggr::ProcessAmbivalent(uint64_t b,
                                    SmaGAggrBatchState* batch_state) {
-  if (batch_state != nullptr) {
-    // Vectorized: decode the bucket into column batches, refine the dense
-    // selection with EvalBatch, and fold through the fused kernels. Goes to
-    // the worker's partial aggregator, flushed into `groups` at the end.
-    const auto [first, end] =
-        table_->BucketPageRange(static_cast<uint32_t>(b));
-    SMADB_RETURN_NOT_OK(batch_state->reader.Open(first, end));
-    while (true) {
-      batch_state->batch.Clear();
-      SMADB_ASSIGN_OR_RETURN(
-          bool has, batch_state->reader.NextBatch(&batch_state->batch.cols));
-      if (!has) break;
-      batch_state->batch.SelectAll();
-      pred_->EvalBatch(batch_state->batch.cols, &batch_state->batch.sel);
-      batch_state->aggregator.AddBatch(batch_state->batch);
-    }
-    batch_state->reader.Close();
-    return Status::OK();
-  }
-  // Tuple-at-a-time through a snapshot-clamped reader: the reader's internal
-  // lock-coupled latch keeps writers out of the page being read, and the
+  // Decode the bucket into column batches, refine the dense selection with
+  // EvalBatch, and fold through the fused kernels into the worker's partial
+  // aggregator (flushed into its GroupTable at the end). The reader's
+  // lock-coupled latch keeps writers out of the page being read, and its
   // snapshot hides slots appended after this execution began.
   const auto [first, end] = table_->BucketPageRange(static_cast<uint32_t>(b));
-  BucketReader reader(table_);
-  reader.set_snapshot(snapshot_);
-  SMADB_RETURN_NOT_OK(reader.Open(first, end));
-  std::vector<Value> key(group_by_.size());
-  TupleRef t;
+  SMADB_RETURN_NOT_OK(batch_state->reader.Open(first, end));
+  Batch& batch = batch_state->batch;
   while (true) {
-    SMADB_ASSIGN_OR_RETURN(bool has, reader.Next(&t));
+    batch.Clear();
+    SMADB_ASSIGN_OR_RETURN(bool has,
+                           batch_state->reader.NextBatch(&batch.cols));
     if (!has) break;
-    if (!pred_->Eval(t)) continue;
-    for (size_t i = 0; i < group_by_.size(); ++i) {
-      key[i] = t.GetValue(group_by_[i]);
-    }
-    groups->Get(key)->AddTuple(t);
+    batch.SelectAll();
+    pred_->EvalBatch(batch.cols, &batch.sel);
+    batch_state->aggregator.AddBatch(batch);
   }
+  batch_state->reader.Close();
   return Status::OK();
 }
 
@@ -274,7 +250,7 @@ Status SmaGAggr::ProcessBucket(Grade g, uint64_t b, GroupTable* groups,
         buckets_skipped_.fetch_add(1, std::memory_order_relaxed);
         return Status::OK();
       }
-      return ProcessAmbivalent(groups, b, batch_state);
+      return ProcessAmbivalent(b, batch_state);
   }
   return Status::OK();
 }
@@ -291,9 +267,8 @@ Status SmaGAggr::Init() {
                       stats_.ambivalent_buckets);
     prof_->AddBucketsSkipped(buckets_skipped());
     prof_->SetDetail(util::Format(
-        "groups=%zu dop=%zu mode=%s%s", results_.size(),
+        "groups=%zu dop=%zu%s", results_.rows.size(),
         std::max<size_t>(1, options_.degree_of_parallelism),
-        options_.batch_size > 0 ? "batch" : "row",
         options_.sma_only ? " sma_only" : ""));
     if (!s.ok()) prof_->MarkFailed(s.ToString());
   }
@@ -301,33 +276,35 @@ Status SmaGAggr::Init() {
 }
 
 Status SmaGAggr::InitImpl() {
-  results_.clear();
-  next_ = 0;
+  results_.Reset();
   stats_ = SmaScanStats();
   buckets_skipped_.store(0, std::memory_order_relaxed);
 
   BucketSource source(table_, pred_, smas_);
-  snapshot_ = source.snapshot();
   GroupTable groups(&aggs_);
   const size_t dop =
       std::max<size_t>(1, options_.degree_of_parallelism);
 
-  auto make_batch_state = [&]() -> std::unique_ptr<SmaGAggrBatchState> {
-    if (options_.batch_size == 0) return nullptr;
-    auto state = std::make_unique<SmaGAggrBatchState>(
-        table_, &group_by_, &aggs_, pred_, options_.batch_size);
-    state->reader.set_snapshot(snapshot_);
+  // Ambivalent readers clamp to the source's consistent append prefix;
+  // qualifying buckets answer from SMA entries under the bucket's shared
+  // latch. SMA-only mode skips ambivalent buckets, so it has no batch.
+  using BatchStatePtr = std::unique_ptr<SmaGAggrBatchState>;
+  auto make_batch_state = [&]() -> Result<BatchStatePtr> {
+    if (options_.sma_only) return BatchStatePtr();
+    auto state =
+        std::make_unique<SmaGAggrBatchState>(table_, &group_by_, &aggs_);
+    state->reader.set_snapshot(source.snapshot());
+    std::vector<bool> mask = state->aggregator.RequiredColumns();
+    pred_->AddReferencedColumns(&mask);
+    SMADB_RETURN_NOT_OK(
+        ConfigureBatch(&state->batch, &table_->schema(), std::move(mask)));
     return state;
   };
 
   if (dop == 1) {
     // The paper's single synchronized pass over relation and SMA-files.
     BindingCursors cursors = MakeCursors();
-    std::unique_ptr<SmaGAggrBatchState> batch_state = make_batch_state();
-    if (batch_state != nullptr) {
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(batch_state->batch.cols.ApproxBytes(), "ColumnBatch"));
-    }
+    SMADB_ASSIGN_OR_RETURN(BatchStatePtr batch_state, make_batch_state());
     size_t charged = 0;
     BucketUnit unit;
     while (true) {
@@ -353,15 +330,14 @@ Status SmaGAggr::InitImpl() {
           ChargeMemory(groups.approx_bytes() - charged, "GroupTable"));
     }
   } else {
-    // Morsel-parallel: per-worker grader, cursors, census, and group table
-    // (the morsels carry batches when batch_size > 0); exact merge
-    // afterwards.
+    // Morsel-parallel: per-worker grader, cursors, census, group table and
+    // batch; exact merge afterwards.
     struct WorkerState {
       std::unique_ptr<sma::BucketGrader> grader;
       BindingCursors cursors;
       GroupTable groups;
       SmaScanStats stats;
-      std::unique_ptr<SmaGAggrBatchState> batch_state;
+      BatchStatePtr batch_state;
       size_t charged = 0;  // bytes of `groups` already charged
       explicit WorkerState(const std::vector<AggSpec>* aggs)
           : groups(aggs) {}
@@ -372,12 +348,7 @@ Status SmaGAggr::InitImpl() {
       workers.emplace_back(&aggs_);
       workers.back().grader = source.NewGrader();
       workers.back().cursors = MakeCursors();
-      workers.back().batch_state = make_batch_state();
-      if (workers.back().batch_state != nullptr) {
-        SMADB_RETURN_NOT_OK(ChargeMemory(
-            workers.back().batch_state->batch.cols.ApproxBytes(),
-            "ColumnBatch"));
-      }
+      SMADB_ASSIGN_OR_RETURN(workers.back().batch_state, make_batch_state());
     }
     // The cancel token flows into the claim loop: once it trips, no further
     // morsel is scheduled and the pool drains before we touch worker state.
@@ -429,16 +400,7 @@ Status SmaGAggr::InitImpl() {
   }
 
   // Phase 3 (average finalization) happens inside Emit/Finalize.
-  SMADB_RETURN_NOT_OK(groups.Emit(&schema_, &results_));
-  return Status::OK();
-}
-
-Result<bool> SmaGAggr::Next(TupleRef* out) {
-  if (next_ >= results_.size()) return false;
-  *out = results_[next_].AsRef();
-  ++next_;
-  if (prof_ != nullptr) prof_->AddRows(1);
-  return true;
+  return groups.Emit(&schema_, &results_.rows);
 }
 
 }  // namespace smadb::exec

@@ -2,8 +2,9 @@
 //
 // Selection SMAs partition the buckets; for qualifying buckets the queried
 // aggregates are advanced straight from the aggregate SMA entries, only
-// ambivalent buckets are fetched and aggregated tuple-by-tuple, and
-// averages are finalized as sum/count in the last phase. The operator scans
+// ambivalent buckets are fetched (decoded into column batches, filtered
+// with EvalBatch and folded by the BatchAggregator kernels), and averages
+// are finalized as sum/count in the last phase. The operator scans
 // the relation and all SMA-files "in parallel" (one synchronized sequential
 // pass).
 //
@@ -49,20 +50,16 @@ struct SmaGAggrOptions {
   /// Worker count for the morsel-parallel path; 1 = serial (the paper's
   /// single synchronized pass, bit-identical to the pre-parallel engine).
   size_t degree_of_parallelism = 1;
-  /// Rows per batch for ambivalent-bucket processing; > 0 switches those
-  /// buckets to the vectorized path (column decode + EvalBatch +
-  /// BatchAggregator kernels), 0 keeps tuple-at-a-time. Qualifying buckets
-  /// always read SMA entries only; results are identical either way.
-  size_t batch_size = 0;
   /// Degraded SMA-only mode (the bottom rung of the planner's degradation
   /// ladder, DESIGN.md §10): ambivalent buckets are *skipped* instead of
   /// fetched, so the answer covers qualifying buckets only. The result is a
   /// lower bound, NOT exact — callers must surface the partial marker
-  /// (buckets_skipped() reports how many buckets went uninspected).
+  /// (buckets_skipped() reports how many buckets went uninspected). This
+  /// mode never configures, or charges, a column batch.
   bool sma_only = false;
 };
 
-/// Per-worker state of the vectorized ambivalent path (defined in the .cc).
+/// Per-worker state of the ambivalent-bucket path (defined in the .cc).
 struct SmaGAggrBatchState;
 
 class SmaGAggr final : public Operator {
@@ -81,7 +78,9 @@ class SmaGAggr final : public Operator {
   util::Status Init() override;
 
   /// "The next function then merely returns one result after another."
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override {
+    return results_.Emit(out, prof_);
+  }
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);
@@ -89,7 +88,7 @@ class SmaGAggr final : public Operator {
   }
 
   const SmaScanStats& stats() const { return stats_; }
-  size_t num_groups() const { return results_.size(); }
+  size_t num_groups() const { return results_.rows.size(); }
 
   /// Ambivalent buckets left uninspected by sma_only mode (0 otherwise).
   uint64_t buckets_skipped() const {
@@ -139,14 +138,13 @@ class SmaGAggr final : public Operator {
   util::Status InitImpl();
 
   /// One bucket's phase-2 work, dispatched on its grade. `batch_state` is
-  /// the worker's vectorized ambivalent path, or null for tuple-at-a-time.
+  /// the worker's ambivalent-bucket path (null in sma_only mode).
   util::Status ProcessBucket(sma::Grade g, uint64_t b, GroupTable* groups,
                              BindingCursors* cursors, SmaScanStats* stats,
                              SmaGAggrBatchState* batch_state);
   util::Status ProcessQualifying(GroupTable* groups, BindingCursors* cursors,
                                  uint64_t b);
-  util::Status ProcessAmbivalent(GroupTable* groups, uint64_t b,
-                                 SmaGAggrBatchState* batch_state);
+  util::Status ProcessAmbivalent(uint64_t b, SmaGAggrBatchState* batch_state);
 
   storage::Table* table_;
   expr::PredicatePtr pred_;
@@ -162,13 +160,8 @@ class SmaGAggr final : public Operator {
   AggBinding count_binding_;
   uint64_t covered_buckets_ = 0;  // min SMA coverage across bindings
 
-  std::vector<storage::TupleBuffer> results_;
-  size_t next_ = 0;
+  RowEmitter results_;
   SmaScanStats stats_;
-  // The consistent append prefix this execution runs against, captured by
-  // InitImpl's BucketSource. Ambivalent readers clamp to it; qualifying
-  // buckets answer from SMA entries under the bucket's shared latch.
-  storage::TableSnapshot snapshot_;
   // Atomic: bumped from parallel workers in sma_only mode.
   std::atomic<uint64_t> buckets_skipped_{0};
 };

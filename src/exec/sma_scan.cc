@@ -3,7 +3,6 @@
 namespace smadb::exec {
 
 using sma::Grade;
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 
@@ -45,24 +44,6 @@ Status SmaScan::GetBucket() {
   const auto [first, end] = source_.table()->BucketPageRange(
       static_cast<uint32_t>(unit.bucket));
   return reader_.Open(first, end);
-}
-
-Result<bool> SmaScan::Next(TupleRef* out) {
-  obs::OpTimer timer(prof_);
-  while (!done_) {
-    SMADB_ASSIGN_OR_RETURN(bool has, reader_.Next(out));
-    if (!has) {
-      SMADB_RETURN_NOT_OK(GetBucket());
-      continue;
-    }
-    // Qualifying buckets bypass predicate evaluation entirely.
-    if (curr_grade_ == Grade::kQualifies || source_.pred()->Eval(*out)) {
-      if (prof_ != nullptr) prof_->AddRows(1);
-      return true;
-    }
-  }
-  FeedPages();
-  return false;
 }
 
 Result<bool> SmaScan::NextBatch(Batch* out) {

@@ -30,9 +30,8 @@ class SmaScan final : public Operator {
   }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
 
-  /// Native batch path. Batches never span buckets, so the bucket's grade
+  /// Batches never span buckets, so the bucket's grade
   /// maps straight onto the selection vector: qualifying buckets keep the
   /// full (dense) selection without evaluating the predicate at all;
   /// ambivalent buckets get one vectorized EvalBatch pass.

@@ -29,31 +29,27 @@ Result<std::unique_ptr<Sort>> Sort::Make(std::unique_ptr<Operator> child,
 
 Status Sort::Init() {
   obs::OpTimer timer(prof_);
-  rows_.clear();
-  next_ = 0;
+  results_.Reset();
   SMADB_RETURN_NOT_OK(child_->Init());
   const storage::Schema& schema = child_->output_schema();
-  TupleRef t;
-  size_t rows_since_check = 0;
+  std::vector<TupleBuffer>& rows = results_.rows;
+  Batch batch;
+  SMADB_RETURN_NOT_OK(ConfigureBatch(&batch, &schema));
   while (true) {
     // The sort buffer materializes the whole input — check the governor
-    // and charge the buffered rows against the budget every kRowsPerCheck.
-    if (++rows_since_check >= kRowsPerCheck) {
-      rows_since_check = 0;
-      SMADB_RETURN_NOT_OK(CheckRuntime("Sort"));
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(kRowsPerCheck * schema.tuple_size(), "Sort"));
-    }
-    SMADB_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
+    // and charge the buffered rows against the budget batch by batch.
+    SMADB_RETURN_NOT_OK(CheckRuntime("Sort"));
+    SMADB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
     if (!has) break;
-    TupleBuffer row(&schema);
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      row.SetValue(c, t.GetValue(c));
+    SMADB_RETURN_NOT_OK(
+        ChargeMemory(batch.sel.count() * schema.tuple_size(), "Sort"));
+    for (size_t k = 0; k < batch.sel.count(); ++k) {
+      rows.emplace_back(&schema);
+      batch.cols.MaterializeRow(batch.sel.row(k), &rows.back());
     }
-    rows_.push_back(std::move(row));
   }
   std::stable_sort(
-      rows_.begin(), rows_.end(),
+      rows.begin(), rows.end(),
       [&](const TupleBuffer& a, const TupleBuffer& b) {
         const TupleRef ra = a.AsRef();
         const TupleRef rb = b.AsRef();
@@ -66,23 +62,15 @@ Status Sort::Init() {
         }
         return false;
       });
-  const size_t buffered = rows_.size();
-  if (limit_ > 0 && rows_.size() > limit_) {
-    rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(limit_), rows_.end());
+  const size_t buffered = rows.size();
+  if (limit_ > 0 && rows.size() > limit_) {
+    rows.erase(rows.begin() + static_cast<ptrdiff_t>(limit_), rows.end());
   }
   if (prof_ != nullptr) {
     prof_->NotePeakBytes(buffered * schema.tuple_size());
     prof_->SetDetail(util::Format("buffered=%zu limit=%zu", buffered, limit_));
   }
   return Status::OK();
-}
-
-Result<bool> Sort::Next(TupleRef* out) {
-  if (next_ >= rows_.size()) return false;
-  *out = rows_[next_].AsRef();
-  ++next_;
-  if (prof_ != nullptr) prof_->AddRows(1);
-  return true;
 }
 
 }  // namespace smadb::exec

@@ -29,7 +29,9 @@ class Sort final : public Operator {
   }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override {
+    return results_.Emit(out, prof_);
+  }
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);
@@ -45,8 +47,7 @@ class Sort final : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<SortKey> keys_;
   size_t limit_;
-  std::vector<storage::TupleBuffer> rows_;
-  size_t next_ = 0;
+  RowEmitter results_;
 };
 
 }  // namespace smadb::exec

@@ -2,37 +2,16 @@
 
 namespace smadb::exec {
 
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 
 Status TableScan::Init() {
   obs::OpTimer timer(prof_);
-  rows_since_check_ = 0;
   // One contiguous page range: the snapshot's consistent append prefix
   // (concurrent appends past it stay invisible to this scan).
   const storage::TableSnapshot snap = table_->CaptureSnapshot();
   reader_.set_snapshot(snap);
   return reader_.Open(0, snap.pages);
-}
-
-Result<bool> TableScan::Next(TupleRef* out) {
-  obs::OpTimer timer(prof_);
-  while (true) {
-    if (++rows_since_check_ >= kRowsPerCheck) {
-      rows_since_check_ = 0;
-      SMADB_RETURN_NOT_OK(CheckRuntime("TableScan"));
-    }
-    SMADB_ASSIGN_OR_RETURN(bool has, reader_.Next(out));
-    if (!has) {
-      FeedPages();
-      return false;
-    }
-    if (pred_->Eval(*out)) {
-      if (prof_ != nullptr) prof_->AddRows(1);
-      return true;
-    }
-  }
 }
 
 Result<bool> TableScan::NextBatch(Batch* out) {

@@ -1,6 +1,6 @@
-// Plain sequential scan with tuple-at-a-time predicate evaluation — the
-// paper's baseline ("a sequential scan is the only possibility to
-// 'efficiently' evaluate this query").
+// Plain sequential scan with per-tuple predicate evaluation — the paper's
+// baseline ("a sequential scan is the only possibility to 'efficiently'
+// evaluate this query").
 
 #ifndef SMADB_EXEC_TABLE_SCAN_H_
 #define SMADB_EXEC_TABLE_SCAN_H_
@@ -24,10 +24,9 @@ class TableScan final : public Operator {
   }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
 
-  /// Native batch path: bulk column decode, then one vectorized predicate
-  /// pass refining the selection vector.
+  /// Bulk column decode, then one vectorized predicate pass refining the
+  /// selection vector.
   util::Result<bool> NextBatch(Batch* out) override;
 
   void AddRequiredBatchColumns(std::vector<bool>* mask) const override {
@@ -51,7 +50,6 @@ class TableScan final : public Operator {
   storage::Table* table_;
   expr::PredicatePtr pred_;
   BucketReader reader_;
-  size_t rows_since_check_ = 0;
   uint64_t pages_fed_ = 0;
 };
 

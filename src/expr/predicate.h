@@ -77,7 +77,8 @@ class Predicate {
 
   Kind kind() const { return kind_; }
 
-  /// Tuple-level evaluation.
+  /// Tuple-level evaluation: the scalar reference EvalBatch is tested
+  /// against (operators only ever run EvalBatch).
   bool Eval(const storage::TupleRef& t) const;
 
   /// Batch-level evaluation: refines `sel` (AND-semantics) to the rows of

@@ -887,14 +887,14 @@ std::string Server::RouteHttp(std::string_view method, std::string_view path) {
         "{\"server\": \"smadb\", \"version\": \"1.0.0\", "
         "\"build\": \"%s\", \"uptime_us\": %llu, "
         "\"port\": %u, \"http_port\": %u, "
-        "\"knobs\": {\"dop\": %zu, \"batch_size\": %zu, "
+        "\"knobs\": {\"dop\": %zu, "
         "\"timeout_ms\": %lld, \"memory_limit\": %zu, "
         "\"max_concurrent_queries\": %zu, \"slow_query_ms\": %lld}, "
         "\"read_only\": %s, \"sessions\": %zu}\n",
         __VERSION__,
         static_cast<unsigned long long>(db_->uptime_us()),
         static_cast<unsigned>(port_), static_cast<unsigned>(http_port_),
-        db_->degree_of_parallelism(), db_->batch_size(),
+        db_->degree_of_parallelism(),
         static_cast<long long>(db_->timeout_ms()), db_->query_memory_limit(),
         db_->max_concurrent_queries(),
         static_cast<long long>(db_->slow_query_ms()),

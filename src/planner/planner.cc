@@ -23,12 +23,6 @@ using util::StatusCode;
 
 namespace {
 
-// Execution-mode suffix for aggregate-plan explanations.
-std::string BatchNote(size_t batch_size) {
-  if (batch_size == 0) return ", row-mode";
-  return util::Format(", vectorized(batch=%zu)", batch_size);
-}
-
 // Appends the governor's budget/deadline summary and any degradation
 // decisions to the plan explanation — same style as the fallback reasons
 // (`explain` surfaces this verbatim).
@@ -107,10 +101,7 @@ PlanChoice Planner::Demoted(uint64_t total_buckets, bool select,
   choice.fetch_fraction = 1.0;
   choice.dop = select ? 1 : PlanDop(total_buckets);
   choice.explanation = "demoted to sequential scan: " + reason;
-  if (!select) {
-    choice.explanation += util::Format(", dop=%zu", choice.dop);
-    choice.explanation += BatchNote(options_.batch_size);
-  }
+  if (!select) choice.explanation += util::Format(", dop=%zu", choice.dop);
   return choice;
 }
 
@@ -150,8 +141,7 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
     choice.fetch_fraction = 1.0;
     choice.dop = PlanDop(choice.ambivalent);
     choice.explanation =
-        util::Format("no SMAs available, dop=%zu", choice.dop) +
-        BatchNote(options_.batch_size);
+        util::Format("no SMAs available, dop=%zu", choice.dop);
     return choice;
   }
   const std::string trust_issue = smas_->TrustIssue();
@@ -210,7 +200,6 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
         options_.breakeven_fraction * 100.0);
   }
   choice.explanation += util::Format(", dop=%zu", choice.dop);
-  choice.explanation += BatchNote(options_.batch_size);
   return choice;
 }
 
@@ -265,7 +254,6 @@ Result<std::unique_ptr<Operator>> Planner::Build(const AggQuery& query,
     case PlanKind::kSmaGAggr: {
       exec::SmaGAggrOptions options;
       options.degree_of_parallelism = dop;
-      options.batch_size = options_.batch_size;
       SMADB_ASSIGN_OR_RETURN(
           std::unique_ptr<SmaGAggr> op,
           SmaGAggr::Make(query.table, query.pred, query.group_by, query.aggs,
@@ -277,15 +265,13 @@ Result<std::unique_ptr<Operator>> Planner::Build(const AggQuery& query,
         SMADB_ASSIGN_OR_RETURN(
             std::unique_ptr<ParallelScanAggr> op,
             ParallelScanAggr::Make(query.table, query.pred, query.group_by,
-                                   query.aggs, smas_, dop,
-                                   options_.batch_size));
+                                   query.aggs, smas_, dop));
         return std::unique_ptr<Operator>(std::move(op));
       }
       auto scan = std::make_unique<SmaScan>(query.table, query.pred, smas_);
       SMADB_ASSIGN_OR_RETURN(
           std::unique_ptr<GAggr> aggr,
-          GAggr::Make(std::move(scan), query.group_by, query.aggs,
-                      options_.batch_size));
+          GAggr::Make(std::move(scan), query.group_by, query.aggs));
       return std::unique_ptr<Operator>(std::move(aggr));
     }
     case PlanKind::kScanAggr: {
@@ -293,15 +279,13 @@ Result<std::unique_ptr<Operator>> Planner::Build(const AggQuery& query,
         SMADB_ASSIGN_OR_RETURN(
             std::unique_ptr<ParallelScanAggr> op,
             ParallelScanAggr::Make(query.table, query.pred, query.group_by,
-                                   query.aggs, /*smas=*/nullptr, dop,
-                                   options_.batch_size));
+                                   query.aggs, /*smas=*/nullptr, dop));
         return std::unique_ptr<Operator>(std::move(op));
       }
       auto scan = std::make_unique<TableScan>(query.table, query.pred);
       SMADB_ASSIGN_OR_RETURN(
           std::unique_ptr<GAggr> aggr,
-          GAggr::Make(std::move(scan), query.group_by, query.aggs,
-                      options_.batch_size));
+          GAggr::Make(std::move(scan), query.group_by, query.aggs));
       return std::unique_ptr<Operator>(std::move(aggr));
     }
     default:
@@ -330,20 +314,16 @@ Result<QueryResult> RunToCompletion(Operator* op,
   SMADB_RETURN_NOT_OK(op->Init());
   QueryResult result;
   result.schema = std::make_shared<storage::Schema>(op->output_schema());
-  TupleRef t;
-  size_t rows_since_check = 0;
+  exec::Batch batch;
+  batch.Configure(&op->output_schema(), exec::kDefaultBatchSize);
   while (true) {
-    if (++rows_since_check >= 512) {
-      rows_since_check = 0;
-      SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "RunToCompletion"));
-    }
-    SMADB_ASSIGN_OR_RETURN(bool has, op->Next(&t));
+    SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "RunToCompletion"));
+    SMADB_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
     if (!has) break;
-    TupleBuffer row(result.schema.get());
-    for (size_t c = 0; c < result.schema->num_fields(); ++c) {
-      row.SetValue(c, t.GetValue(c));
+    for (size_t k = 0; k < batch.sel.count(); ++k) {
+      result.rows.emplace_back(result.schema.get());
+      batch.cols.MaterializeRow(batch.sel.row(k), &result.rows.back());
     }
-    result.rows.push_back(std::move(row));
   }
   return result;
 }
@@ -412,26 +392,12 @@ Result<QueryResult> Planner::Execute(const AggQuery& query,
     AnnotateGovernor(&result.plan, ctx);
     return result;
   }
-  // Degradation ladder rung 2 (DESIGN.md §10): a vectorized plan that blew
-  // its memory budget reruns in row mode — the column batches were the
-  // incremental cost, and the row path produces bit-identical results. The
-  // budget is reset for the rerun (monotone per-run charges start over).
-  if (ctx != nullptr &&
-      run.status().code() == StatusCode::kResourceExhausted &&
-      options_.batch_size > 0) {
-    ctx->BeginDegradedRun("demoted vectorized plan to row mode (" +
-                          run.status().message() + ")");
-    obs::QueryProfile::Event(prof, "demoted vectorized plan to row mode (" +
-                                       run.status().message() + ")");
-    PlannerOptions row_options = options_;
-    row_options.batch_size = 0;
-    Planner row_planner(smas_, row_options);
-    return row_planner.Execute(query, ctx);
-  }
-  // Rung 3: a SMA_GAggr plan that cannot finish under its deadline or
-  // budget still answers from the SMA-files alone — qualifying buckets
-  // only, ambivalent buckets skipped, result explicitly marked degraded.
-  // The deadline is lifted as grace: the SMA-only pass reads tiny files.
+  // Degradation ladder rung 2 (DESIGN.md §10): a SMA_GAggr plan that
+  // cannot finish under its deadline or budget still answers from the
+  // SMA-files alone — qualifying buckets only, ambivalent buckets skipped,
+  // result explicitly marked degraded. The deadline is lifted and the
+  // budget reset as grace: the SMA-only pass reads tiny files and never
+  // configures a column batch.
   if (ctx != nullptr && options_.allow_degraded &&
       choice.kind == PlanKind::kSmaGAggr &&
       (run.status().code() == StatusCode::kResourceExhausted ||

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/batch.h"
 #include "exec/gaggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
@@ -104,12 +103,6 @@ struct PlannerOptions {
   /// each worker should own a few buckets of real work, so tiny tables and
   /// highly pruned plans stay serial.
   size_t degree_of_parallelism = 0;
-  /// Rows per batch for aggregation plans. > 0 (the default) runs the
-  /// vectorized engine: scans decode buckets into column batches, bucket
-  /// grades map onto selection vectors, and aggregation uses the fused
-  /// BatchAggregator kernels. 0 reverts to tuple-at-a-time. Results are
-  /// identical either way; selection (select *) plans always return rows.
-  size_t batch_size = exec::kDefaultBatchSize;
   /// Allow the bottom rung of the degradation ladder: when a SMA_GAggr plan
   /// runs out of deadline or memory, answer from SMAs alone (skipping
   /// ambivalent buckets) with an explicit `degraded` marker instead of
@@ -144,10 +137,9 @@ class Planner {
 
   /// Choose + Build + run to completion. `ctx` (optional) is the query's
   /// runtime governor; when bound, failures walk the degradation ladder
-  /// (DESIGN.md §10): a vectorized plan that exhausts its memory budget is
-  /// demoted to row mode, and a SMA_GAggr plan that still cannot finish
-  /// under the deadline/budget answers from SMAs alone with the result
-  /// marked `degraded`. Typed errors (kCancelled, kDeadlineExceeded,
+  /// (DESIGN.md §10): a SMA_GAggr plan that cannot finish under its
+  /// deadline/budget answers from SMAs alone with the result marked
+  /// `degraded`. Typed errors (kCancelled, kDeadlineExceeded,
   /// kResourceExhausted) propagate when no rung applies — never a hang,
   /// never a silent wrong answer.
   util::Result<QueryResult> Execute(const AggQuery& query,
@@ -178,8 +170,9 @@ class Planner {
   PlannerOptions options_;
 };
 
-/// Runs any operator to completion, copying its output rows. `ctx`
-/// (optional) adds a cooperative checkpoint to the result-copy loop.
+/// Runs any operator to completion, copying its output rows: the one place
+/// where batches turn into rows. `ctx` (optional) adds a cooperative
+/// checkpoint per batch.
 util::Result<QueryResult> RunToCompletion(exec::Operator* op,
                                           const util::QueryContext* ctx =
                                               nullptr);

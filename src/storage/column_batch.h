@@ -1,5 +1,5 @@
 // Columnar batches and selection vectors: the storage-side half of the
-// vectorized execution path (DESIGN.md §9).
+// batch execution protocol (DESIGN.md §9).
 //
 // A ColumnBatch holds the decoded columns of up to `capacity` tuples from
 // one bucket, one typed vector per projected column: the integral family
@@ -148,8 +148,8 @@ class ColumnBatch {
   bool decoded(size_t col) const { return decoded_[col]; }
   const std::vector<bool>& projection() const { return decoded_; }
 
-  /// Appends one tuple, decoding the projected columns (row-at-a-time
-  /// fallback used by the generic Operator::NextBatch adapter).
+  /// Appends one tuple, decoding the projected columns — how materialized
+  /// rows (pipeline-breaker results, join output) re-enter a batch.
   void AppendRow(const TupleRef& t);
 
   /// Bulk-decodes the live tuples of `page` (a data page of `table`, whose
@@ -186,7 +186,8 @@ class ColumnBatch {
   util::Value GetValue(size_t col, size_t row) const;
 
   /// Re-materializes row `row` into `out` (schema must match). Requires a
-  /// full projection — the row-adapter path.
+  /// full projection — how plan::RunToCompletion, Sort and the hash-join
+  /// build side turn batches into rows.
   void MaterializeRow(size_t row, TupleBuffer* out) const;
 
   /// Estimated heap footprint of a configured batch: the bytes Configure

@@ -1,6 +1,5 @@
 #include "workloads/q3.h"
 
-#include "exec/filter.h"
 #include "exec/gaggr.h"
 #include "exec/join.h"
 #include "exec/sma_scan.h"

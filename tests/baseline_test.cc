@@ -225,17 +225,15 @@ TEST_F(DataCubeTest, CellAggregatesMatchGAggr) {
   auto scan = std::make_unique<exec::TableScan>(table,
                                                 expr::Predicate::True());
   auto ref = Unwrap(exec::GAggr::Make(std::move(scan), {3, 4}, aggs));
-  ExpectOk(ref->Init());
-  storage::TupleRef row;
-  size_t cells = 0;
-  while (*ref->Next(&row)) {
-    ++cells;
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(ref.get()));
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const storage::TupleRef row = buf.AsRef();
     const auto got = Unwrap(cube->CellAggregates(
         {row.GetValue(0), row.GetValue(1)}));
     EXPECT_EQ(got[0].AsDecimal().cents(), row.GetDecimal(2).cents());
     EXPECT_EQ(got[1].AsInt64(), row.GetInt64(3));
   }
-  EXPECT_EQ(cube->num_cells(), cells);
+  EXPECT_EQ(cube->num_cells(), result.rows.size());
 }
 
 TEST_F(DataCubeTest, MissingCellIsNotFound) {

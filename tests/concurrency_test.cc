@@ -325,8 +325,8 @@ TEST_F(ConcurrencyTest, ConcurrentSessionsMixQueriesAndKnobChanges) {
     size_t dop = 1;
     while (!stop.load(std::memory_order_relaxed)) {
       ExpectOk(s->Execute("set dop = " + std::to_string(dop)));
-      ExpectOk(s->Execute("set batch_size = " +
-                          std::to_string(256 << (dop % 3))));
+      ExpectOk(s->Execute("set memory_limit = " +
+                          std::to_string((64 << 20) << (dop % 3))));
       dop = dop % 4 + 1;
       auto res = s->Query("select sum(k), count(*) from t");
       if (!res.ok()) return;

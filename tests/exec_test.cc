@@ -22,30 +22,12 @@ using expr::PredicatePtr;
 using sma::SmaSpec;
 using storage::TupleRef;
 using testing::AddMinMaxSmas;
+using testing::DrainRows;
 using testing::ExpectOk;
 using testing::MakeSyntheticTable;
 using testing::TestDb;
 using testing::Unwrap;
 using util::Value;
-
-// Runs an operator and returns all rows serialized (order-preserving).
-std::vector<std::string> Collect(Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
 
 struct ExecTest : ::testing::Test {
   ExecTest() : db(16384) {}
@@ -58,14 +40,14 @@ TEST_F(ExecTest, TableScanSeesAllTuples) {
   storage::Table* t =
       MakeSyntheticTable(&db, 1234, testing::Layout::kRandom);
   TableScan scan(t, Predicate::True());
-  EXPECT_EQ(Collect(&scan).size(), 1234u);
+  EXPECT_EQ(DrainRows(&scan).size(), 1234u);
 }
 
 TEST_F(ExecTest, TableScanEmptyTable) {
   storage::Table* t = Unwrap(
       db.catalog.CreateTable("empty", testing::SyntheticSchema(), {}));
   TableScan scan(t, Predicate::True());
-  EXPECT_TRUE(Collect(&scan).empty());
+  EXPECT_TRUE(DrainRows(&scan).empty());
 }
 
 TEST_F(ExecTest, TableScanFiltersExactly) {
@@ -74,15 +56,15 @@ TEST_F(ExecTest, TableScanFiltersExactly) {
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "k", CmpOp::kLt, Value::Int64(100)));
   TableScan scan(t, pred);
-  EXPECT_EQ(Collect(&scan).size(), 100u);
+  EXPECT_EQ(DrainRows(&scan).size(), 100u);
 }
 
 TEST_F(ExecTest, TableScanRestartable) {
   storage::Table* t =
       MakeSyntheticTable(&db, 300, testing::Layout::kRandom);
   TableScan scan(t, Predicate::True());
-  EXPECT_EQ(Collect(&scan).size(), 300u);
-  EXPECT_EQ(Collect(&scan).size(), 300u);  // Init() resets
+  EXPECT_EQ(DrainRows(&scan).size(), 300u);
+  EXPECT_EQ(DrainRows(&scan).size(), 300u);  // Init() resets
 }
 
 // --------------------------------------------------------------- SmaScan --
@@ -103,7 +85,7 @@ TEST_F(ExecTest, SmaScanEquivalentToTableScan) {
           &t->schema(), "d", op, Value::MakeDate(util::Date(c))));
       TableScan plain(t, pred);
       SmaScan pruned(t, pred, &smas);
-      EXPECT_EQ(Collect(&plain), Collect(&pruned))
+      EXPECT_EQ(DrainRows(&plain), DrainRows(&pruned))
           << "layout " << static_cast<int>(layout) << " trial " << trial;
     }
   }
@@ -120,7 +102,7 @@ TEST_F(ExecTest, SmaScanSkipsDisqualifiedBuckets) {
   ExpectOk(db.pool.DropAll());
   db.disk.ResetStats();
   SmaScan scan(t, pred, &smas);
-  const size_t rows = Collect(&scan).size();
+  const size_t rows = DrainRows(&scan).size();
   EXPECT_GT(rows, 0u);
   EXPECT_GT(scan.stats().disqualifying_buckets, 0u);
   // Page reads must be far below the table size (SMA files + fetched
@@ -140,7 +122,7 @@ TEST_F(ExecTest, SmaScanWithMultiPageBuckets) {
       &t->schema(), "d", CmpOp::kGe, Value::MakeDate(util::Date(300))));
   TableScan plain(t, pred);
   SmaScan pruned(t, pred, &smas);
-  EXPECT_EQ(Collect(&plain), Collect(&pruned));
+  EXPECT_EQ(DrainRows(&plain), DrainRows(&pruned));
 }
 
 TEST_F(ExecTest, SmaScanOnEmptyTable) {
@@ -148,7 +130,7 @@ TEST_F(ExecTest, SmaScanOnEmptyTable) {
       db.catalog.CreateTable("empty2", testing::SyntheticSchema(), {}));
   sma::SmaSet smas(t);
   SmaScan scan(t, Predicate::True(), &smas);
-  EXPECT_TRUE(Collect(&scan).empty());
+  EXPECT_TRUE(DrainRows(&scan).empty());
 }
 
 // ----------------------------------------------------------------- GAggr --
@@ -182,11 +164,9 @@ TEST_F(ExecTest, GAggrMatchesBruteForce) {
         }));
   }
 
-  ExpectOk(aggr->Init());
-  size_t groups_seen = 0;
-  TupleRef row;
-  while (*aggr->Next(&row)) {
-    ++groups_seen;
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(aggr.get()));
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const TupleRef row = buf.AsRef();
     const std::string key(row.GetString(0));
     ASSERT_TRUE(ref.count(key));
     const Ref& r = ref[key];
@@ -199,7 +179,7 @@ TEST_F(ExecTest, GAggrMatchesBruteForce) {
     EXPECT_EQ(row.GetDecimal(4).cents(), r.mn);
     EXPECT_EQ(row.GetDecimal(5).cents(), r.mx);
   }
-  EXPECT_EQ(groups_seen, ref.size());
+  EXPECT_EQ(result.rows.size(), ref.size());
 }
 
 TEST_F(ExecTest, GAggrGlobalAggregation) {
@@ -208,11 +188,9 @@ TEST_F(ExecTest, GAggrGlobalAggregation) {
   auto scan = std::make_unique<TableScan>(t, Predicate::True());
   auto aggr =
       Unwrap(GAggr::Make(std::move(scan), {}, {AggSpec::Count("n")}));
-  ExpectOk(aggr->Init());
-  TupleRef row;
-  ASSERT_TRUE(*aggr->Next(&row));
-  EXPECT_EQ(row.GetInt64(0), 777);
-  EXPECT_FALSE(*aggr->Next(&row));
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(aggr.get()));
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].AsRef().GetInt64(0), 777);
 }
 
 TEST_F(ExecTest, GAggrOutputSortedByGroupKey) {
@@ -221,7 +199,7 @@ TEST_F(ExecTest, GAggrOutputSortedByGroupKey) {
   auto scan = std::make_unique<TableScan>(t, Predicate::True());
   auto aggr =
       Unwrap(GAggr::Make(std::move(scan), {3}, {AggSpec::Count("n")}));
-  const auto rows = Collect(aggr.get());
+  const auto rows = DrainRows(aggr.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
 }
@@ -285,7 +263,7 @@ TEST_F(ExecTest, SmaGAggrEquivalentToGAggrAllLayoutsAndOps) {
           Unwrap(GAggr::Make(std::move(scan), setup.group_by, setup.aggs));
       auto smag = Unwrap(SmaGAggr::Make(setup.table, pred, setup.group_by,
                                         setup.aggs, setup.smas.get()));
-      EXPECT_EQ(Collect(ref.get()), Collect(smag.get()))
+      EXPECT_EQ(DrainRows(ref.get()), DrainRows(smag.get()))
           << "layout " << static_cast<int>(layout) << " op "
           << static_cast<int>(op) << " c=" << c;
     }
@@ -303,7 +281,7 @@ TEST_F(ExecTest, SmaGAggrUsesSummariesNotTuples) {
   db.disk.ResetStats();
   auto smag = Unwrap(SmaGAggr::Make(setup.table, pred, setup.group_by,
                                     setup.aggs, setup.smas.get()));
-  Collect(smag.get());
+  DrainRows(smag.get());
   EXPECT_GT(smag->stats().qualifying_buckets,
             setup.table->num_buckets() - 3);
   // Only SMA pages read; base table untouched except ambivalent buckets.
@@ -355,7 +333,7 @@ TEST_F(ExecTest, SmaGAggrFinerGroupingRefinesQuery) {
   auto smag = Unwrap(SmaGAggr::Make(t, pred, {3}, aggs, &smas));
   auto scan = std::make_unique<TableScan>(t, pred);
   auto ref = Unwrap(GAggr::Make(std::move(scan), {3}, aggs));
-  EXPECT_EQ(Collect(ref.get()), Collect(smag.get()));
+  EXPECT_EQ(DrainRows(ref.get()), DrainRows(smag.get()));
 }
 
 TEST_F(ExecTest, SmaGAggrDropsGroupsWithNoQualifyingTuples) {
@@ -376,7 +354,7 @@ TEST_F(ExecTest, SmaGAggrDropsGroupsWithNoQualifyingTuples) {
       &t->schema(), "d", CmpOp::kGe, Value::MakeDate(util::Date(100))));
   std::vector<AggSpec> aggs = {AggSpec::Sum(v, "s"), AggSpec::Count("c")};
   auto smag = Unwrap(SmaGAggr::Make(t, pred, {3}, aggs, &smas));
-  for (const std::string& row : Collect(smag.get())) {
+  for (const std::string& row : DrainRows(smag.get())) {
     EXPECT_EQ(row.find("Z|"), std::string::npos)
         << "group Z has no qualifying tuples but appeared: " << row;
   }
@@ -390,25 +368,22 @@ TEST_F(ExecTest, SortOrdersAscendingAndDescending) {
   auto asc = Unwrap(Sort::Make(
       std::make_unique<TableScan>(t, Predicate::True()),
       {SortKey{1, false}}));
-  ExpectOk(asc->Init());
-  TupleRef row;
+  const plan::QueryResult ascending = Unwrap(plan::RunToCompletion(asc.get()));
   int32_t prev = INT32_MIN;
-  size_t n = 0;
-  while (*asc->Next(&row)) {
-    const int32_t d = static_cast<int32_t>(row.GetRawInt(1));
+  for (const storage::TupleBuffer& row : ascending.rows) {
+    const int32_t d = static_cast<int32_t>(row.AsRef().GetRawInt(1));
     EXPECT_GE(d, prev);
     prev = d;
-    ++n;
   }
-  EXPECT_EQ(n, 500u);
+  EXPECT_EQ(ascending.rows.size(), 500u);
 
   auto desc = Unwrap(Sort::Make(
       std::make_unique<TableScan>(t, Predicate::True()),
       {SortKey{1, true}}));
-  ExpectOk(desc->Init());
   prev = INT32_MAX;
-  while (*desc->Next(&row)) {
-    const int32_t d = static_cast<int32_t>(row.GetRawInt(1));
+  for (const storage::TupleBuffer& row :
+       Unwrap(plan::RunToCompletion(desc.get())).rows) {
+    const int32_t d = static_cast<int32_t>(row.AsRef().GetRawInt(1));
     EXPECT_LE(d, prev);
     prev = d;
   }
@@ -420,12 +395,12 @@ TEST_F(ExecTest, SortSecondaryKeyAndLimit) {
   auto sorted = Unwrap(Sort::Make(
       std::make_unique<TableScan>(t, Predicate::True()),
       {SortKey{3, false}, SortKey{0, true}}, /*limit=*/20));
-  ExpectOk(sorted->Init());
-  TupleRef row;
-  size_t n = 0;
+  const plan::QueryResult result =
+      Unwrap(plan::RunToCompletion(sorted.get()));
   std::string prev_grp;
   int64_t prev_k = INT64_MAX;
-  while (*sorted->Next(&row)) {
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const TupleRef row = buf.AsRef();
     const std::string grp(row.GetString(3));
     const int64_t k = row.GetInt64(0);
     if (!prev_grp.empty()) {
@@ -436,9 +411,8 @@ TEST_F(ExecTest, SortSecondaryKeyAndLimit) {
     }
     prev_grp = grp;
     prev_k = k;
-    ++n;
   }
-  EXPECT_EQ(n, 20u);
+  EXPECT_EQ(result.rows.size(), 20u);
 }
 
 TEST_F(ExecTest, SortValidation) {

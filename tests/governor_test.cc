@@ -263,24 +263,19 @@ struct GovernorPlanTest : GovernorTest {
 TEST_F(GovernorPlanTest, ExpiredDeadlineFailsEveryPlanShape) {
   Setup(testing::Layout::kClustered, "g1");
   query.pred = DatePred(CmpOp::kLe, 40);
-  for (const size_t batch_size : {size_t{0}, exec::kDefaultBatchSize}) {
-    for (const size_t dop : {size_t{1}, size_t{4}}) {
-      PlannerOptions options;
-      options.batch_size = batch_size;
-      Planner planner(smas.get(), options);
-      for (PlanKind kind : {PlanKind::kScanAggr, PlanKind::kSmaScanAggr,
-                            PlanKind::kSmaGAggr}) {
-        auto op = Unwrap(planner.Build(query, kind, dop));
-        QueryContext ctx;
-        Expire(&ctx);
-        op->BindContext(&ctx);
-        const auto run = RunToCompletion(op.get(), &ctx);
-        ASSERT_FALSE(run.ok())
-            << plan::PlanKindToString(kind) << " bs=" << batch_size;
-        EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded)
-            << plan::PlanKindToString(kind) << " bs=" << batch_size
-            << " dop=" << dop << ": " << run.status().ToString();
-      }
+  Planner planner(smas.get());
+  for (const size_t dop : {size_t{1}, size_t{4}}) {
+    for (PlanKind kind : {PlanKind::kScanAggr, PlanKind::kSmaScanAggr,
+                          PlanKind::kSmaGAggr}) {
+      auto op = Unwrap(planner.Build(query, kind, dop));
+      QueryContext ctx;
+      Expire(&ctx);
+      op->BindContext(&ctx);
+      const auto run = RunToCompletion(op.get(), &ctx);
+      ASSERT_FALSE(run.ok()) << plan::PlanKindToString(kind);
+      EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded)
+          << plan::PlanKindToString(kind) << " dop=" << dop << ": "
+          << run.status().ToString();
     }
   }
 }
@@ -340,10 +335,9 @@ TEST_F(GovernorPlanTest, GroupTableBudgetExhaustionNamesGroupTable) {
   // Group by the unique key: the GroupTable grows with every row.
   query.group_by = {0};
   query.pred = Predicate::True();
-  PlannerOptions options;
-  options.batch_size = 0;  // row mode: no ColumnBatch to charge first
-  Planner planner(/*smas=*/nullptr, options);
+  Planner planner(/*smas=*/nullptr);
   auto op = Unwrap(planner.Build(query, PlanKind::kScanAggr, 1));
+  // Room for the column batch (k and v: 2 x 8 KiB), not for 4000 groups.
   QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/32 * 1024);
   op->BindContext(&ctx);
   const auto run = RunToCompletion(op.get(), &ctx);
@@ -356,7 +350,7 @@ TEST_F(GovernorPlanTest, GroupTableBudgetExhaustionNamesGroupTable) {
 TEST_F(GovernorPlanTest, ColumnBatchBudgetExhaustionNamesColumnBatch) {
   Setup(testing::Layout::kClustered, "g6");
   query.pred = Predicate::True();
-  Planner planner(/*smas=*/nullptr);  // vectorized by default
+  Planner planner(/*smas=*/nullptr);
   auto op = Unwrap(planner.Build(query, PlanKind::kScanAggr, 1));
   QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/512);
   op->BindContext(&ctx);
@@ -367,30 +361,42 @@ TEST_F(GovernorPlanTest, ColumnBatchBudgetExhaustionNamesColumnBatch) {
       << run.status().ToString();
 }
 
-TEST_F(GovernorPlanTest, LadderDemotesVectorizedToRowModeAndRecovers) {
+// A budget below one column batch (grp, d and v: 17 KiB at 1024 rows):
+// every plan that scans fails typed naming ColumnBatch, while SMA_GAggr
+// takes the SMA-only rung — which never configures, or charges, a batch.
+TEST_F(GovernorPlanTest, BudgetBelowOneBatchFailsScansAndDegradesSmaGAggr) {
   Setup(testing::Layout::kClustered, "g7");
   query.pred = DatePred(CmpOp::kLe, 40);
-  // Reference: ungoverned row-mode answer.
-  PlannerOptions row;
-  row.batch_size = 0;
-  const QueryResult want =
-      Unwrap(Planner(smas.get(), row).Execute(query));
-  // Budget too small for a column batch but fine for 3 groups of rows.
+  constexpr size_t kBudget = 6 * 1024;
   Planner planner(smas.get());
-  QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/6 * 1024);
+  for (const size_t dop : {size_t{1}, size_t{4}}) {
+    for (PlanKind kind : {PlanKind::kScanAggr, PlanKind::kSmaScanAggr,
+                          PlanKind::kSmaGAggr}) {
+      auto op = Unwrap(planner.Build(query, kind, dop));
+      QueryContext ctx(/*global_memory=*/nullptr, kBudget);
+      op->BindContext(&ctx);
+      const auto run = RunToCompletion(op.get(), &ctx);
+      ASSERT_FALSE(run.ok()) << plan::PlanKindToString(kind);
+      EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_NE(run.status().message().find("ColumnBatch"), std::string::npos)
+          << plan::PlanKindToString(kind) << " dop=" << dop << ": "
+          << run.status().ToString();
+    }
+  }
+  ASSERT_EQ(Unwrap(planner.Choose(query)).kind, PlanKind::kSmaGAggr);
+  QueryContext ctx(/*global_memory=*/nullptr, kBudget);
   const QueryResult got = Unwrap(planner.Execute(query, &ctx));
-  EXPECT_EQ(got.ToString(), want.ToString());
-  EXPECT_FALSE(got.plan.degraded) << "row mode is exact, not degraded";
-  EXPECT_NE(got.plan.explanation.find("row mode"), std::string::npos)
+  EXPECT_TRUE(got.plan.degraded);
+  EXPECT_EQ(got.plan.kind, PlanKind::kSmaGAggr);
+  EXPECT_NE(got.plan.explanation.find("SMA-only"), std::string::npos)
       << got.plan.explanation;
+  EXPECT_FALSE(got.rows.empty()) << "qualifying buckets still answer";
 }
 
 TEST_F(GovernorPlanTest, BottomRungAnswersFromSmasAloneMarkedDegraded) {
   Setup(testing::Layout::kClustered, "g8");
   query.pred = DatePred(CmpOp::kLe, 40);
-  PlannerOptions options;
-  options.batch_size = 0;  // skip rung 2 so rung 3 is exercised directly
-  Planner planner(smas.get(), options);
+  Planner planner(smas.get());
   // Confirm the plan is SMA_GAggr, then make every GroupTable charge of the
   // first run fail; the degraded rerun (failpoint spent) succeeds.
   ASSERT_EQ(Unwrap(planner.Choose(query)).kind, PlanKind::kSmaGAggr);
@@ -411,7 +417,6 @@ TEST_F(GovernorPlanTest, AllowDegradedOffPropagatesTheTypedError) {
   Setup(testing::Layout::kClustered, "g9");
   query.pred = DatePred(CmpOp::kLe, 40);
   PlannerOptions options;
-  options.batch_size = 0;
   options.allow_degraded = false;
   Planner planner(smas.get(), options);
   util::fault::Arm("governor.charge", {.file_filter = "GroupTable"});
@@ -424,18 +429,14 @@ TEST_F(GovernorPlanTest, AllowDegradedOffPropagatesTheTypedError) {
 TEST_F(GovernorPlanTest, GenerousLimitsAreBitIdenticalToUngoverned) {
   Setup(testing::Layout::kNoisy, "g10");
   query.pred = DatePred(CmpOp::kLe, 120);
-  for (const size_t batch_size : {size_t{0}, exec::kDefaultBatchSize}) {
-    PlannerOptions options;
-    options.batch_size = batch_size;
-    Planner planner(smas.get(), options);
-    const QueryResult want = Unwrap(planner.Execute(query));
-    QueryContext ctx(/*global_memory=*/nullptr,
-                     /*memory_limit=*/size_t{1} << 30);
-    ctx.cancel()->SetTimeout(std::chrono::hours(1));
-    const QueryResult got = Unwrap(planner.Execute(query, &ctx));
-    EXPECT_EQ(got.ToString(), want.ToString()) << "bs=" << batch_size;
-    EXPECT_FALSE(got.plan.degraded);
-  }
+  Planner planner(smas.get());
+  const QueryResult want = Unwrap(planner.Execute(query));
+  QueryContext ctx(/*global_memory=*/nullptr,
+                   /*memory_limit=*/size_t{1} << 30);
+  ctx.cancel()->SetTimeout(std::chrono::hours(1));
+  const QueryResult got = Unwrap(planner.Execute(query, &ctx));
+  EXPECT_EQ(got.ToString(), want.ToString());
+  EXPECT_FALSE(got.plan.degraded);
 }
 
 // ---------------------------------------------------------------------------
@@ -711,9 +712,7 @@ TEST_F(GovernorDbTest, ExplainReportsPlanAndGovernor) {
 TEST_F(GovernorDbTest, ExplainOfDegradedQueryShowsTheMarker) {
   // Clustered twin database so the plan is SMA_GAggr, then starve the
   // GroupTable of the first (exact) run: explain shows the degraded rung.
-  db::DatabaseOptions options;
-  options.planner.batch_size = 0;
-  db::Database clustered(options);
+  db::Database clustered;
   storage::Table* t = Unwrap(
       clustered.CreateTable("t", testing::SyntheticSchema()));
   storage::TupleBuffer buf(&t->schema());

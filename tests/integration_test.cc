@@ -161,19 +161,8 @@ TEST_F(Q1Integration, Q3JoinPipelineAgreesWithAndWithoutSmas) {
                                   &lineitem_smas));
 
   auto drain = [](exec::Operator* op) {
-    ExpectOk(op->Init());
     std::string out;
-    storage::TupleRef row;
-    while (true) {
-      auto has = op->Next(&row);
-      EXPECT_TRUE(has.ok());
-      if (!*has) break;
-      for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-        out += row.GetValue(c).ToString();
-        out += '|';
-      }
-      out += '\n';
-    }
+    for (const std::string& row : testing::DrainRows(op)) out += row + '\n';
     return out;
   };
 
@@ -211,11 +200,10 @@ TEST_F(Q1Integration, Q4ExistsSemiJoinMatchesBruteForce) {
 
   auto plan = Unwrap(
       workloads::MakeQ4Plan(orders, lineitem, &orders_smas, "1993-07-01"));
-  ExpectOk(plan->Init());
   std::map<std::string, int64_t> got;
-  storage::TupleRef row;
-  while (*plan->Next(&row)) {
-    got[std::string(row.GetString(0))] = row.GetInt64(1);
+  for (const storage::TupleBuffer& row :
+       Unwrap(RunToCompletion(plan.get())).rows) {
+    got[std::string(row.AsRef().GetString(0))] = row.AsRef().GetInt64(1);
   }
 
   // Brute force.

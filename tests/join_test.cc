@@ -1,11 +1,10 @@
-// Tests for Filter, HashJoin, and the SMA-reduced semi-join operator.
+// Tests for HashJoin and the SMA-reduced semi-join operator.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
-#include "exec/filter.h"
 #include "exec/gaggr.h"
 #include "exec/join.h"
 #include "exec/table_scan.h"
@@ -22,60 +21,12 @@ using storage::Rid;
 using storage::TupleBuffer;
 using storage::TupleRef;
 using testing::AddMinMaxSmas;
+using testing::DrainRows;
 using testing::ExpectOk;
 using testing::MakeSyntheticTable;
 using testing::TestDb;
 using testing::Unwrap;
 using util::Value;
-
-std::vector<std::string> Drain(Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-// ---------------------------------------------------------------- Filter --
-
-TEST(FilterTest, FiltersChildOutput) {
-  TestDb db;
-  storage::Table* t =
-      MakeSyntheticTable(&db, 500, testing::Layout::kRandom);
-  const PredicatePtr pred = Unwrap(Predicate::AtomConst(
-      &t->schema(), "k", CmpOp::kLt, Value::Int64(100)));
-  auto filtered = std::make_unique<Filter>(
-      std::make_unique<TableScan>(t, Predicate::True()), pred);
-  EXPECT_EQ(Drain(filtered.get()).size(), 100u);
-}
-
-TEST(FilterTest, StringPredicate) {
-  TestDb db;
-  storage::Table* t =
-      MakeSyntheticTable(&db, 600, testing::Layout::kRandom);
-  const PredicatePtr pred = Unwrap(
-      Predicate::AtomString(&t->schema(), "grp", CmpOp::kEq, "A"));
-  auto filtered = std::make_unique<Filter>(
-      std::make_unique<TableScan>(t, Predicate::True()), pred);
-  size_t expected = 0;
-  for (uint32_t b = 0; b < t->num_buckets(); ++b) {
-    ExpectOk(t->ForEachTupleInBucket(b, [&](const TupleRef& tup, Rid) {
-      expected += tup.GetString(3) == "A";
-    }));
-  }
-  EXPECT_GT(expected, 0u);
-  EXPECT_EQ(Drain(filtered.get()).size(), expected);
-}
 
 // -------------------------------------------------------------- HashJoin --
 
@@ -118,15 +69,12 @@ TEST_F(JoinFixture, InnerJoinCardinalityAndContent) {
   for (const auto& [fk, n] : fk_counts) {
     if (fk < 50) expected += static_cast<size_t>(n);
   }
-  ExpectOk(join->Init());
-  TupleRef row;
-  size_t rows = 0;
-  while (*join->Next(&row)) {
-    ++rows;
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(join.get()));
+  for (const TupleBuffer& row : result.rows) {
     // Join keys agree on both sides.
-    EXPECT_EQ(row.GetInt64(0), row.GetInt64(5));
+    EXPECT_EQ(row.AsRef().GetInt64(0), row.AsRef().GetInt64(5));
   }
-  EXPECT_EQ(rows, expected);
+  EXPECT_EQ(result.rows.size(), expected);
 }
 
 TEST_F(JoinFixture, DuplicateBuildKeysProduceCrossProduct) {
@@ -139,7 +87,7 @@ TEST_F(JoinFixture, DuplicateBuildKeysProduceCrossProduct) {
   for (const auto& [fk, n] : fk_counts) {
     expected += static_cast<size_t>(n) * static_cast<size_t>(n);
   }
-  EXPECT_EQ(Drain(join.get()).size(), expected);
+  EXPECT_EQ(DrainRows(join.get()).size(), expected);
 }
 
 TEST_F(JoinFixture, JoinFeedsAggregation) {
@@ -150,10 +98,11 @@ TEST_F(JoinFixture, JoinFeedsAggregation) {
   const size_t grp_col = child->schema().num_fields() + 3;
   auto aggr = Unwrap(GAggr::Make(std::move(join), {grp_col},
                                  {AggSpec::Count("n")}));
-  ExpectOk(aggr->Init());
-  TupleRef row;
   int64_t total = 0;
-  while (*aggr->Next(&row)) total += row.GetInt64(1);
+  for (const TupleBuffer& row :
+       Unwrap(plan::RunToCompletion(aggr.get())).rows) {
+    total += row.AsRef().GetInt64(1);
+  }
   size_t expected = 0;
   for (const auto& [fk, n] : fk_counts) {
     if (fk < 50) expected += static_cast<size_t>(n);
@@ -234,27 +183,27 @@ TEST_F(SemiJoinOpFixture, MatchesBruteForceForAllOps) {
                    CmpOp::kGt}) {
     auto join =
         Unwrap(SmaSemiJoin::Make(r, 1, op, s, 1, r_smas.get()));
-    EXPECT_EQ(Drain(join.get()), Reference(op))
+    EXPECT_EQ(DrainRows(join.get()), Reference(op))
         << "op " << static_cast<int>(op);
   }
 }
 
 TEST_F(SemiJoinOpFixture, PrunesBucketsWithSmas) {
   auto join = Unwrap(SmaSemiJoin::Make(r, 1, CmpOp::kEq, s, 1, r_smas.get()));
-  (void)Drain(join.get());
+  (void)DrainRows(join.get());
   EXPECT_GT(join->buckets_pruned(), 0u);
 }
 
 TEST_F(SemiJoinOpFixture, WorksWithoutSmas) {
   auto with = Unwrap(SmaSemiJoin::Make(r, 1, CmpOp::kEq, s, 1, r_smas.get()));
   auto without = Unwrap(SmaSemiJoin::Make(r, 1, CmpOp::kEq, s, 1, nullptr));
-  EXPECT_EQ(Drain(with.get()), Drain(without.get()));
+  EXPECT_EQ(DrainRows(with.get()), DrainRows(without.get()));
   EXPECT_EQ(without->buckets_pruned(), 0u);
 }
 
 TEST_F(SemiJoinOpFixture, AllMatchBucketsSkipProbing) {
   auto join = Unwrap(SmaSemiJoin::Make(r, 1, CmpOp::kLe, s, 1, r_smas.get()));
-  (void)Drain(join.get());
+  (void)DrainRows(join.get());
   // Low-d buckets are provably all-matching for d <= max(S).
   EXPECT_GT(join->buckets_unprobed(), 0u);
 }
@@ -274,7 +223,7 @@ TEST_F(SemiJoinOpFixture, RSidePredicateFiltersAndPrunes) {
     ASSERT_TRUE(d.ok());
     if (d->days() >= 150) expected.push_back(row);
   }
-  EXPECT_EQ(Drain(join.get()), expected);
+  EXPECT_EQ(DrainRows(join.get()), expected);
   EXPECT_GT(join->buckets_pruned(), 0u);
 }
 
@@ -314,7 +263,7 @@ TEST_F(SemiJoinOpFixture, SSidePredicateShrinksPartnerSet) {
         expected.push_back(std::move(row));
       }));
     }
-    EXPECT_EQ(Drain(join.get()), expected) << static_cast<int>(op);
+    EXPECT_EQ(DrainRows(join.get()), expected) << static_cast<int>(op);
   }
 }
 
@@ -323,7 +272,7 @@ TEST_F(SemiJoinOpFixture, EmptySYieldsNothing) {
       db.catalog.CreateTable("s_empty", testing::SyntheticSchema(), {}));
   for (CmpOp op : {CmpOp::kEq, CmpOp::kLe, CmpOp::kNe}) {
     auto join = Unwrap(SmaSemiJoin::Make(r, 1, op, empty, 1, r_smas.get()));
-    EXPECT_TRUE(Drain(join.get()).empty());
+    EXPECT_TRUE(DrainRows(join.get()).empty());
   }
 }
 

@@ -25,6 +25,7 @@
 #include "planner/planner.h"
 #include "sma/builder.h"
 #include "tests/test_util.h"
+#include "util/fault.h"
 #include "util/query_context.h"
 #include "util/string_util.h"
 
@@ -247,40 +248,36 @@ TEST_F(ProfileCensusTest, EveryPlanShapeMatchesGradeGroundTruth) {
     query.pred = preds[p];
     const Census want = GroundTruth(table, query.pred, smas.get());
     ASSERT_EQ(want.q + want.d + want.a, table->num_buckets());
-    for (const size_t batch_size : {size_t{0}, size_t{256}}) {
-      for (const size_t dop : {size_t{1}, size_t{4}}) {
-        for (const PlanKind kind :
-             {PlanKind::kSmaScanAggr, PlanKind::kSmaGAggr}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "pred " << p << " batch=" << batch_size
-                       << " dop=" << dop << " kind "
-                       << plan::PlanKindToString(kind));
-          PlannerOptions options;
-          options.batch_size = batch_size;
-          Planner planner(smas.get(), options);
-          auto op = Unwrap(planner.Build(query, kind, dop));
-          obs::QueryProfile profile;
-          QueryContext ctx;
-          ctx.set_profile(&profile);
-          op->BindContext(&ctx);
-          Unwrap(RunToCompletion(op.get(), &ctx));
-          const obs::OperatorProfile* node = FindCensusNode(profile);
-          ASSERT_NE(node, nullptr);
-          const Census got{node->qualifying(), node->disqualifying(),
-                           node->ambivalent()};
-          EXPECT_EQ(got.q, want.q) << node->name();
-          EXPECT_EQ(got.d, want.d) << node->name();
-          EXPECT_EQ(got.a, want.a) << node->name();
-        }
+    Planner planner(smas.get());
+    for (const size_t dop : {size_t{1}, size_t{4}}) {
+      for (const PlanKind kind :
+           {PlanKind::kSmaScanAggr, PlanKind::kSmaGAggr}) {
+        SCOPED_TRACE(::testing::Message() << "pred " << p << " dop=" << dop
+                                          << " kind "
+                                          << plan::PlanKindToString(kind));
+        auto op = Unwrap(planner.Build(query, kind, dop));
+        obs::QueryProfile profile;
+        QueryContext ctx;
+        ctx.set_profile(&profile);
+        op->BindContext(&ctx);
+        Unwrap(RunToCompletion(op.get(), &ctx));
+        const obs::OperatorProfile* node = FindCensusNode(profile);
+        ASSERT_NE(node, nullptr);
+        const Census got{node->qualifying(), node->disqualifying(),
+                         node->ambivalent()};
+        EXPECT_EQ(got.q, want.q) << node->name();
+        EXPECT_EQ(got.d, want.d) << node->name();
+        EXPECT_EQ(got.a, want.a) << node->name();
       }
     }
   }
 }
 
-// Satellite-2 regression: a vectorized attempt that dies on its memory
-// budget merges each worker's partial census exactly once into the FAILED
-// node, and the row-mode rerun registers a fresh node whose census again
-// equals ground truth — no double counting across the ladder.
+// Regression: a SMA_GAggr attempt that dies on its memory budget partway
+// through the buckets merges each worker's partial census exactly once
+// into the FAILED node, and the SMA-only rerun registers a fresh node
+// whose census again equals ground truth — no double counting across the
+// ladder.
 TEST_F(ProfileCensusTest, DegradedRerunCountsEachAttemptOnce) {
   Setup("pc2");
   query.pred = Unwrap(Predicate::AtomConst(
@@ -290,20 +287,25 @@ TEST_F(ProfileCensusTest, DegradedRerunCountsEachAttemptOnce) {
     SCOPED_TRACE(::testing::Message() << "dop " << dop);
     PlannerOptions options;
     options.degree_of_parallelism = dop;
-    ASSERT_GT(options.batch_size, 0u) << "rung 2 needs a vectorized plan";
     Planner planner(smas.get(), options);
+    ASSERT_EQ(Unwrap(planner.Choose(query)).kind, PlanKind::kSmaGAggr);
     obs::QueryProfile profile;
-    // Budget too small for a ColumnBatch, fine for row-mode group state.
-    QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/6 * 1024);
+    QueryContext ctx;
     ctx.set_profile(&profile);
+    // The first GroupTable charge fails: the attempt dies after grading
+    // and tallying at least one bucket.
+    util::fault::Arm("governor.charge",
+                     {.count = 1, .file_filter = "GroupTable"});
     const auto run = planner.Execute(query, &ctx);
+    util::fault::DisarmAll();
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_NE(run->plan.explanation.find("row mode"), std::string::npos)
+    EXPECT_TRUE(run->plan.degraded);
+    EXPECT_NE(run->plan.explanation.find("SMA-only"), std::string::npos)
         << run->plan.explanation;
-    // The ladder left a demotion event in the profile.
+    // The ladder left a degradation event in the profile.
     bool saw_event = false;
     for (const std::string& e : profile.events()) {
-      saw_event |= e.find("row mode") != std::string::npos;
+      saw_event |= e.find("SMA-only") != std::string::npos;
     }
     EXPECT_TRUE(saw_event);
     // Exactly one failed attempt and one successful one, each with its own
@@ -791,8 +793,8 @@ TEST(DatabaseObsTest, SlowQueryThresholdLogsWarnWithProfile) {
   options.log = QuietLog();
   options.slow_query_ms = 1;  // everything beyond 1 ms is "slow"
   std::unique_ptr<db::Database> database(MakeDatabase(options));
-  // Row-mode, serial, over an inflated table: comfortably beyond 1 ms on
-  // any machine; repeat a few times in case the first run is unexpectedly
+  // Serial, over an inflated table: comfortably beyond 1 ms on any
+  // machine; repeat a few times in case the first run is unexpectedly
   // fast anyway.
   {
     storage::Table* table = Unwrap(database->GetTable("t"));
@@ -809,7 +811,6 @@ TEST(DatabaseObsTest, SlowQueryThresholdLogsWarnWithProfile) {
       ExpectOk(database->Insert("t", t));
     }
   }
-  ExpectOk(database->Execute("set batch_size = 0"));
   ExpectOk(database->Execute("set dop = 1"));
   bool saw = false;
   for (int i = 0; i < 50 && !saw; ++i) {

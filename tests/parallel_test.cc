@@ -36,7 +36,9 @@ using expr::CmpOp;
 using expr::Predicate;
 using expr::PredicatePtr;
 using storage::TupleRef;
+using testing::DrainRows;
 using testing::ExpectOk;
+using testing::Sorted;
 using testing::TestDb;
 using testing::Unwrap;
 using util::Status;
@@ -160,25 +162,6 @@ TEST(BufferPoolConcurrencyTest, RepeatedParallelReadsStayConsistent) {
 
 // ---------------------------------------------------- DOP equivalence ----
 
-std::vector<std::string> DrainSorted(exec::Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!has.ok() || !*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 bool SameCensus(const SmaScanStats& a, const SmaScanStats& b) {
   return a.qualifying_buckets == b.qualifying_buckets &&
          a.disqualifying_buckets == b.disqualifying_buckets &&
@@ -224,7 +207,8 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
     auto reference = Unwrap(SmaGAggr::Make(fx.table, query.pred,
                                            query.group_by, query.aggs,
                                            fx.smas.get(), serial_opts));
-    const std::vector<std::string> want_rows = DrainSorted(reference.get());
+    const std::vector<std::string> want_rows =
+        Sorted(DrainRows(reference.get()));
     const SmaScanStats want_census = reference->stats();
 
     for (size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -233,14 +217,14 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
       auto gaggr = Unwrap(SmaGAggr::Make(fx.table, query.pred,
                                          query.group_by, query.aggs,
                                          fx.smas.get(), opts));
-      EXPECT_EQ(DrainSorted(gaggr.get()), want_rows)
+      EXPECT_EQ(Sorted(DrainRows(gaggr.get())), want_rows)
           << "SMA_GAggr trial " << trial << " dop " << dop;
       EXPECT_TRUE(SameCensus(gaggr->stats(), want_census))
           << "SMA_GAggr census trial " << trial << " dop " << dop;
 
       auto scan_aggr = Unwrap(ParallelScanAggr::Make(
           fx.table, query.pred, query.group_by, query.aggs, fx.smas.get(), dop));
-      EXPECT_EQ(DrainSorted(scan_aggr.get()), want_rows)
+      EXPECT_EQ(Sorted(DrainRows(scan_aggr.get())), want_rows)
           << "ParallelScanAggr trial " << trial << " dop " << dop;
       EXPECT_TRUE(SameCensus(scan_aggr->stats(), want_census))
           << "ParallelScanAggr census trial " << trial << " dop " << dop;
@@ -249,7 +233,7 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
       auto full = Unwrap(ParallelScanAggr::Make(
           fx.table, query.pred, query.group_by, query.aggs,
           /*smas=*/nullptr, dop));
-      EXPECT_EQ(DrainSorted(full.get()), want_rows)
+      EXPECT_EQ(Sorted(DrainRows(full.get())), want_rows)
           << "full-scan trial " << trial << " dop " << dop;
       EXPECT_EQ(full->stats().ambivalent_buckets, fx.table->num_buckets());
     }
@@ -263,14 +247,14 @@ TEST(DopEquivalenceTest, PlannerBuildMatchesAcrossKindsAndDop) {
 
   auto reference =
       Unwrap(planner.Build(query, plan::PlanKind::kScanAggr, /*dop=*/1));
-  const std::vector<std::string> want = DrainSorted(reference.get());
+  const std::vector<std::string> want = Sorted(DrainRows(reference.get()));
 
   for (plan::PlanKind kind :
        {plan::PlanKind::kScanAggr, plan::PlanKind::kSmaScanAggr,
         plan::PlanKind::kSmaGAggr}) {
     for (size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
       auto op = Unwrap(planner.Build(query, kind, dop));
-      EXPECT_EQ(DrainSorted(op.get()), want)
+      EXPECT_EQ(Sorted(DrainRows(op.get())), want)
           << plan::PlanKindToString(kind) << " dop " << dop;
     }
   }

@@ -31,6 +31,7 @@ using expr::PredicatePtr;
 using sma::SmaSpec;
 using storage::TupleRef;
 using testing::AddMinMaxSmas;
+using testing::DrainRows;
 using testing::ExpectOk;
 using testing::Layout;
 using testing::MakeSyntheticTable;
@@ -68,24 +69,6 @@ std::string OpName(CmpOp op) {
       return "Ge";
   }
   return "?";
-}
-
-std::vector<std::string> Drain(exec::Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 // ------------------------------------------------- grade soundness sweep --
@@ -145,7 +128,7 @@ TEST_P(SmaScanEquivalenceP, ReturnsExactlyTheTableScanTuples) {
         &t->schema(), "d", op, Value::MakeDate(util::Date(c))));
     exec::TableScan plain(t, pred);
     exec::SmaScan pruned(t, pred, &smas);
-    EXPECT_EQ(Drain(&plain), Drain(&pruned)) << "c=" << c;
+    EXPECT_EQ(DrainRows(&plain), DrainRows(&pruned)) << "c=" << c;
   }
 }
 
@@ -189,7 +172,7 @@ TEST_P(SmaGAggrEquivalenceP, MatchesGAggrExactly) {
     auto scan = std::make_unique<exec::TableScan>(t, pred);
     auto ref = Unwrap(exec::GAggr::Make(std::move(scan), {3}, aggs));
     auto smag = Unwrap(exec::SmaGAggr::Make(t, pred, {3}, aggs, &smas));
-    EXPECT_EQ(Drain(ref.get()), Drain(smag.get())) << "c=" << c;
+    EXPECT_EQ(DrainRows(ref.get()), DrainRows(smag.get())) << "c=" << c;
   }
 }
 
@@ -228,7 +211,7 @@ TEST_P(ForcedAmbivalenceP, DemotionNeverChangesResults) {
   options.force_ambivalent_fraction = fraction;
   auto forced =
       Unwrap(exec::SmaGAggr::Make(t, pred, {3}, aggs, &smas, options));
-  EXPECT_EQ(Drain(plain.get()), Drain(forced.get()));
+  EXPECT_EQ(DrainRows(plain.get()), DrainRows(forced.get()));
   if (fraction == 1.0) {
     EXPECT_EQ(forced->stats().ambivalent_buckets, t->num_buckets());
   }

@@ -1,6 +1,6 @@
 // Shared test scaffolding: a small in-memory database fixture, synthetic
 // tables with controllable clustering, and brute-force reference
-// implementations the SMA machinery is checked against.
+// implementations the SMA machinery and the operators are checked against.
 
 #ifndef SMADB_TESTS_TEST_UTIL_H_
 #define SMADB_TESTS_TEST_UTIL_H_
@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "exec/aggregate.h"
 #include "expr/predicate.h"
+#include "planner/planner.h"
 #include "sma/builder.h"
 #include "sma/grade.h"
 #include "sma/sma_set.h"
@@ -203,6 +208,153 @@ inline void ExpectSmaEqualsRebuild(storage::Table* table,
                            << " bucket " << b;
     }
   }
+}
+
+/// Serializes values as "v|v|...|" — the row form every DrainRows and
+/// reference comparison uses.
+inline std::string RowString(const std::vector<util::Value>& values) {
+  std::string row;
+  for (const util::Value& v : values) row += v.ToString() + '|';
+  return row;
+}
+
+/// The rows of a query result, serialized, in result order.
+inline std::vector<std::string> RowsOf(const plan::QueryResult& result) {
+  std::vector<std::string> rows;
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const storage::TupleRef t = buf.AsRef();
+    std::vector<util::Value> values;
+    for (size_t c = 0; c < result.schema->num_fields(); ++c) {
+      values.push_back(t.GetValue(c));
+    }
+    rows.push_back(RowString(values));
+  }
+  return rows;
+}
+
+/// Runs `op` to completion (plan::RunToCompletion) and serializes its rows
+/// in output order.
+inline std::vector<std::string> DrainRows(exec::Operator* op) {
+  auto result = plan::RunToCompletion(op);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? RowsOf(*result) : std::vector<std::string>{};
+}
+
+inline std::vector<std::string> Sorted(std::vector<std::string> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// --- brute-force references ------------------------------------------------
+// Tuple-at-a-time walks over Table::ForEachTupleInBucket with the scalar
+// Predicate::Eval / Expr::EvalInt evaluators. They share no code with
+// src/exec (AggSpec is read as a plain description), so every operator —
+// and every batch kernel — is checked against an independent answer.
+
+/// The tuples of `table` satisfying `pred`, serialized, in physical
+/// (bucket, page, slot) order — the order every scan produces.
+inline std::vector<std::string> ReferenceSelect(storage::Table* table,
+                                                const expr::Predicate& pred) {
+  std::vector<std::string> rows;
+  for (uint32_t b = 0; b < table->num_buckets(); ++b) {
+    ExpectOk(table->ForEachTupleInBucket(
+        b, [&](const storage::TupleRef& t, storage::Rid) {
+          if (!pred.Eval(t)) return;
+          std::vector<util::Value> values;
+          for (size_t c = 0; c < table->schema().num_fields(); ++c) {
+            values.push_back(t.GetValue(c));
+          }
+          rows.push_back(RowString(values));
+        }));
+  }
+  return rows;
+}
+
+/// `select <group_by>, <aggs> from table where pred group by <group_by>`,
+/// one serialized row per group with at least one matching tuple, sorted.
+/// Sums, averages, minima and maxima follow the engine's documented
+/// semantics: integral-family arithmetic on raw values (decimals in cents),
+/// avg = sum / count finalized last, min/max in the argument's type.
+inline std::vector<std::string> ReferenceAggregate(
+    storage::Table* table, const expr::Predicate& pred,
+    const std::vector<size_t>& group_by,
+    const std::vector<exec::AggSpec>& aggs) {
+  struct Group {
+    std::vector<util::Value> key;
+    int64_t count = 0;
+    std::vector<int64_t> sum;
+    std::vector<std::optional<int64_t>> min, max;
+  };
+  std::map<std::string, Group> groups;
+  for (uint32_t b = 0; b < table->num_buckets(); ++b) {
+    ExpectOk(table->ForEachTupleInBucket(
+        b, [&](const storage::TupleRef& t, storage::Rid) {
+          if (!pred.Eval(t)) return;
+          std::vector<util::Value> key;
+          for (size_t col : group_by) key.push_back(t.GetValue(col));
+          Group& g = groups[RowString(key)];
+          if (g.count++ == 0) {
+            g.key = key;
+            g.sum.assign(aggs.size(), 0);
+            g.min.assign(aggs.size(), std::nullopt);
+            g.max.assign(aggs.size(), std::nullopt);
+          }
+          for (size_t i = 0; i < aggs.size(); ++i) {
+            if (aggs[i].arg == nullptr) continue;  // count(*)
+            const int64_t v = aggs[i].arg->EvalInt(t);
+            g.sum[i] += v;
+            g.min[i] = std::min(g.min[i].value_or(v), v);
+            g.max[i] = std::max(g.max[i].value_or(v), v);
+          }
+        }));
+  }
+  // A raw integral value in `type`'s own Value form.
+  const auto typed = [](util::TypeId type, int64_t v) {
+    switch (type) {
+      case util::TypeId::kInt32:
+        return util::Value::Int32(static_cast<int32_t>(v));
+      case util::TypeId::kDate:
+        return util::Value::MakeDate(util::Date(static_cast<int32_t>(v)));
+      case util::TypeId::kDecimal:
+        return util::Value::MakeDecimal(util::Decimal(v));
+      default:
+        return util::Value::Int64(v);
+    }
+  };
+  std::vector<std::string> rows;
+  for (const auto& [skey, g] : groups) {
+    std::vector<util::Value> values = g.key;
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      const util::TypeId type =
+          aggs[i].arg != nullptr ? aggs[i].arg->type() : util::TypeId::kInt64;
+      switch (aggs[i].kind) {
+        case exec::AggKind::kCount:
+          values.push_back(util::Value::Int64(g.count));
+          break;
+        case exec::AggKind::kSum:
+          values.push_back(typed(type == util::TypeId::kDecimal
+                                     ? type
+                                     : util::TypeId::kInt64,
+                                 g.sum[i]));
+          break;
+        case exec::AggKind::kAvg: {
+          double sum = static_cast<double>(g.sum[i]);
+          if (type == util::TypeId::kDecimal) sum /= 100.0;
+          values.push_back(
+              util::Value::MakeDouble(sum / static_cast<double>(g.count)));
+          break;
+        }
+        case exec::AggKind::kMin:
+          values.push_back(typed(type, *g.min[i]));
+          break;
+        case exec::AggKind::kMax:
+          values.push_back(typed(type, *g.max[i]));
+          break;
+      }
+    }
+    rows.push_back(RowString(values));
+  }
+  return Sorted(std::move(rows));
 }
 
 /// Builds and registers min/max SMAs on column `col_name` of `table`.

@@ -1,27 +1,26 @@
-// Vectorized-execution tests (ctest label `vector`):
+// Batch-execution tests (ctest label `vector`):
 //
 //   * SelVector unit behaviour — dense fast path, Filter refinement,
 //     UnionWith merge.
 //   * EvalBatch ≡ Eval — every predicate shape agrees row-for-row with
-//     tuple-at-a-time evaluation, including AND/OR trees and string atoms.
-//   * NextBatch ≡ Next — every migrated operator (TableScan, SmaScan,
-//     Filter, the generic default adapter, RowAdapter) returns exactly the
-//     row-path tuples across predicates × batch sizes × bucket sizes.
-//   * Aggregation equality — GAggr / SmaGAggr / ParallelScanAggr produce
-//     bit-identical results in row and batch mode across DOPs.
-//   * Filter copying semantics — the yielded TupleRef stays valid until the
-//     next Next() (regression for the contract documented in filter.h).
-//   * Fault injection — the degradation ladder demotes correctly with the
-//     vectorized engine: runs return the fault-free rows exactly or a typed
-//     error, and mid-run demotion reruns (vectorized) from base data.
+//     the scalar evaluator, including AND/OR trees and string atoms.
+//   * Scans ≡ the row path — TableScan and SmaScan return exactly the
+//     tuples of the brute-force, tuple-at-a-time reference in
+//     tests/test_util.h, across predicates × layouts × consumer batch
+//     capacities × bucket sizes.
+//   * Aggregation ≡ the row path — GAggr∘TableScan, GAggr∘SmaScan,
+//     SmaGAggr and ParallelScanAggr produce the reference's groups across
+//     predicates × layouts × DOPs, served through the shared RowEmitter at
+//     several consumer batch capacities.
+//   * Fault injection — runs return the fault-free rows exactly or a typed
+//     error, and mid-run demotion reruns from base data.
 
 #include <gtest/gtest.h>
 
 #include "db/database.h"
-#include "exec/filter.h"
+#include "db/session.h"
 #include "exec/gaggr.h"
 #include "exec/parallel_aggr.h"
-#include "exec/row_adapter.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
 #include "exec/table_scan.h"
@@ -44,37 +43,24 @@ using testing::AddMinMaxSmas;
 using testing::ExpectOk;
 using testing::Layout;
 using testing::MakeSyntheticTable;
+using testing::ReferenceAggregate;
+using testing::ReferenceSelect;
+using testing::RowsOf;
+using testing::Sorted;
 using testing::TestDb;
 using testing::Unwrap;
 using util::FaultKind;
 using util::StatusCode;
 using util::Value;
 
-// Serializes a full run through the row interface.
-std::vector<std::string> DrainRows(exec::Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!has.ok() || !*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-// Serializes a full run through the batch interface (full projection).
-std::vector<std::string> DrainBatches(exec::Operator* op, size_t batch_size) {
+// Serializes a full run pulled with batches of `capacity` rows (full
+// projection) — the consumer side of the protocol, which RunToCompletion
+// fixes at kDefaultBatchSize.
+std::vector<std::string> DrainBatches(exec::Operator* op, size_t capacity) {
   ExpectOk(op->Init());
   std::vector<std::string> rows;
   Batch batch;
-  batch.Configure(&op->output_schema(), batch_size);
+  batch.Configure(&op->output_schema(), capacity);
   while (true) {
     auto has = op->NextBatch(&batch);
     EXPECT_TRUE(has.ok()) << has.status().ToString();
@@ -217,25 +203,33 @@ TEST(EvalBatchTest, TwoColumnAtomAgreesWithScalarEval) {
   }
 }
 
-// -------------------------------------------------- NextBatch ≡ Next -----
+// ---------------------------------------------- scans ≡ the row path -----
 
-using ScanParam = std::tuple<size_t /*batch_size*/, uint32_t /*bucket_pages*/>;
+const Layout kLayouts[] = {Layout::kClustered, Layout::kNoisy,
+                           Layout::kRandom};
 
-class BatchScanEquivalenceP : public ::testing::TestWithParam<ScanParam> {};
+std::string LayoutName(Layout layout) {
+  switch (layout) {
+    case Layout::kClustered:
+      return "clustered";
+    case Layout::kNoisy:
+      return "noisy";
+    case Layout::kRandom:
+      return "random";
+  }
+  return "?";
+}
 
-TEST_P(BatchScanEquivalenceP, EveryOperatorReturnsTheRowPathTuples) {
-  const auto [batch_size, bucket_pages] = GetParam();
-  TestDb db(16384);
-  storage::Table* t = MakeSyntheticTable(&db, 2000, Layout::kNoisy,
-                                         /*seed=*/21, bucket_pages);
-  sma::SmaSet smas(t);
-  AddMinMaxSmas(t, &smas, "d");
-  const auto& schema = t->schema();
-
-  const std::vector<PredicatePtr> preds = {
+// The predicate sweep both suites run: everything, SMA-prunable ranges on
+// d from either end (d > 500 is empty), an AND with a string atom, and an
+// OR with no SMA support at all.
+std::vector<PredicatePtr> PredicateSweep(const storage::Schema& schema) {
+  return {
       Predicate::True(),
       Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kLe,
                                   Value::MakeDate(util::Date(125)))),
+      Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kGe,
+                                  Value::MakeDate(util::Date(200)))),
       Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kGt,
                                   Value::MakeDate(util::Date(500)))),
       Predicate::And(
@@ -247,36 +241,31 @@ TEST_P(BatchScanEquivalenceP, EveryOperatorReturnsTheRowPathTuples) {
                                       Value::Int64(64))),
           Unwrap(Predicate::AtomString(&schema, "tag", CmpOp::kEq, "RAIL"))),
   };
+}
 
-  for (size_t p = 0; p < preds.size(); ++p) {
-    SCOPED_TRACE(::testing::Message() << "pred " << p);
-    const PredicatePtr& pred = preds[p];
-    {
-      exec::TableScan row_scan(t, pred);
-      exec::TableScan batch_scan(t, pred);
-      EXPECT_EQ(DrainRows(&row_scan), DrainBatches(&batch_scan, batch_size));
-    }
-    {
-      exec::SmaScan row_scan(t, pred, &smas);
-      exec::SmaScan batch_scan(t, pred, &smas);
-      EXPECT_EQ(DrainRows(&row_scan), DrainBatches(&batch_scan, batch_size));
-    }
-    {
-      // Filter over an unrestricted scan: native batch path refines the
-      // child's selection in place.
-      exec::Filter row_f(std::make_unique<exec::TableScan>(t,
-                                                           Predicate::True()),
-                         pred);
-      exec::Filter batch_f(
-          std::make_unique<exec::TableScan>(t, Predicate::True()), pred);
-      EXPECT_EQ(DrainRows(&row_f), DrainBatches(&batch_f, batch_size));
-    }
-    {
-      // RowAdapter inverts NextBatch back to rows.
-      exec::TableScan row_scan(t, pred);
-      exec::RowAdapter adapted(std::make_unique<exec::SmaScan>(t, pred, &smas),
-                               batch_size);
-      EXPECT_EQ(DrainRows(&row_scan), DrainRows(&adapted));
+using ScanParam = std::tuple<size_t /*capacity*/, uint32_t /*bucket_pages*/>;
+
+class BatchScanEquivalenceP : public ::testing::TestWithParam<ScanParam> {};
+
+// "The row path" is the brute-force reference: a tuple-at-a-time walk with
+// the scalar evaluator, sharing no code with the operators.
+TEST_P(BatchScanEquivalenceP, EveryOperatorReturnsTheRowPathTuples) {
+  const auto [capacity, bucket_pages] = GetParam();
+  TestDb db(16384);
+  for (const Layout layout : kLayouts) {
+    SCOPED_TRACE(LayoutName(layout));
+    storage::Table* t = MakeSyntheticTable(&db, 2000, layout, /*seed=*/21,
+                                           bucket_pages, LayoutName(layout));
+    sma::SmaSet smas(t);
+    AddMinMaxSmas(t, &smas, "d");
+    const std::vector<PredicatePtr> preds = PredicateSweep(t->schema());
+    for (size_t p = 0; p < preds.size(); ++p) {
+      SCOPED_TRACE(::testing::Message() << "pred " << p);
+      const std::vector<std::string> want = ReferenceSelect(t, *preds[p]);
+      exec::TableScan scan(t, preds[p]);
+      EXPECT_EQ(DrainBatches(&scan, capacity), want);
+      exec::SmaScan sma_scan(t, preds[p], &smas);
+      EXPECT_EQ(DrainBatches(&sma_scan, capacity), want);
     }
   }
 }
@@ -291,9 +280,9 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The default Operator::NextBatch adapter (no override) must agree with the
-// row interface too: GAggr overrides neither, so pulling batches from it
-// exercises the generic row -> batch loop.
+// A pipeline breaker serves its materialized rows as batches of whatever
+// capacity the consumer configured (here 7 rows), through the shared
+// RowEmitter that GAggr, SmaGAggr, ParallelScanAggr and Sort all use.
 TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
   TestDb db(16384);
   storage::Table* t = MakeSyntheticTable(&db, 1500, Layout::kNoisy, 31);
@@ -302,11 +291,11 @@ TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
                                      AggSpec::Count("cnt")};
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(100))));
-  auto rows = Unwrap(exec::GAggr::Make(
-      std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
-  auto batches = Unwrap(exec::GAggr::Make(
-      std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
-  EXPECT_EQ(DrainRows(rows.get()), DrainBatches(batches.get(), 7));
+  auto op = Unwrap(exec::GAggr::Make(
+      std::make_unique<exec::TableScan>(t, pred), {0}, aggs));
+  const std::vector<std::string> rows = DrainBatches(op.get(), 7);
+  EXPECT_GT(rows.size(), 7u);  // several batches, the last one partial
+  EXPECT_EQ(Sorted(rows), ReferenceAggregate(t, *pred, {0}, aggs));
 }
 
 // Projection pushdown: a consumer-built mask unioned with the producer's
@@ -325,8 +314,7 @@ TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   ExpectOk(scan.Init());
   Batch batch;
   batch.Configure(&t->schema(), 128, mask);
-  exec::TableScan ref(t, pred);
-  const std::vector<std::string> expected = DrainRows(&ref);
+  const std::vector<std::string> expected = ReferenceSelect(t, *pred);
   size_t row_no = 0;
   while (true) {
     auto has = scan.NextBatch(&batch);
@@ -346,66 +334,66 @@ TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   EXPECT_EQ(row_no, expected.size());
 }
 
-// ------------------------------------------- aggregation row ≡ batch -----
+// ---------------------------------------- aggregation ≡ the row path -----
 
-using AggrParam = std::tuple<size_t /*batch_size*/, size_t /*dop*/>;
+using AggrParam = std::tuple<size_t /*capacity*/, size_t /*dop*/>;
 
 class BatchAggrEquivalenceP : public ::testing::TestWithParam<AggrParam> {};
 
+// Every aggregate plan shape against the brute-force reference. The
+// pipeline breakers serve their groups through the shared RowEmitter, here
+// pulled at the parameter's batch capacity (1 = one group per batch).
 TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
-  const auto [batch_size, dop] = GetParam();
+  const auto [capacity, dop] = GetParam();
   TestDb db(16384);
-  storage::Table* t = MakeSyntheticTable(&db, 3000, Layout::kNoisy, 17);
-  sma::SmaSet smas(t);
-  AddMinMaxSmas(t, &smas, "d");
-  const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
-  const expr::ExprPtr v1 = Unwrap(expr::OnePlus(v));  // ArithExpr batch path
-  ExpectOk(smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Sum("s", v, {3})))));
-  ExpectOk(smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Count("c", {3})))));
-  const std::vector<AggSpec> aggs = {
-      AggSpec::Sum(v, "sum_v"),  AggSpec::Count("cnt"),
-      AggSpec::Avg(v, "avg_v"),  AggSpec::Min(v, "min_v"),
-      AggSpec::Max(v, "max_v"),  AggSpec::Sum(v1, "sum_v1")};
-  const std::vector<AggSpec> sma_aggs = {AggSpec::Sum(v, "sum_v"),
-                                         AggSpec::Count("cnt")};
-  const PredicatePtr pred = Unwrap(Predicate::AtomConst(
-      &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(188))));
-
-  {
-    auto row_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
-    auto batch_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::TableScan>(t, pred), {3}, aggs, batch_size));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
-  }
-  {
-    auto row_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::SmaScan>(t, pred, &smas), {3}, aggs));
-    auto batch_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::SmaScan>(t, pred, &smas), {3}, aggs,
-        batch_size));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
-  }
-  {
-    // SmaGAggr: qualifying buckets come from SMA entries in both modes;
-    // only the ambivalent remainder is vectorized.
-    exec::SmaGAggrOptions row_opts;
-    row_opts.degree_of_parallelism = dop;
-    exec::SmaGAggrOptions batch_opts = row_opts;
-    batch_opts.batch_size = batch_size;
-    auto row_op = Unwrap(
-        exec::SmaGAggr::Make(t, pred, {3}, sma_aggs, &smas, row_opts));
-    auto batch_op = Unwrap(
-        exec::SmaGAggr::Make(t, pred, {3}, sma_aggs, &smas, batch_opts));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
-  }
-  {
-    auto row_op = Unwrap(exec::ParallelScanAggr::Make(t, pred, {3}, aggs,
-                                                      &smas, dop));
-    auto batch_op = Unwrap(exec::ParallelScanAggr::Make(t, pred, {3}, aggs,
-                                                        &smas, dop,
-                                                        batch_size));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
+  for (const Layout layout : kLayouts) {
+    SCOPED_TRACE(LayoutName(layout));
+    storage::Table* t = MakeSyntheticTable(&db, 3000, layout, 17,
+                                           /*bucket_pages=*/1,
+                                           LayoutName(layout));
+    sma::SmaSet smas(t);
+    AddMinMaxSmas(t, &smas, "d");
+    const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
+    const expr::ExprPtr d = Unwrap(expr::Column(&t->schema(), "d"));
+    const expr::ExprPtr v1 = Unwrap(expr::OnePlus(v));  // ArithExpr kernel
+    ExpectOk(
+        smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Sum("s", v, {3})))));
+    ExpectOk(
+        smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Count("c", {3})))));
+    const std::vector<AggSpec> aggs = {
+        AggSpec::Sum(v, "sum_v"), AggSpec::Count("cnt"),
+        AggSpec::Avg(v, "avg_v"), AggSpec::Min(d, "min_d"),
+        AggSpec::Max(v, "max_v"), AggSpec::Sum(v1, "sum_v1")};
+    const std::vector<AggSpec> sma_aggs = {AggSpec::Sum(v, "sum_v"),
+                                           AggSpec::Count("cnt")};
+    const std::vector<PredicatePtr> preds = PredicateSweep(t->schema());
+    for (size_t p = 0; p < preds.size(); ++p) {
+      SCOPED_TRACE(::testing::Message() << "pred " << p);
+      const PredicatePtr& pred = preds[p];
+      const std::vector<std::string> want =
+          ReferenceAggregate(t, *pred, {3}, aggs);
+      auto over_scan = Unwrap(exec::GAggr::Make(
+          std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
+      EXPECT_EQ(Sorted(DrainBatches(over_scan.get(), capacity)), want);
+      auto over_sma_scan = Unwrap(exec::GAggr::Make(
+          std::make_unique<exec::SmaScan>(t, pred, &smas), {3}, aggs));
+      EXPECT_EQ(Sorted(DrainBatches(over_sma_scan.get(), capacity)), want);
+      // With SMAs it parallelizes GAggr∘SmaScan, without GAggr∘TableScan.
+      const sma::SmaSet* const parallel_smas[] = {&smas, nullptr};
+      for (const sma::SmaSet* set : parallel_smas) {
+        auto parallel = Unwrap(
+            exec::ParallelScanAggr::Make(t, pred, {3}, aggs, set, dop));
+        EXPECT_EQ(Sorted(DrainBatches(parallel.get(), capacity)), want);
+      }
+      // SmaGAggr: qualifying buckets answer from SMA entries, only the
+      // ambivalent remainder is decoded and folded.
+      exec::SmaGAggrOptions options;
+      options.degree_of_parallelism = dop;
+      auto sma_gaggr = Unwrap(
+          exec::SmaGAggr::Make(t, pred, {3}, sma_aggs, &smas, options));
+      EXPECT_EQ(Sorted(DrainBatches(sma_gaggr.get(), capacity)),
+                ReferenceAggregate(t, *pred, {3}, sma_aggs));
+    }
   }
 }
 
@@ -418,50 +406,11 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// ----------------------------------------- Filter copying semantics ------
+// ------------------------------------------------------ session knobs ----
 
-// Regression for the contract documented in filter.h: the TupleRef yielded
-// by Filter::Next() must stay valid (same bytes) until the *next* Next(),
-// even when the child internally skipped non-matching tuples in between.
-TEST(FilterSemanticsTest, FilterRefStaysValidAcrossCalls) {
-  TestDb db(16384);
-  storage::Table* t = MakeSyntheticTable(&db, 1200, Layout::kNoisy, 51);
-  // ~1-in-4 selectivity so most Next() calls skip several child tuples.
-  const PredicatePtr pred =
-      Unwrap(Predicate::AtomString(&t->schema(), "tag", CmpOp::kEq, "SHIP"));
-  exec::Filter filter(std::make_unique<exec::TableScan>(t, Predicate::True()),
-                      pred);
-  ExpectOk(filter.Init());
-  TupleRef held;
-  std::string held_snapshot;
-  size_t n = 0;
-  while (true) {
-    TupleRef next;
-    auto has = filter.Next(&next);
-    ExpectOk(has.status());
-    if (*has && n > 0) {
-      // The previously yielded view must not have been clobbered while the
-      // child scanned forward to find `next`.
-      std::string now;
-      for (size_t c = 0; c < t->schema().num_fields(); ++c) {
-        now += held.GetValue(c).ToString() + "|";
-      }
-      EXPECT_EQ(now, held_snapshot) << "row " << n - 1;
-    }
-    if (!*has) break;
-    held = next;
-    held_snapshot.clear();
-    for (size_t c = 0; c < t->schema().num_fields(); ++c) {
-      held_snapshot += held.GetValue(c).ToString() + "|";
-    }
-    ++n;
-  }
-  EXPECT_GT(n, 0u);
-}
-
-// ------------------------------------------------ session batch knob -----
-
-TEST(DatabaseBatchSizeTest, SetBatchSizeStatementControlsSessionMode) {
+// Session knobs still scope and keep answers exact; `batch_size` is no
+// longer one of them.
+TEST(DatabaseKnobTest, SetDopKeepsAnswersAndBatchSizeIsRejected) {
   db::Database database;
   ExpectOk(database.CreateTable("t", testing::SyntheticSchema()).status());
   storage::TupleBuffer tuple(&Unwrap(database.GetTable("t"))->schema());
@@ -476,28 +425,24 @@ TEST(DatabaseBatchSizeTest, SetBatchSizeStatementControlsSessionMode) {
   const std::string sql =
       "select grp, count(*), sum(v) from t where d <= '1970-02-10' "
       "group by grp";
+  const plan::QueryResult base = Unwrap(database.Query(sql));
 
-  // Vectorized by default; the plan explanation says so.
-  EXPECT_EQ(database.batch_size(), exec::kDefaultBatchSize);
-  const plan::QueryResult vectorized = Unwrap(database.Query(sql));
-  EXPECT_NE(vectorized.plan.explanation.find("vectorized(batch=1024)"),
-            std::string::npos)
-      << vectorized.plan.explanation;
+  std::unique_ptr<db::Session> session = database.CreateSession();
+  ExpectOk(session->Execute("set dop = 4"));
+  EXPECT_EQ(session->knobs().dop, 4u);
+  EXPECT_EQ(database.degree_of_parallelism(), 0u);  // session-scoped
+  EXPECT_EQ(Unwrap(session->Query(sql)).ToString(), base.ToString());
 
-  ExpectOk(database.Execute("set batch_size = 0"));
-  EXPECT_EQ(database.batch_size(), 0u);
-  const plan::QueryResult rowmode = Unwrap(database.Query(sql));
-  EXPECT_NE(rowmode.plan.explanation.find("row-mode"), std::string::npos)
-      << rowmode.plan.explanation;
-  EXPECT_EQ(vectorized.ToString(), rowmode.ToString());
-
-  ExpectOk(database.Execute("set batch_size = 64"));
-  EXPECT_EQ(database.batch_size(), 64u);
-  const plan::QueryResult small = Unwrap(database.Query(sql));
-  EXPECT_EQ(vectorized.ToString(), small.ToString());
-
-  EXPECT_FALSE(database.Execute("set batch_size = -5").ok());
-  EXPECT_FALSE(database.Execute("set batch_size to 8").ok());
+  for (const char* stmt : {"set batch_size = 1024", "set batch_size = 0"}) {
+    const util::Status st = session->Execute(stmt);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << stmt;
+    EXPECT_NE(st.message().find("{dop, timeout_ms, memory_limit"),
+              std::string::npos)
+        << st.ToString();
+  }
+  EXPECT_FALSE(database.Execute("set batch_size = 1024").ok());
+  EXPECT_FALSE(database.Execute("set dop = -5").ok());
+  EXPECT_FALSE(database.Execute("set dop to 8").ok());
 }
 
 // ------------------------------------------------ faults in batch mode ---
@@ -529,18 +474,13 @@ struct VectorFaultTest : ::testing::Test {
   plan::AggQuery query;
 };
 
-// The fault matrix of fault_test.cc rerun with the vectorized engine at
-// several batch sizes: every run returns the fault-free rows exactly or the
-// scenario's typed error — never silently-wrong rows.
+// The fault matrix of fault_test.cc over every aggregate plan shape: every
+// run returns the reference rows exactly or the scenario's typed error —
+// never silently-wrong rows.
 TEST_F(VectorFaultTest, BatchedRunsReturnExactRowsOrTypedError) {
   Setup("vf");
-  plan::PlannerOptions row_options;
-  row_options.batch_size = 0;
-  plan::Planner row_planner(smas.get(), row_options);
-  auto ref_op =
-      Unwrap(row_planner.Build(query, plan::PlanKind::kScanAggr, 1));
-  const std::string expected =
-      Unwrap(plan::RunToCompletion(ref_op.get())).ToString();
+  const std::vector<std::string> expected = ReferenceAggregate(
+      table, *query.pred, query.group_by, query.aggs);
 
   struct Scenario {
     const char* label;
@@ -563,42 +503,40 @@ TEST_F(VectorFaultTest, BatchedRunsReturnExactRowsOrTypedError) {
                                   plan::PlanKind::kSmaScanAggr,
                                   plan::PlanKind::kSmaGAggr};
   uint64_t seed = 40;
-  for (size_t batch_size : {size_t{7}, size_t{1024}}) {
-    plan::PlannerOptions options;
-    options.batch_size = batch_size;
-    plan::Planner planner(smas.get(), options);
-    for (const Scenario& s : scenarios) {
-      for (plan::PlanKind kind : kinds) {
-        for (size_t dop : {size_t{1}, size_t{4}}) {
-          SCOPED_TRACE(::testing::Message()
-                       << s.label << " / " << plan::PlanKindToString(kind)
-                       << " / dop=" << dop << " / batch=" << batch_size);
-          util::fault::DisarmAll();
-          ExpectOk(db.pool.DropAll());
-          util::fault::Seed(seed++);
-          util::fault::Arm(s.point, s.spec);
-          auto op = Unwrap(planner.Build(query, kind, dop));
-          auto run = plan::RunToCompletion(op.get());
-          util::fault::DisarmAll();
-          if (run.ok()) {
-            EXPECT_EQ(run->ToString(), expected);
-          } else {
-            EXPECT_EQ(run.status().code(), s.allowed)
-                << run.status().ToString();
-          }
+  plan::Planner planner(smas.get());
+  for (const Scenario& s : scenarios) {
+    for (plan::PlanKind kind : kinds) {
+      for (size_t dop : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << s.label << " / " << plan::PlanKindToString(kind)
+                     << " / dop=" << dop);
+        util::fault::DisarmAll();
+        ExpectOk(db.pool.DropAll());
+        util::fault::Seed(seed++);
+        util::fault::Arm(s.point, s.spec);
+        auto op = Unwrap(planner.Build(query, kind, dop));
+        auto run = plan::RunToCompletion(op.get());
+        util::fault::DisarmAll();
+        if (run.ok()) {
+          EXPECT_EQ(Sorted(RowsOf(*run)), expected);
+        } else {
+          EXPECT_EQ(run.status().code(), s.allowed)
+              << run.status().ToString();
         }
       }
     }
   }
 }
 
-// The degradation ladder under the vectorized engine: unreadable SMA-files
-// demote the plan, the rerun stays vectorized, and the rows are exact.
+// The degradation ladder: unreadable SMA-files demote the plan to a
+// sequential scan, and the rerun's rows are exact.
 TEST_F(VectorFaultTest, DegradationLadderDemotesCorrectlyInBatchMode) {
   Setup("vd");
-  plan::Planner planner(smas.get());  // defaults: vectorized
+  plan::Planner planner(smas.get());
   const plan::QueryResult healthy = Unwrap(planner.Execute(query));
-  EXPECT_NE(healthy.plan.explanation.find("vectorized"), std::string::npos);
+  EXPECT_EQ(Sorted(RowsOf(healthy)),
+            ReferenceAggregate(table, *query.pred, query.group_by,
+                               query.aggs));
 
   ExpectOk(db.pool.DropAll());
   util::fault::Arm("disk.read", {.kind = FaultKind::kPermanent,
@@ -607,8 +545,6 @@ TEST_F(VectorFaultTest, DegradationLadderDemotesCorrectlyInBatchMode) {
   util::fault::DisarmAll();
   EXPECT_EQ(demoted.plan.kind, plan::PlanKind::kScanAggr);
   EXPECT_NE(demoted.plan.explanation.find("demoted"), std::string::npos)
-      << demoted.plan.explanation;
-  EXPECT_NE(demoted.plan.explanation.find("vectorized"), std::string::npos)
       << demoted.plan.explanation;
   EXPECT_EQ(demoted.ToString(), healthy.ToString());
 }
