@@ -24,6 +24,7 @@
 #ifndef SMADB_STORAGE_LATCH_H_
 #define SMADB_STORAGE_LATCH_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -119,7 +120,7 @@ class BucketLatchTable {
       const uint64_t ns = TimedAcquire([&] { lock.lock(); });
       NoteContention(ns);
     }
-    shared_acquires_.Inc();
+    shared_acquires_.fetch_add(1, std::memory_order_relaxed);
     return SharedGuard(std::move(lock));
   }
 
@@ -130,7 +131,7 @@ class BucketLatchTable {
       const uint64_t ns = TimedAcquire([&] { lock.lock(); });
       NoteContention(ns);
     }
-    exclusive_acquires_.Inc();
+    exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
     return ExclusiveGuard(std::move(lock));
   }
 
@@ -140,16 +141,16 @@ class BucketLatchTable {
     for (size_t i = 0; i < shards_; ++i) {
       guard.locks_.emplace_back(mutexes_[i]);
     }
-    exclusive_acquires_.Add(static_cast<int64_t>(shards_));
+    exclusive_acquires_.fetch_add(shards_, std::memory_order_relaxed);
     return guard;
   }
 
   LatchStats stats() const {
     LatchStats s;
-    s.shared_acquires = static_cast<uint64_t>(shared_acquires_.value());
-    s.exclusive_acquires = static_cast<uint64_t>(exclusive_acquires_.value());
-    s.contended = static_cast<uint64_t>(contended_.value());
-    s.wait_ns = static_cast<uint64_t>(wait_ns_.value());
+    s.shared_acquires = shared_acquires_.load(std::memory_order_relaxed);
+    s.exclusive_acquires = exclusive_acquires_.load(std::memory_order_relaxed);
+    s.contended = contended_.load(std::memory_order_relaxed);
+    s.wait_ns = wait_ns_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -165,8 +166,8 @@ class BucketLatchTable {
   }
 
   void NoteContention(uint64_t ns) {
-    contended_.Inc();
-    wait_ns_.Add(static_cast<int64_t>(ns));
+    contended_.fetch_add(1, std::memory_order_relaxed);
+    wait_ns_.fetch_add(ns, std::memory_order_relaxed);
     if (wait_histogram_ != nullptr) {
       wait_histogram_->Observe(static_cast<int64_t>(ns));
     }
@@ -174,13 +175,10 @@ class BucketLatchTable {
 
   const size_t shards_;
   std::unique_ptr<std::shared_mutex[]> mutexes_;
-  // obs::Counter shards each count onto its own cache line, so readers
-  // bumping shared_acquires_ on every latch never write the line holding
-  // shards_ and mutexes_, which every latch reads.
-  obs::Counter shared_acquires_;
-  obs::Counter exclusive_acquires_;
-  obs::Counter contended_;
-  obs::Counter wait_ns_;
+  std::atomic<uint64_t> shared_acquires_{0};
+  std::atomic<uint64_t> exclusive_acquires_{0};
+  std::atomic<uint64_t> contended_{0};
+  std::atomic<uint64_t> wait_ns_{0};
   obs::Histogram* wait_histogram_ = nullptr;
 };
 
