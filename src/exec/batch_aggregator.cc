@@ -223,4 +223,16 @@ void BatchAggregator::FlushInto(GroupTable* table) {
   groups_.clear();
 }
 
+util::Status BucketFolder::Fold(uint64_t bucket, const expr::Predicate* pred) {
+  SMADB_RETURN_NOT_OK(reader.OpenBucket(bucket));
+  while (true) {
+    batch.Clear();
+    SMADB_ASSIGN_OR_RETURN(bool has, reader.NextBatch(&batch.cols));
+    if (!has) return util::Status::OK();
+    batch.SelectAll();
+    if (pred != nullptr) pred->EvalBatch(batch.cols, &batch.sel);
+    aggregator.AddBatch(batch);
+  }
+}
+
 }  // namespace smadb::exec

@@ -23,6 +23,7 @@
 
 #include "exec/aggregate.h"
 #include "exec/batch.h"
+#include "exec/bucket_source.h"
 #include "storage/schema.h"
 
 namespace smadb::exec {
@@ -82,6 +83,26 @@ class BatchAggregator {
   std::string key_scratch_;
   std::vector<uint32_t> row_gids_;
   std::vector<int64_t> vals_;
+};
+
+/// Folds whole buckets of one table into a BatchAggregator — the per-bucket
+/// work of SMA_GAggr's ambivalent buckets and of ParallelScanAggr's morsels.
+/// One per worker (the reader pins pages); the owning operator configures
+/// `batch` with the aggregator's columns plus the predicate's, and charges
+/// it.
+struct BucketFolder {
+  BucketFolder(storage::Table* table, const std::vector<size_t>* group_by,
+               const std::vector<AggSpec>* aggs)
+      : reader(table), aggregator(&table->schema(), group_by, aggs) {}
+
+  /// Decodes bucket `bucket` batch by batch into `aggregator`. `pred`
+  /// refines each batch's selection; null for a qualifying bucket, whose
+  /// dense all-rows selection needs no predicate evaluation (§3.1).
+  util::Status Fold(uint64_t bucket, const expr::Predicate* pred);
+
+  BucketReader reader;
+  Batch batch;
+  BatchAggregator aggregator;
 };
 
 }  // namespace smadb::exec

@@ -173,6 +173,13 @@ class BucketReader {
   /// opens one bucket at a time).
   util::Status Open(uint32_t first_page, uint32_t end_page);
 
+  /// Positions on bucket `bucket`'s page range.
+  util::Status OpenBucket(uint64_t bucket) {
+    const auto [first, end] =
+        table_->BucketPageRange(static_cast<uint32_t>(bucket));
+    return Open(first, end);
+  }
+
   /// Decodes the range's live tuples column-at-a-time into `cols` until
   /// the batch fills or the range is exhausted. Returns whether any rows
   /// were appended.

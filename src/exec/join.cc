@@ -7,7 +7,6 @@ namespace smadb::exec {
 using expr::CmpOp;
 using storage::Field;
 using storage::Schema;
-using storage::TupleBuffer;
 using storage::TupleRef;
 using util::Result;
 using util::Status;
@@ -276,9 +275,7 @@ Status SmaSemiJoin::NextBucket() {
     }
     break;
   }
-  const auto [first, end] =
-      r_->BucketPageRange(static_cast<uint32_t>(curr_bucket_));
-  return r_reader_.Open(first, end);
+  return r_reader_.OpenBucket(static_cast<uint64_t>(curr_bucket_));
 }
 
 Result<bool> SmaSemiJoin::NextBatch(Batch* out) {

@@ -47,21 +47,17 @@ Status ParallelScanAggr::InitImpl() {
 
   BucketSource source(table_, pred_, smas_);
 
-  // Per-worker state: grader and reader hold page pins; the fused
-  // aggregator's partial groups are the worker's private results, flushed
-  // into `groups` after the parallel region and merged (and charged) there.
+  // Per-worker state: grader and folder hold page pins; the folder's
+  // partial groups are the worker's private results, flushed into `groups`
+  // after the parallel region and merged (and charged) there.
   struct WorkerState {
     std::unique_ptr<sma::BucketGrader> grader;
-    BucketReader reader;
-    BatchAggregator aggregator;
-    Batch batch;
+    BucketFolder folder;
     GroupTable groups;
     SmaScanStats stats;
     WorkerState(storage::Table* table, const std::vector<size_t>* group_by,
                 const std::vector<AggSpec>* aggs)
-        : reader(table),
-          aggregator(&table->schema(), group_by, aggs),
-          groups(aggs) {}
+        : folder(table, group_by, aggs), groups(aggs) {}
   };
   std::vector<WorkerState> workers;
   workers.reserve(dop_);
@@ -75,11 +71,11 @@ Status ParallelScanAggr::InitImpl() {
     ws.grader = source.NewGrader();
     // Every worker reads the same consistent append prefix the source
     // captured; pages appended mid-run stay invisible.
-    ws.reader.set_snapshot(source.snapshot());
-    std::vector<bool> mask = ws.aggregator.RequiredColumns();
+    ws.folder.reader.set_snapshot(source.snapshot());
+    std::vector<bool> mask = ws.folder.aggregator.RequiredColumns();
     pred_->AddReferencedColumns(&mask);
     SMADB_RETURN_NOT_OK(
-        ConfigureBatch(&ws.batch, &table_->schema(), std::move(mask)));
+        ConfigureBatch(&ws.folder.batch, &table_->schema(), std::move(mask)));
   }
 
   // The cancel token reaches the claim loop itself: once tripped, no new
@@ -100,26 +96,10 @@ Status ParallelScanAggr::InitImpl() {
                                source.GradeLatched(ws.grader.get(), b));
         ws.stats.Tally(g);
         if (g == Grade::kDisqualifies) return Status::OK();
-
-        const auto [first, end] =
-            table_->BucketPageRange(static_cast<uint32_t>(b));
-        SMADB_RETURN_NOT_OK(ws.reader.Open(first, end));
-        // Decode the bucket column-at-a-time and map its grade onto the
-        // selection vector — qualifying buckets keep the dense all-rows
-        // selection with no predicate evaluation (§3.1).
-        while (true) {
-          ws.batch.Clear();
-          SMADB_ASSIGN_OR_RETURN(bool has,
-                                 ws.reader.NextBatch(&ws.batch.cols));
-          if (!has) break;
-          ws.batch.SelectAll();
-          if (g != Grade::kQualifies) {
-            pred_->EvalBatch(ws.batch.cols, &ws.batch.sel);
-          }
-          ws.aggregator.AddBatch(ws.batch);
-        }
-        ws.reader.Close();
-        return Status::OK();
+        // The grade maps onto the selection vector: qualifying buckets keep
+        // the dense all-rows selection with no predicate evaluation.
+        return ws.folder.Fold(
+            b, g == Grade::kQualifies ? nullptr : pred_.get());
       },
       cancel);
 
@@ -129,13 +109,15 @@ Status ParallelScanAggr::InitImpl() {
   // the partial census a degraded-ladder rerun would then re-count.
   for (WorkerState& ws : workers) {
     stats_.Merge(ws.stats);
-    if (prof_ != nullptr) prof_->AddPagesRead(ws.reader.pages_opened());
+    if (prof_ != nullptr) {
+      prof_->AddPagesRead(ws.folder.reader.pages_opened());
+    }
   }
   SMADB_RETURN_NOT_OK(par);
 
   GroupTable groups(&aggs_);
   for (WorkerState& ws : workers) {
-    ws.aggregator.FlushInto(&ws.groups);
+    ws.folder.aggregator.FlushInto(&ws.groups);
     const size_t before = groups.approx_bytes();
     groups.MergeFrom(ws.groups);
     // Merge-phase growth carries its own component name so a budget trip

@@ -49,23 +49,6 @@ bool GroupingRefines(const std::vector<size_t>& query_groups,
 
 }  // namespace
 
-/// One worker's ambivalent-bucket machinery: a private snapshot-clamped
-/// reader (page pins), a reusable batch projected to the predicate +
-/// group-by + aggregate columns (configured by the owning operator), and
-/// the fused-kernel partial aggregator. The partials are flushed into the
-/// worker's GroupTable once its buckets are done — exact, since group
-/// merging is associative and commutative.
-struct SmaGAggrBatchState {
-  BucketReader reader;
-  Batch batch;
-  BatchAggregator aggregator;
-
-  SmaGAggrBatchState(storage::Table* table,
-                     const std::vector<size_t>* group_by,
-                     const std::vector<AggSpec>* aggs)
-      : reader(table), aggregator(&table->schema(), group_by, aggs) {}
-};
-
 SmaGAggr::AggBinding SmaGAggr::BindAggregate(AggFunc func,
                                              const expr::Expr* arg) const {
   AggBinding binding;
@@ -192,29 +175,6 @@ Status SmaGAggr::ProcessQualifying(GroupTable* groups,
   return Status::OK();
 }
 
-Status SmaGAggr::ProcessAmbivalent(uint64_t b,
-                                   SmaGAggrBatchState* batch_state) {
-  // Decode the bucket into column batches, refine the dense selection with
-  // EvalBatch, and fold through the fused kernels into the worker's partial
-  // aggregator (flushed into its GroupTable at the end). The reader's
-  // lock-coupled latch keeps writers out of the page being read, and its
-  // snapshot hides slots appended after this execution began.
-  const auto [first, end] = table_->BucketPageRange(static_cast<uint32_t>(b));
-  SMADB_RETURN_NOT_OK(batch_state->reader.Open(first, end));
-  Batch& batch = batch_state->batch;
-  while (true) {
-    batch.Clear();
-    SMADB_ASSIGN_OR_RETURN(bool has,
-                           batch_state->reader.NextBatch(&batch.cols));
-    if (!has) break;
-    batch.SelectAll();
-    pred_->EvalBatch(batch.cols, &batch.sel);
-    batch_state->aggregator.AddBatch(batch);
-  }
-  batch_state->reader.Close();
-  return Status::OK();
-}
-
 Grade SmaGAggr::EffectiveGrade(Grade g, uint64_t b) const {
   // A qualifying bucket beyond aggregate-SMA coverage must be inspected.
   if (g == Grade::kQualifies && b >= covered_buckets_) {
@@ -233,7 +193,7 @@ Grade SmaGAggr::EffectiveGrade(Grade g, uint64_t b) const {
 
 Status SmaGAggr::ProcessBucket(Grade g, uint64_t b, GroupTable* groups,
                                BindingCursors* cursors, SmaScanStats* stats,
-                               SmaGAggrBatchState* batch_state) {
+                               BucketFolder* folder) {
   // Bucket-granular cooperative checkpoint (every grade, every worker).
   SMADB_RETURN_NOT_OK(CheckRuntime("SmaGAggr"));
   g = EffectiveGrade(g, b);
@@ -250,7 +210,9 @@ Status SmaGAggr::ProcessBucket(Grade g, uint64_t b, GroupTable* groups,
         buckets_skipped_.fetch_add(1, std::memory_order_relaxed);
         return Status::OK();
       }
-      return ProcessAmbivalent(b, batch_state);
+      // Decode the bucket; the folder's reader clamps to the execution's
+      // snapshot and its latch keeps writers out of the page being read.
+      return folder->Fold(b, pred_.get());
   }
   return Status::OK();
 }
@@ -288,23 +250,22 @@ Status SmaGAggr::InitImpl() {
   // Ambivalent readers clamp to the source's consistent append prefix;
   // qualifying buckets answer from SMA entries under the bucket's shared
   // latch. SMA-only mode skips ambivalent buckets, so it has no batch.
-  using BatchStatePtr = std::unique_ptr<SmaGAggrBatchState>;
-  auto make_batch_state = [&]() -> Result<BatchStatePtr> {
-    if (options_.sma_only) return BatchStatePtr();
-    auto state =
-        std::make_unique<SmaGAggrBatchState>(table_, &group_by_, &aggs_);
-    state->reader.set_snapshot(source.snapshot());
-    std::vector<bool> mask = state->aggregator.RequiredColumns();
+  using FolderPtr = std::unique_ptr<BucketFolder>;
+  auto make_folder = [&]() -> Result<FolderPtr> {
+    if (options_.sma_only) return FolderPtr();
+    auto folder = std::make_unique<BucketFolder>(table_, &group_by_, &aggs_);
+    folder->reader.set_snapshot(source.snapshot());
+    std::vector<bool> mask = folder->aggregator.RequiredColumns();
     pred_->AddReferencedColumns(&mask);
     SMADB_RETURN_NOT_OK(
-        ConfigureBatch(&state->batch, &table_->schema(), std::move(mask)));
-    return state;
+        ConfigureBatch(&folder->batch, &table_->schema(), std::move(mask)));
+    return folder;
   };
 
   if (dop == 1) {
     // The paper's single synchronized pass over relation and SMA-files.
     BindingCursors cursors = MakeCursors();
-    SMADB_ASSIGN_OR_RETURN(BatchStatePtr batch_state, make_batch_state());
+    SMADB_ASSIGN_OR_RETURN(FolderPtr folder, make_folder());
     size_t charged = 0;
     BucketUnit unit;
     while (true) {
@@ -312,17 +273,17 @@ Status SmaGAggr::InitImpl() {
       if (!has) break;
       SMADB_RETURN_NOT_OK(ProcessBucket(unit.grade, unit.bucket, &groups,
                                         &cursors, &stats_,
-                                        batch_state.get()));
+                                        folder.get()));
       if (groups.approx_bytes() > charged) {
         SMADB_RETURN_NOT_OK(
             ChargeMemory(groups.approx_bytes() - charged, "GroupTable"));
         charged = groups.approx_bytes();
       }
     }
-    if (batch_state != nullptr) {
-      batch_state->aggregator.FlushInto(&groups);
+    if (folder != nullptr) {
+      folder->aggregator.FlushInto(&groups);
       if (prof_ != nullptr) {
-        prof_->AddPagesRead(batch_state->reader.pages_opened());
+        prof_->AddPagesRead(folder->reader.pages_opened());
       }
     }
     if (groups.approx_bytes() > charged) {
@@ -337,7 +298,7 @@ Status SmaGAggr::InitImpl() {
       BindingCursors cursors;
       GroupTable groups;
       SmaScanStats stats;
-      BatchStatePtr batch_state;
+      FolderPtr folder;
       size_t charged = 0;  // bytes of `groups` already charged
       explicit WorkerState(const std::vector<AggSpec>* aggs)
           : groups(aggs) {}
@@ -348,7 +309,7 @@ Status SmaGAggr::InitImpl() {
       workers.emplace_back(&aggs_);
       workers.back().grader = source.NewGrader();
       workers.back().cursors = MakeCursors();
-      SMADB_ASSIGN_OR_RETURN(workers.back().batch_state, make_batch_state());
+      SMADB_ASSIGN_OR_RETURN(workers.back().folder, make_folder());
     }
     // The cancel token flows into the claim loop: once it trips, no further
     // morsel is scheduled and the pool drains before we touch worker state.
@@ -364,7 +325,7 @@ Status SmaGAggr::InitImpl() {
                                  source.GradeLatched(ws.grader.get(), b));
           SMADB_RETURN_NOT_OK(ProcessBucket(g, b, &ws.groups, &ws.cursors,
                                             &ws.stats,
-                                            ws.batch_state.get()));
+                                            ws.folder.get()));
           if (ws.groups.approx_bytes() > ws.charged) {
             SMADB_RETURN_NOT_OK(ChargeMemory(
                 ws.groups.approx_bytes() - ws.charged, "GroupTable"));
@@ -379,14 +340,14 @@ Status SmaGAggr::InitImpl() {
     // the partial census a degraded-ladder rerun would then re-count.
     for (WorkerState& ws : workers) {
       stats_.Merge(ws.stats);
-      if (prof_ != nullptr && ws.batch_state != nullptr) {
-        prof_->AddPagesRead(ws.batch_state->reader.pages_opened());
+      if (prof_ != nullptr && ws.folder != nullptr) {
+        prof_->AddPagesRead(ws.folder->reader.pages_opened());
       }
     }
     SMADB_RETURN_NOT_OK(par);
     for (WorkerState& ws : workers) {
-      if (ws.batch_state != nullptr) {
-        ws.batch_state->aggregator.FlushInto(&ws.groups);
+      if (ws.folder != nullptr) {
+        ws.folder->aggregator.FlushInto(&ws.groups);
       }
       const size_t before = groups.approx_bytes();
       groups.MergeFrom(ws.groups);

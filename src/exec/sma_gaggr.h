@@ -59,8 +59,7 @@ struct SmaGAggrOptions {
   bool sma_only = false;
 };
 
-/// Per-worker state of the ambivalent-bucket path (defined in the .cc).
-struct SmaGAggrBatchState;
+struct BucketFolder;
 
 class SmaGAggr final : public Operator {
  public:
@@ -137,14 +136,13 @@ class SmaGAggr final : public Operator {
   /// mid-run failure, and the degraded sma_only rung alike.
   util::Status InitImpl();
 
-  /// One bucket's phase-2 work, dispatched on its grade. `batch_state` is
-  /// the worker's ambivalent-bucket path (null in sma_only mode).
+  /// One bucket's phase-2 work, dispatched on its grade. `folder` decodes
+  /// the worker's ambivalent buckets (null in sma_only mode).
   util::Status ProcessBucket(sma::Grade g, uint64_t b, GroupTable* groups,
                              BindingCursors* cursors, SmaScanStats* stats,
-                             SmaGAggrBatchState* batch_state);
+                             BucketFolder* folder);
   util::Status ProcessQualifying(GroupTable* groups, BindingCursors* cursors,
                                  uint64_t b);
-  util::Status ProcessAmbivalent(uint64_t b, SmaGAggrBatchState* batch_state);
 
   storage::Table* table_;
   expr::PredicatePtr pred_;

@@ -41,9 +41,7 @@ Status SmaScan::GetBucket() {
   }
   curr_grade_ = unit.grade;
   // "read bucket currBucketNo" — position on its first page.
-  const auto [first, end] = source_.table()->BucketPageRange(
-      static_cast<uint32_t>(unit.bucket));
-  return reader_.Open(first, end);
+  return reader_.OpenBucket(unit.bucket);
 }
 
 Result<bool> SmaScan::NextBatch(Batch* out) {

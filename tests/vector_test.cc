@@ -408,8 +408,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------ session knobs ----
 
-// Session knobs still scope and keep answers exact; `batch_size` is no
-// longer one of them.
+// Session knobs scope and keep answers exact, and `set batch_size` is
+// rejected: batch capacity is a constant, not a knob.
 TEST(DatabaseKnobTest, SetDopKeepsAnswersAndBatchSizeIsRejected) {
   db::Database database;
   ExpectOk(database.CreateTable("t", testing::SyntheticSchema()).status());
