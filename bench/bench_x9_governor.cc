@@ -9,8 +9,7 @@
 //      `set timeout_ms`-style deadlines.
 //   2. *Near-zero cost when idle*: with generous limits the checkpoints are
 //      one relaxed atomic load (+ a clock read when a deadline is armed)
-//      per 512 rows / per batch, and the memory tracker charges at bucket
-//      granularity. Warm Q1 wall-clock overhead target: < 2 %.
+//      per batch, and the memory tracker charges at bucket granularity. Warm Q1 wall-clock overhead target: < 2 %.
 //
 // `--smoke` (first argument) runs a tiny scale with correctness assertions
 // for CI; any other argument is the TPC-H scale factor.
@@ -183,6 +182,6 @@ int main(int argc, char** argv) {
       "latency is bounded by one bucket/batch work unit (p99 well under a "
       "second regardless of query length), deadlines overshoot by at most "
       "one checkpoint interval, and the governed hot path costs a relaxed "
-      "atomic load per 512 rows — under the 2% warm-Q1 budget.");
+      "atomic load per batch — under the 2% warm-Q1 budget.");
   return 0;
 }
