@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -274,6 +275,212 @@ TEST_F(NetTest, RequestResponseMatrix) {
   ASSERT_TRUE(c.SendLine("quit"));
   EXPECT_TRUE(c.WaitForClose());
   EXPECT_TRUE(WaitFor([&] { return server_->connections_active() == 0; }));
+}
+
+// ---------------------------------------------------------------------------
+// The statement surface, pinned: one fixed lowercase script over one
+// connection. Deterministic responses (rows at dop 1, bare OKs, explain,
+// scrub on the simulated backend, kill's error) must match byte for byte;
+// `show storage`/`show metrics` line by line on a prefix; malformed lines on
+// their `ERR <code>:` prefix.
+
+TEST_F(NetTest, StatementTranscriptIsPinned) {
+  enum class Match { kExact, kLinePrefix, kErrPrefix };
+  struct Step {
+    const char* line;
+    Match match;
+    const char* want;  // kLinePrefix: one '\n'-terminated prefix per line
+  };
+  const Step kScript[] = {
+      {"set dop = 1", Match::kExact, "OK\n"},
+      {"select grp, count(*) as n, sum(v) as total from t group by grp",
+       Match::kExact,
+       "grp | n | total\n"
+       "A | 1342 | 81082.62\n"
+       "B | 1313 | 81255.42\n"
+       "C | 1345 | 77601.96\n"
+       "OK\n"},
+      {"select count(*), min(d), max(d), avg(v) from t where k < 100",
+       Match::kExact,
+       "count_1 | min_2 | max_3 | avg_4\n"
+       "100 | 1970-01-05 | 1971-05-14 | 1.485\n"
+       "OK\n"},
+      {"select * from t where k < 3", Match::kExact,
+       "k | d | v | grp | tag\n"
+       "0 | 1971-03-09 | 0.00 | A | AIR\n"
+       "1 | 1970-07-22 | 0.03 | A | SHIP\n"
+       "2 | 1971-01-11 | 0.06 | C | RAIL\n"
+       "OK\n"},
+      {"explain select count(*) from t where d <= '1970-02-01'", Match::kExact,
+       "explain\n"
+       "plan: GAggr(TableScan)\n"
+       "buckets: qualifying=0 disqualifying=0 ambivalent=25 "
+       "fetch_fraction=1.000\n"
+       "dop: 1\n"
+       "no SMAs available, dop=1\n"
+       "OK\n"},
+      {"show profile", Match::kExact,
+       "profile\n"
+       "no profiled query yet; run `explain analyze select ...`\n"
+       "OK\n"},
+      {"show queries", Match::kExact,
+       "queries\n"
+       "(no queries in flight)\n"
+       "OK\n"},
+      {"show storage", Match::kLinePrefix,
+       "storage\n"
+       "backend: sim\n"
+       "path: \n"
+       "mode: read-write\n"
+       "pages: reads=\n"
+       "wal: (none\n"
+       "OK\n"},
+      {"scrub", Match::kExact,
+       "scrub\n"
+       "scanned: files=1 pages=25\n"
+       "corrupt_pages: 0\n"
+       "smas: verified=0 distrusted=0 repaired=0\n"
+       "result: clean\n"
+       "OK\n"},
+      {"set timeout_ms = 0", Match::kExact, "OK\n"},
+      {"set memory_limit = 0", Match::kExact, "OK\n"},
+      {"set allow_degraded = 1", Match::kExact, "OK\n"},
+      {"set max_concurrent_queries = 0", Match::kExact, "OK\n"},
+      {"set wal_sync_interval = 1", Match::kExact, "OK\n"},
+      {"set slow_query_ms = 0", Match::kExact, "OK\n"},
+      {"set log_level = 1", Match::kExact, "OK\n"},
+      {"set storage_path = 'smadb_transcript_unused'", Match::kExact, "OK\n"},
+      {"set storage = sim", Match::kExact, "OK\n"},
+      {"define sma mink select min(k) from t", Match::kExact, "OK\n"},
+      {"define sma maxk select max(k) from t", Match::kExact, "OK\n"},
+      {"define sma sumv select sum(v) from t group by grp", Match::kExact,
+       "OK\n"},
+      {"explain select count(*) from t where k < 500", Match::kExact,
+       "explain\n"
+       "plan: GAggr(SMA_Scan)\n"
+       "buckets: qualifying=3 disqualifying=20 ambivalent=2 "
+       "fetch_fraction=0.200\n"
+       "dop: 1\n"
+       "SMA_Scan fetches 20.0% of buckets (no matching aggregate SMAs), "
+       "dop=1\n"
+       "OK\n"},
+      {"select grp, sum(v) from t where k < 500 group by grp", Match::kExact,
+       "grp | sum_1\n"
+       "A | 1205.82\n"
+       "B | 1124.64\n"
+       "C | 1412.04\n"
+       "OK\n"},
+      {"kill query 999999", Match::kExact,
+       "ERR Not found: no in-flight query with id 999999\n"},
+      {"trace deadbeef select count(*) from t where k >= 3990", Match::kExact,
+       "count_1\n"
+       "10\n"
+       "OK\n"},
+      {"show metrics", Match::kLinePrefix,
+       "metrics\n"
+       "smadb_appends_total =\n"
+       "smadb_buckets_ambivalent_total =\n"
+       "smadb_buckets_disqualifying_total =\n"
+       "smadb_buckets_qualifying_total =\n"
+       "smadb_checkpoints_total =\n"
+       "smadb_disk_page_reads =\n"
+       "smadb_disk_page_writes =\n"
+       "smadb_disk_syncs =\n"
+       "smadb_latch_contended =\n"
+       "smadb_latch_exclusive_acquires =\n"
+       "smadb_latch_shared_acquires =\n"
+       "smadb_latch_wait_ns:\n"
+       "smadb_log_dropped_total =\n"
+       "smadb_log_lines_total =\n"
+       "smadb_memory_peak_bytes =\n"
+       "smadb_memory_used_bytes =\n"
+       "smadb_net_bytes_in_total =\n"
+       "smadb_net_bytes_out_total =\n"
+       "smadb_net_connections_active =\n"
+       "smadb_net_connections_total =\n"
+       "smadb_net_http_requests_total =\n"
+       "smadb_net_idle_timeouts_total =\n"
+       "smadb_net_overflow_total =\n"
+       "smadb_net_peer_disconnect_cancels_total =\n"
+       "smadb_net_request_latency_us:\n"
+       "smadb_net_requests_total =\n"
+       "smadb_net_shed_total =\n"
+       "smadb_net_write_timeouts_total =\n"
+       "smadb_pool_checksum_failures =\n"
+       "smadb_pool_evictions =\n"
+       "smadb_pool_hits =\n"
+       "smadb_pool_misses =\n"
+       "smadb_queries_cancelled_total =\n"
+       "smadb_queries_deadline_total =\n"
+       "smadb_queries_degraded_total =\n"
+       "smadb_queries_failed_total =\n"
+       "smadb_queries_inflight =\n"
+       "smadb_queries_total =\n"
+       "smadb_query_latency_us:\n"
+       "smadb_recovery_replayed_records =\n"
+       "smadb_recovery_stale_smas =\n"
+       "smadb_rows_returned_total =\n"
+       "smadb_scrub_corrupt_pages_total =\n"
+       "smadb_scrub_pages_scanned_total =\n"
+       "smadb_scrub_runs_total =\n"
+       "smadb_scrub_smas_repaired_total =\n"
+       "smadb_sessions_active =\n"
+       "smadb_storage_read_only =\n"
+       "smadb_uptime_seconds =\n"
+       "smadb_wal_appended_bytes =\n"
+       "smadb_wal_appends_total =\n"
+       "smadb_wal_syncs_total =\n"
+       "OK\n"},
+      // One malformed line of each kind.
+      {"set dop = x", Match::kErrPrefix, "ERR Invalid argument:"},
+      {"selec count(*) from t", Match::kErrPrefix, "ERR Not supported:"},
+      {"select nope(v) from t", Match::kErrPrefix, "ERR Not supported:"},
+      {"select count(*) from nope", Match::kErrPrefix, "ERR Not found:"},
+      {"explain frobnicate", Match::kErrPrefix, "ERR Invalid argument:"},
+      {"show nothing", Match::kErrPrefix, "ERR Not supported:"},
+      {"scrub now", Match::kErrPrefix, "ERR Invalid argument:"},
+      {"define sma x select min(nope) from t", Match::kErrPrefix,
+       "ERR Not found:"},
+      {"kill query abc", Match::kErrPrefix, "ERR Invalid argument:"},
+      {"trace zz select count(*) from t", Match::kErrPrefix,
+       "ERR Invalid argument:"},
+  };
+
+  StartServer();
+  TestClient c;
+  Connect(&c);
+  for (const Step& step : kScript) {
+    SCOPED_TRACE(step.line);
+    ASSERT_TRUE(c.SendLine(step.line));
+    std::vector<std::string> lines;
+    const std::string terminator = c.ReadResponse(&lines);
+    lines.push_back(terminator);
+    std::string got;
+    for (const std::string& l : lines) got += l + "\n";
+    switch (step.match) {
+      case Match::kExact:
+        EXPECT_EQ(got, step.want);
+        break;
+      case Match::kLinePrefix: {
+        std::vector<std::string> prefixes;
+        for (std::string_view rest = step.want; !rest.empty();) {
+          const size_t nl = rest.find('\n');
+          prefixes.emplace_back(rest.substr(0, nl));
+          rest.remove_prefix(nl + 1);
+        }
+        ASSERT_EQ(lines.size(), prefixes.size()) << got;
+        for (size_t i = 0; i < lines.size(); ++i) {
+          EXPECT_EQ(lines[i].rfind(prefixes[i], 0), 0u)
+              << lines[i] << " lacks prefix " << prefixes[i];
+        }
+        break;
+      }
+      case Match::kErrPrefix:
+        ASSERT_EQ(lines.size(), 1u) << got;
+        EXPECT_EQ(lines[0].rfind(step.want, 0), 0u) << lines[0];
+        break;
+    }
+  }
 }
 
 TEST_F(NetTest, SessionScopedSetStaysPerConnection) {
