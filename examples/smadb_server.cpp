@@ -7,18 +7,17 @@
 // or cancel in-flight requests, checkpoint, exit 0).
 //
 // Protocol (newline-delimited text, one statement per line):
-//   - lines starting with `select`, `explain`, `show`, `scrub`, or a
-//     `trace <hex>` prefix run as queries; the result table is written
-//     back line by line;
-//   - every other line (define sma ..., set ..., kill query <id>) runs
-//     as a statement;
+//   - every line is one statement of one grammar (select, explain
+//     [analyze], show, scrub, set, define sma, kill query), keywords in
+//     any case; statements with a result (select, explain, show, scrub)
+//     write the table back line by line;
 //   - `ping` answers `OK`; `health` reports read-only/draining/session
 //     state; each request ends with a line `OK` or `ERR <message>`;
 //   - `quit` (or EOF) closes the connection.
 //
 // Telemetry plane (DESIGN.md §16): a second HTTP listener on --http-port
 // serves GET /metrics, /healthz, /statusz, /debug/queries, /debug/trace.
-// Every query request carries a trace id (minted here or supplied by the
+// Every statement carries a trace id (minted here or supplied by the
 // client as `trace <hex> select ...`) that links the request log line, the
 // trace spans, and the profile.
 //

@@ -1,12 +1,13 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <cctype>
+#include <type_traits>
 #include <unordered_set>
 
 #include "db/session.h"
 #include "db/sql.h"
 #include "expr/parser.h"
+#include "sma/builder.h"
 #include "sma/parser.h"
 #include "storage/file_disk.h"
 #include "util/crc32c.h"
@@ -15,6 +16,8 @@
 
 namespace smadb::db {
 
+using expr::internal::Token;
+using expr::internal::TokKind;
 using storage::BackendKind;
 using storage::Rid;
 using storage::Table;
@@ -54,6 +57,21 @@ Result<storage::Schema> SchemaFromManifest(const ManifestTable& mt) {
 }
 
 std::string WalPath(const std::string& dir) { return dir + "/wal.smadb"; }
+
+// Bulk-builds a parsed SMA over `table` and registers it in `smas`.
+Status BuildAndAddSma(Table* table, sma::SmaSet* smas, sma::SmaSpec spec) {
+  SMADB_ASSIGN_OR_RETURN(std::unique_ptr<sma::Sma> built,
+                         sma::BuildSma(table, std::move(spec)));
+  return smas->Add(std::move(built));
+}
+
+// `set` on a session knob: stores the integer value in `kField`.
+template <auto kField>
+Status SetKnob(Database*, SessionKnobs* knobs, const Token& v) {
+  using Field = std::remove_reference_t<decltype(knobs->*kField)>;
+  knobs->*kField = static_cast<Field>(v.value);
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -376,14 +394,6 @@ void Database::InitMetrics() {
       "smadb_scrub_smas_repaired_total", "SMAs rebuilt by scrub repairs");
 }
 
-void Database::set_max_concurrent_queries(size_t n) {
-  {
-    std::lock_guard<std::mutex> lock(knobs_mu_);
-    options_.max_concurrent_queries = n;
-  }
-  admission_.SetMaxConcurrent(n);
-}
-
 void Database::AttachLatchMetrics(storage::Table* table) {
   if (m_.latch_wait_ns != nullptr) {
     table->latches()->set_wait_histogram(m_.latch_wait_ns);
@@ -550,182 +560,14 @@ Result<sma::SmaMaintainer*> Database::Maintainer(std::string_view table) {
   return state->maintainer.get();
 }
 
-Status Database::Execute(std::string_view statement) {
-  // `kill query <id>` is intercepted BEFORE the writer lock: the whole
-  // point of a kill switch is reaching a query while the writer (or the
-  // query itself, holding write_mu_ through a scrub) is wedged.
-  {
-    SMADB_ASSIGN_OR_RETURN(auto kill_tokens,
-                           expr::internal::Tokenize(statement));
-    if (kill_tokens.size() >= 2 &&
-        kill_tokens[0].kind == expr::internal::TokKind::kIdent &&
-        kill_tokens[0].text == "kill") {
-      const bool shape_ok =
-          kill_tokens.size() == 4 &&  // kill query <id> + kEnd sentinel
-          kill_tokens[1].kind == expr::internal::TokKind::kIdent &&
-          kill_tokens[1].text == "query" &&
-          kill_tokens[2].kind == expr::internal::TokKind::kInt &&
-          kill_tokens[2].value >= 0;
-      if (!shape_ok) {
-        return Status::InvalidArgument(
-            "malformed kill statement; expected 'kill query <id>'");
-      }
-      return KillQuery(static_cast<uint64_t>(kill_tokens[2].value));
-    }
-  }
-  // Statements either mutate durable state (define sma, backend swap) or
-  // the shared knob defaults — serialize them all with the writer lock.
-  std::lock_guard<std::mutex> write_lock(write_mu_);
-  // Dispatch on the first keyword.
-  SMADB_ASSIGN_OR_RETURN(auto tokens,
-                         expr::internal::Tokenize(statement));
-  if (tokens.empty() || tokens[0].kind != expr::internal::TokKind::kIdent) {
-    return Status::InvalidArgument("empty statement");
-  }
-  if (tokens[0].text == "define") {
-    // `define sma ...` — find the from-table, then delegate.
-    SMADB_RETURN_NOT_OK(CheckWritable());
-    SMADB_ASSIGN_OR_RETURN(std::string table, ExtractTableName(statement));
-    SMADB_ASSIGN_OR_RETURN(TableState * state, StateFor(table));
-    storage::Wal::AppendMark mark;
-    if (wal_ != nullptr) {
-      // Parse first: a statement that cannot replay must not reach the log.
-      SMADB_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(table));
-      SMADB_RETURN_NOT_OK(
-          sma::ParseSmaDefinition(&t->schema(), statement).status());
-      std::string payload;
-      storage::WalPutString(&payload, table);
-      storage::WalPutString(&payload, statement);
-      mark = wal_->Mark();
-      SMADB_RETURN_NOT_OK(
-          wal_->Append(WalRecordType::kDefineSma, payload).status());
-    }
-    if (Status st = sma::DefineSma(catalog_.get(), state->smas.get(),
-                                   statement);
-        !st.ok()) {
-      return NoteDiskFull(RollbackWalRecord(mark, std::move(st)));
-    }
-    return MaybeSyncWal();
-  }
-  if (tokens[0].text == "set") {
-    // `set <knob> = <value>`. Execution knob: dop (0 = auto/hardware).
-    // Governor knobs (DESIGN.md §10):
-    // timeout_ms (0 = none), memory_limit (bytes, 0 = unbudgeted),
-    // max_concurrent_queries (0 = admission off), allow_degraded (0/1).
-    // Durability knobs (DESIGN.md §12): wal_sync_interval (0 = manual),
-    // storage (sim|file), storage_path ('<dir>').
-    const bool shape_ok =
-        tokens.size() == 5 &&  // set <knob> = <value> + kEnd sentinel
-        tokens[1].kind == expr::internal::TokKind::kIdent &&
-        tokens[2].kind == expr::internal::TokKind::kCmp &&
-        tokens[2].text == "=";
-    if (shape_ok && tokens[1].text == "storage" &&
-        tokens[3].kind == expr::internal::TokKind::kIdent) {
-      if (tokens[3].text == "sim") {
-        return SetStorageBackend(BackendKind::kSimulated);
-      }
-      if (tokens[3].text == "file") {
-        return SetStorageBackend(BackendKind::kFile);
-      }
-      return Status::InvalidArgument("set storage expects 'sim' or 'file'");
-    }
-    if (shape_ok && tokens[1].text == "storage_path" &&
-        tokens[3].kind == expr::internal::TokKind::kString) {
-      if (disk_->kind() == BackendKind::kFile) {
-        return Status::InvalidArgument(
-            "storage_path is fixed while the file backend is active; "
-            "`set storage = sim` first");
-      }
-      options_.storage_path = tokens[3].text;
-      return Status::OK();
-    }
-    if (shape_ok && tokens[3].kind == expr::internal::TokKind::kInt &&
-        tokens[3].value >= 0) {
-      const int64_t n = tokens[3].value;
-      if (tokens[1].text == "dop") {
-        set_degree_of_parallelism(static_cast<size_t>(n));
-        return Status::OK();
-      }
-      if (tokens[1].text == "timeout_ms") {
-        set_timeout_ms(n);
-        return Status::OK();
-      }
-      if (tokens[1].text == "memory_limit") {
-        set_query_memory_limit(static_cast<size_t>(n));
-        return Status::OK();
-      }
-      if (tokens[1].text == "max_concurrent_queries") {
-        set_max_concurrent_queries(static_cast<size_t>(n));
-        return Status::OK();
-      }
-      if (tokens[1].text == "allow_degraded") {
-        std::lock_guard<std::mutex> lock(knobs_mu_);
-        options_.planner.allow_degraded = n != 0;
-        return Status::OK();
-      }
-      if (tokens[1].text == "wal_sync_interval") {
-        std::lock_guard<std::mutex> lock(knobs_mu_);
-        options_.wal_sync_interval = static_cast<size_t>(n);
-        return Status::OK();
-      }
-      if (tokens[1].text == "slow_query_ms") {
-        std::lock_guard<std::mutex> lock(knobs_mu_);
-        options_.slow_query_ms = n;
-        return Status::OK();
-      }
-      if (tokens[1].text == "log_level") {
-        if (n > 3) {
-          return Status::InvalidArgument(
-              "log_level is 0..3 (debug/info/warn/error)");
-        }
-        logger_.set_min_level(static_cast<obs::LogLevel>(n));
-        return Status::OK();
-      }
-    }
-    return Status::InvalidArgument(
-        "malformed set statement; expected 'set <knob> = <value>' with knob "
-        "in {dop, timeout_ms, memory_limit, "
-        "max_concurrent_queries, allow_degraded, wal_sync_interval, "
-        "slow_query_ms, log_level, storage, storage_path}");
-  }
-  return Status::NotSupported(
-      "unknown statement; supported: 'define sma' and 'set <knob> = <value>'");
-}
-
-Result<plan::QueryResult> Database::Query(std::string_view sql) {
-  return Query(sql, nullptr);
-}
-
-namespace {
-
-// Strips a leading keyword (plus the following whitespace); empty view when
-// `text` does not start with it.
-std::string_view StripKeyword(std::string_view text, std::string_view kw) {
-  if (text.size() <= kw.size() || text.substr(0, kw.size()) != kw) return {};
-  std::string_view rest = text.substr(kw.size());
-  if (!std::isspace(static_cast<unsigned char>(rest[0]))) return {};
-  while (!rest.empty() &&
-         std::isspace(static_cast<unsigned char>(rest[0]))) {
-    rest.remove_prefix(1);
-  }
-  return rest;
-}
-
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-}  // namespace
-
 Result<plan::QueryResult> Database::Query(
-    std::string_view sql, std::shared_ptr<util::CancelToken> cancel) {
-  return QueryWithKnobs(sql, std::move(cancel), DefaultKnobs(), 0);
+    std::string_view text, std::shared_ptr<util::CancelToken> cancel) {
+  SMADB_ASSIGN_OR_RETURN(const Statement stmt, ParseStatement(text));
+  return Dispatch(stmt, std::move(cancel), nullptr);
+}
+
+Status Database::Execute(std::string_view text) {
+  return Query(text).status();
 }
 
 SessionKnobs Database::DefaultKnobs() const {
@@ -745,88 +587,196 @@ std::unique_ptr<Session> Database::CreateSession() {
   return std::unique_ptr<Session>(new Session(this, id, DefaultKnobs()));
 }
 
-Result<plan::QueryResult> Database::QueryWithKnobs(
-    std::string_view sql, std::shared_ptr<util::CancelToken> cancel,
+Result<plan::QueryResult> Database::Dispatch(
+    const Statement& stmt, std::shared_ptr<util::CancelToken> cancel,
+    Session* session) {
+  Status st;
+  switch (stmt.kind) {
+    case Statement::Kind::kSelect:
+    case Statement::Kind::kExplain:
+      return session != nullptr
+                 ? RunSelect(stmt, std::move(cancel), session->knobs_,
+                             session->id_)
+                 : RunSelect(stmt, std::move(cancel), DefaultKnobs(), 0);
+    case Statement::Kind::kShow:
+      return RunShow(stmt.name);
+    case Statement::Kind::kScrub:
+      return RunScrub();
+    case Statement::Kind::kSet:
+      st = RunSet(stmt, session != nullptr ? &session->knobs_ : nullptr);
+      break;
+    case Statement::Kind::kDefineSma:
+      st = RunDefineSma(stmt);
+      break;
+    case Statement::Kind::kKill:
+      // Deliberately outside write_mu_: the point of a kill switch is
+      // reaching a query while the writer (or the query itself, holding
+      // write_mu_ through a scrub) is wedged.
+      st = KillQuery(stmt.query_id);
+      break;
+  }
+  if (!st.ok()) return st;
+  return plan::QueryResult{};  // no table
+}
+
+Status Database::RunSet(const Statement& stmt, SessionKnobs* session) {
+  // One row per knob: name, scope, value kind, apply. Session-scoped rows
+  // change a SessionKnobs (the caller's session copy, or a copy of the
+  // database defaults that is written back); the others change the
+  // database. Integers are non-negative (the tokenizer has no negative
+  // literals).
+  struct Knob {
+    std::string_view name;
+    bool session_scoped;
+    TokKind value;
+    Status (*apply)(Database* db, SessionKnobs* knobs, const Token& v);
+  };
+  static constexpr Knob kKnobs[] = {
+      {"dop", true, TokKind::kInt, SetKnob<&SessionKnobs::dop>},
+      {"timeout_ms", true, TokKind::kInt, SetKnob<&SessionKnobs::timeout_ms>},
+      {"memory_limit", true, TokKind::kInt,
+       SetKnob<&SessionKnobs::query_memory_limit>},
+      {"max_concurrent_queries", false, TokKind::kInt,
+       [](Database* db, SessionKnobs*, const Token& v) {
+         const auto n = static_cast<size_t>(v.value);
+         {
+           std::lock_guard<std::mutex> lock(db->knobs_mu_);
+           db->options_.max_concurrent_queries = n;
+         }
+         db->admission_.SetMaxConcurrent(n);
+         return Status::OK();
+       }},
+      {"allow_degraded", true, TokKind::kInt,
+       SetKnob<&SessionKnobs::allow_degraded>},
+      {"wal_sync_interval", false, TokKind::kInt,
+       [](Database* db, SessionKnobs*, const Token& v) {
+         std::lock_guard<std::mutex> lock(db->knobs_mu_);
+         db->options_.wal_sync_interval = static_cast<size_t>(v.value);
+         return Status::OK();
+       }},
+      {"slow_query_ms", false, TokKind::kInt,
+       [](Database* db, SessionKnobs*, const Token& v) {
+         std::lock_guard<std::mutex> lock(db->knobs_mu_);
+         db->options_.slow_query_ms = v.value;
+         return Status::OK();
+       }},
+      {"log_level", false, TokKind::kInt,
+       [](Database* db, SessionKnobs*, const Token& v) {
+         if (v.value > 3) {
+           return Status::InvalidArgument(
+               "log_level is 0..3 (debug/info/warn/error)");
+         }
+         db->logger_.set_min_level(static_cast<obs::LogLevel>(v.value));
+         return Status::OK();
+       }},
+      {"storage", false, TokKind::kIdent,
+       [](Database* db, SessionKnobs*, const Token& v) {
+         if (v.text == "sim") {
+           return db->SetStorageBackend(BackendKind::kSimulated);
+         }
+         if (v.text == "file") return db->SetStorageBackend(BackendKind::kFile);
+         return Status::InvalidArgument("set storage expects 'sim' or 'file'");
+       }},
+      {"storage_path", false, TokKind::kString,
+       [](Database* db, SessionKnobs*, const Token& v) {
+         if (db->disk_->kind() == BackendKind::kFile) {
+           return Status::InvalidArgument(
+               "storage_path is fixed while the file backend is active; "
+               "`set storage = sim` first");
+         }
+         db->options_.storage_path = v.text;
+         return Status::OK();
+       }},
+  };
+  const Knob* knob = nullptr;
+  std::string names;
+  for (const Knob& k : kKnobs) {
+    if (k.name == stmt.name && k.value == stmt.value.kind) knob = &k;
+    names += names.empty() ? "" : ", ";
+    names += k.name;
+  }
+  if (knob == nullptr) {
+    return Status::InvalidArgument(
+        "malformed set statement; expected 'set <knob> = <value>' with knob "
+        "in {" + names + "}");
+  }
+  // A session's own knobs are private to it; everything else is shared
+  // state, serialized with the writer lock.
+  if (knob->session_scoped && session != nullptr) {
+    return knob->apply(this, session, stmt.value);
+  }
+  std::lock_guard<std::mutex> write_lock(write_mu_);
+  if (!knob->session_scoped) return knob->apply(this, nullptr, stmt.value);
+  SessionKnobs defaults = DefaultKnobs();
+  SMADB_RETURN_NOT_OK(knob->apply(this, &defaults, stmt.value));
+  std::lock_guard<std::mutex> lock(knobs_mu_);
+  options_.planner.degree_of_parallelism = defaults.dop;
+  options_.timeout_ms = defaults.timeout_ms;
+  options_.query_memory_limit = defaults.query_memory_limit;
+  options_.planner.allow_degraded = defaults.allow_degraded;
+  return Status::OK();
+}
+
+Status Database::RunDefineSma(const Statement& stmt) {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
+  SMADB_RETURN_NOT_OK(CheckWritable());
+  SMADB_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.table));
+  SMADB_ASSIGN_OR_RETURN(TableState * state, StateFor(stmt.table));
+  // Parse first: a statement that cannot replay must not reach the log.
+  SMADB_ASSIGN_OR_RETURN(sma::ParsedSmaDefinition def,
+                         sma::ParseSmaDefinition(&table->schema(), stmt.text));
+  storage::Wal::AppendMark mark;
+  if (wal_ != nullptr) {
+    std::string payload;
+    storage::WalPutString(&payload, stmt.table);
+    storage::WalPutString(&payload, stmt.text);
+    mark = wal_->Mark();
+    SMADB_RETURN_NOT_OK(
+        wal_->Append(WalRecordType::kDefineSma, payload).status());
+  }
+  if (Status st = BuildAndAddSma(table, state->smas.get(),
+                                 std::move(def.spec));
+      !st.ok()) {
+    return NoteDiskFull(RollbackWalRecord(mark, std::move(st)));
+  }
+  return MaybeSyncWal();
+}
+
+Result<plan::QueryResult> Database::RunScrub() {
+  SMADB_ASSIGN_OR_RETURN(ScrubReport report, Scrub());
+  std::vector<std::string> lines;
+  lines.push_back(util::Format(
+      "scanned: files=%llu pages=%llu",
+      static_cast<unsigned long long>(report.files_scanned),
+      static_cast<unsigned long long>(report.pages_scanned)));
+  lines.push_back(util::Format(
+      "corrupt_pages: %llu",
+      static_cast<unsigned long long>(report.corrupt_pages)));
+  for (const auto& [fname, count] : report.corrupt_files) {
+    lines.push_back(util::Format(
+        "  %s: %llu corrupt page(s)", fname.c_str(),
+        static_cast<unsigned long long>(count)));
+  }
+  lines.push_back(util::Format(
+      "smas: verified=%llu distrusted=%llu repaired=%llu%s",
+      static_cast<unsigned long long>(report.smas_verified),
+      static_cast<unsigned long long>(report.smas_distrusted),
+      static_cast<unsigned long long>(report.smas_repaired),
+      report.repairs_skipped_read_only ? " (repairs skipped: read-only)"
+                                       : ""));
+  for (const std::string& note : report.notes) {
+    lines.push_back("note: " + note);
+  }
+  const bool clean = report.corrupt_pages == 0 &&
+                     report.smas_distrusted == 0 && report.notes.empty();
+  lines.push_back(clean ? "result: clean" : "result: findings reported");
+  return TextResult("scrub", lines);
+}
+
+Result<plan::QueryResult> Database::RunSelect(
+    const Statement& stmt, std::shared_ptr<util::CancelToken> cancel,
     const SessionKnobs& knobs, uint64_t session_id) {
-  std::string_view body = Trim(sql);
-
-  // Optional request-scope prefix: `trace <hex> <statement>` (DESIGN.md
-  // §16). net::Server prepends one per request (or forwards the client's),
-  // so the id on the wire is the id on every span and profile line below.
-  uint64_t trace_id = 0;
-  if (std::string_view rest = StripKeyword(body, "trace"); !rest.empty()) {
-    size_t i = 0;
-    uint64_t id = 0;
-    for (; i < rest.size() && i < 16; ++i) {
-      const char c = rest[i];
-      if (c >= '0' && c <= '9') {
-        id = id * 16 + static_cast<uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        id = id * 16 + static_cast<uint64_t>(c - 'a' + 10);
-      } else {
-        break;
-      }
-    }
-    if (i == 0 || i >= rest.size() ||
-        !std::isspace(static_cast<unsigned char>(rest[i]))) {
-      return Status::InvalidArgument(
-          "malformed trace prefix; expected 'trace <hex id> <statement>'");
-    }
-    trace_id = id;
-    body = Trim(rest.substr(i));
-  }
-
-  // `show metrics` / `show profile` / `show trace` / `show queries` —
-  // read-only, ungoverned.
-  if (std::string_view what = StripKeyword(body, "show"); !what.empty()) {
-    return RunShow(what);
-  }
-
-  // `scrub` — one pass of the online scrubber, findings as a text column.
-  if (body == "scrub") {
-    SMADB_ASSIGN_OR_RETURN(ScrubReport report, Scrub());
-    std::vector<std::string> lines;
-    lines.push_back(util::Format(
-        "scanned: files=%llu pages=%llu",
-        static_cast<unsigned long long>(report.files_scanned),
-        static_cast<unsigned long long>(report.pages_scanned)));
-    lines.push_back(util::Format(
-        "corrupt_pages: %llu",
-        static_cast<unsigned long long>(report.corrupt_pages)));
-    for (const auto& [fname, count] : report.corrupt_files) {
-      lines.push_back(util::Format(
-          "  %s: %llu corrupt page(s)", fname.c_str(),
-          static_cast<unsigned long long>(count)));
-    }
-    lines.push_back(util::Format(
-        "smas: verified=%llu distrusted=%llu repaired=%llu%s",
-        static_cast<unsigned long long>(report.smas_verified),
-        static_cast<unsigned long long>(report.smas_distrusted),
-        static_cast<unsigned long long>(report.smas_repaired),
-        report.repairs_skipped_read_only ? " (repairs skipped: read-only)"
-                                         : ""));
-    for (const std::string& note : report.notes) {
-      lines.push_back("note: " + note);
-    }
-    const bool clean = report.corrupt_pages == 0 &&
-                       report.smas_distrusted == 0 && report.notes.empty();
-    lines.push_back(clean ? "result: clean" : "result: findings reported");
-    return TextResult("scrub", lines);
-  }
-
-  // `explain select ...` runs the governed query and reports the plan;
-  // `explain analyze select ...` additionally profiles the run.
-  bool explain = false;
-  bool analyze = false;
-  if (std::string_view rest = StripKeyword(body, "explain"); !rest.empty()) {
-    explain = true;
-    body = rest;
-    if (std::string_view deeper = StripKeyword(body, "analyze");
-        !deeper.empty()) {
-      analyze = true;
-      body = deeper;
-    }
-  }
+  const uint64_t trace_id = stmt.trace_id;
 
   const uint64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed);
@@ -856,7 +806,7 @@ Result<plan::QueryResult> Database::QueryWithKnobs(
   // slow one can be logged with its full report attached.
   const int64_t slow_ms = slow_query_ms();
   std::unique_ptr<obs::QueryProfile> profile;
-  if (analyze || slow_ms > 0) {
+  if (stmt.analyze || slow_ms > 0) {
     profile = std::make_unique<obs::QueryProfile>(query_id, trace_id);
     ctx.set_profile(profile.get());
   }
@@ -865,7 +815,7 @@ Result<plan::QueryResult> Database::QueryWithKnobs(
   // first — the registry may read the profile's row counts mid-run).
   obs::QueryRegistry::Guard live(
       options_.enable_metrics ? &query_registry_ : nullptr, query_id,
-      trace_id, session_id, std::string(body), ctx.shared_cancel(),
+      trace_id, session_id, stmt.text, ctx.shared_cancel(),
       profile.get());
 
   // Storage deltas around the run make the profile's pool/disk figures
@@ -885,7 +835,7 @@ Result<plan::QueryResult> Database::QueryWithKnobs(
     obs::QueryProfile::Phase(
         profile.get(), "admission",
         static_cast<uint64_t>(admit_watch.ElapsedSeconds() * 1e9));
-    return RunQuery(body, &ctx, popts, query_id, sink, trace_id, &live);
+    return RunQuery(stmt, &ctx, popts, query_id, sink, trace_id, &live);
   }();
 
   // Per-query metrics; a disabled registry leaves every pointer null.
@@ -955,12 +905,12 @@ Result<plan::QueryResult> Database::QueryWithKnobs(
            {"session", session_id},
            {"ms", elapsed_ms},
            {"threshold_ms", slow_ms},
-           {"sql", std::string(body)},
+           {"sql", stmt.text},
            {"status", result.ok() ? std::string("ok")
                                   : std::string(result.status().message())},
            {"profile", report_text}});
     }
-    if (analyze) {
+    if (stmt.analyze) {
       std::vector<std::string> report = profile->Render();
       {
         std::lock_guard<std::mutex> lock(profile_mu_);
@@ -975,7 +925,7 @@ Result<plan::QueryResult> Database::QueryWithKnobs(
     // dies here; `show profile` keeps reporting the last explain analyze.
   }
 
-  if (!result.ok() || !explain) return result;
+  if (!result.ok() || stmt.kind != Statement::Kind::kExplain) return result;
   return ExplainResult(result->plan);
 }
 
@@ -1004,7 +954,6 @@ std::vector<std::string> Database::LastProfile() const {
 }
 
 Result<plan::QueryResult> Database::RunShow(std::string_view what) {
-  what = Trim(what);
   if (what == "metrics") {
     std::vector<std::string> lines;
     for (const obs::MetricSnapshot& s : registry_->Snapshot()) {
@@ -1240,7 +1189,7 @@ Result<Database::ScrubReport> Database::Scrub() {
   return report;
 }
 
-Result<plan::QueryResult> Database::RunQuery(std::string_view sql,
+Result<plan::QueryResult> Database::RunQuery(const Statement& stmt,
                                              util::QueryContext* ctx,
                                              const plan::PlannerOptions& popts,
                                              uint64_t query_id,
@@ -1252,9 +1201,8 @@ Result<plan::QueryResult> Database::RunQuery(std::string_view sql,
   Table* table = nullptr;
   Result<ParsedQuery> parsed_or = [&]() -> Result<ParsedQuery> {
     obs::TraceSpan span(sink, query_id, "parse", trace_id);
-    SMADB_ASSIGN_OR_RETURN(std::string table_name, ExtractTableName(sql));
-    SMADB_ASSIGN_OR_RETURN(table, catalog_->GetTable(table_name));
-    return ParseQuery(&table->schema(), sql);
+    SMADB_ASSIGN_OR_RETURN(table, catalog_->GetTable(stmt.table));
+    return ParseQuery(&table->schema(), stmt.text);
   }();
   SMADB_RETURN_NOT_OK(parsed_or.status());
   ParsedQuery& parsed = *parsed_or;
@@ -1537,7 +1485,7 @@ Status Database::ApplyWalRecord(WalRecordType type, std::string_view payload) {
       if (state->smas->Find(def.spec.name).ok()) return Status::OK();
       // Rebuilds the SMA from the base data as restored so far; later
       // replayed mutations will leave it stale, which phase 3 reports.
-      return sma::DefineSma(catalog_.get(), state->smas.get(), text);
+      return BuildAndAddSma(t, state->smas.get(), std::move(def.spec));
     }
     case WalRecordType::kInsert: {
       std::string tname;

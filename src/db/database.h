@@ -26,6 +26,7 @@
 
 #include "db/admission.h"
 #include "db/manifest.h"
+#include "db/statement.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -228,82 +229,42 @@ class Database {
   util::Result<sma::SmaMaintainer*> Maintainer(std::string_view table);
 
   // --- statements ----------------------------------------------------------
-  /// Executes a DDL-ish statement. Currently: `define sma ...` (§2.1), the
-  /// session settings `set <knob> = <n>` for the knobs dop, timeout_ms,
-  /// memory_limit, max_concurrent_queries, allow_degraded, and
-  /// wal_sync_interval, plus the storage selectors `set storage = sim|file`
-  /// (only while no tables exist) and `set storage_path = '<dir>'`.
-  util::Status Execute(std::string_view statement);
+  /// Parses and runs one statement (grammar: db/statement.h) with the
+  /// database-default knobs and anonymous admission. A select returns its
+  /// rows; explain [analyze], show and scrub return one text column; set,
+  /// define sma and kill query return a result without a schema.
+  ///
+  /// A select runs under a QueryContext built from the knobs: the optional
+  /// `cancel` token, the deadline, the per-query memory budget (child of
+  /// the global tracker), and the admission controller. Typed failures
+  /// (kCancelled, kDeadlineExceeded, kResourceExhausted) surface unless the
+  /// planner's degradation ladder absorbs them (DESIGN.md §10).
+  util::Result<plan::QueryResult> Query(
+      std::string_view text,
+      std::shared_ptr<util::CancelToken> cancel = nullptr);
 
-  /// Default degree of parallelism for subsequent queries; equivalent to
-  /// `set dop = <n>` at database scope. 0 = auto (hardware concurrency),
-  /// 1 = serial. Sessions copy this default at creation.
-  void set_degree_of_parallelism(size_t dop) {
-    std::lock_guard<std::mutex> lock(knobs_mu_);
-    options_.planner.degree_of_parallelism = dop;
-  }
+  /// Query(text).status(), for statements whose result is not wanted.
+  util::Status Execute(std::string_view text);
+
+  /// The database-default knobs; sessions copy them at creation.
   size_t degree_of_parallelism() const {
     std::lock_guard<std::mutex> lock(knobs_mu_);
     return options_.planner.degree_of_parallelism;
-  }
-
-  /// Default query deadline; equivalent to `set timeout_ms = <n>`. 0 = none.
-  void set_timeout_ms(int64_t ms) {
-    std::lock_guard<std::mutex> lock(knobs_mu_);
-    options_.timeout_ms = ms;
   }
   int64_t timeout_ms() const {
     std::lock_guard<std::mutex> lock(knobs_mu_);
     return options_.timeout_ms;
   }
-
-  /// Default per-query memory budget; equivalent to
-  /// `set memory_limit = <bytes>`. 0 = bounded only by the global budget.
-  void set_query_memory_limit(size_t bytes) {
-    std::lock_guard<std::mutex> lock(knobs_mu_);
-    options_.query_memory_limit = bytes;
-  }
   size_t query_memory_limit() const {
     std::lock_guard<std::mutex> lock(knobs_mu_);
     return options_.query_memory_limit;
   }
-
-  /// Concurrency cap; equivalent to `set max_concurrent_queries = <n>`.
-  /// 0 = admission control off.
-  void set_max_concurrent_queries(size_t n);
   size_t max_concurrent_queries() const { return admission_.max_concurrent(); }
 
   /// The global memory tracker (budget from global_memory_limit; unlimited
   /// when that is 0). Per-query trackers are children of this one.
   util::MemoryTracker* global_memory() { return &global_memory_; }
   AdmissionController* admission() { return &admission_; }
-
-  /// Runs a query:
-  ///   select <aggregates and group columns> from <table>
-  ///     [where <predicate>] [group by <columns>]
-  /// or a pure selection:
-  ///   select * from <table> [where <predicate>]
-  /// Aggregates: sum/avg/min/max(expr), count(*); `as alias` supported.
-  /// `explain select ...` runs the (governed) query and returns one text
-  /// column describing the plan, governor state, and any degradation —
-  /// instead of the query's own rows.
-  ///
-  /// Every query runs under a QueryContext built from the session governor
-  /// knobs: an optional caller-supplied cancel token, the session deadline,
-  /// the per-query memory budget (child of the global tracker), and the
-  /// admission controller. Typed failures (kCancelled, kDeadlineExceeded,
-  /// kResourceExhausted) surface unless the planner's degradation ladder
-  /// absorbs them (DESIGN.md §10).
-  ///
-  /// `explain analyze select ...` additionally profiles the run (per-
-  /// operator wall time, row/batch/bucket/page tallies, phase timings,
-  /// degradation events) and returns the report as one text column.
-  /// `show metrics`, `show profile`, and `show trace` return the registry
-  /// snapshot, the most recent `explain analyze` report, and the trace
-  /// ring, each as one text column.
-  util::Result<plan::QueryResult> Query(std::string_view sql);
-  util::Result<plan::QueryResult> Query(
-      std::string_view sql, std::shared_ptr<util::CancelToken> cancel);
 
   // --- sessions ------------------------------------------------------------
   /// Opens a client session: a lightweight handle with its own copy of the
@@ -405,12 +366,21 @@ class Database {
   /// Snapshot of the database-default session knobs (knobs_mu_).
   SessionKnobs DefaultKnobs() const;
 
-  /// The full governed query path: admission (session-aware via
-  /// `session_id`; 0 = anonymous), context built from `knobs`, metrics,
-  /// tracing. Both Query() overloads and Session::Query funnel here.
-  util::Result<plan::QueryResult> QueryWithKnobs(
-      std::string_view sql, std::shared_ptr<util::CancelToken> cancel,
+  /// The one statement dispatch, one handler per kind; Query() and
+  /// Session::Run funnel here. `session` supplies the knobs and the
+  /// admission identity (null = the database defaults, anonymous).
+  util::Result<plan::QueryResult> Dispatch(
+      const Statement& stmt, std::shared_ptr<util::CancelToken> cancel,
+      Session* session);
+  /// select, explain [analyze]: admission (session-aware via `session_id`;
+  /// 0 = anonymous), a context built from `knobs`, metrics, tracing.
+  util::Result<plan::QueryResult> RunSelect(
+      const Statement& stmt, std::shared_ptr<util::CancelToken> cancel,
       const SessionKnobs& knobs, uint64_t session_id);
+  /// set: session-scoped knobs change `session` (null = the defaults).
+  util::Status RunSet(const Statement& stmt, SessionKnobs* session);
+  util::Status RunDefineSma(const Statement& stmt);
+  util::Result<plan::QueryResult> RunScrub();
 
   /// Checkpoint body; caller holds write_mu_.
   util::Status CheckpointLocked();
@@ -459,11 +429,11 @@ class Database {
   /// kIOError there may be a transient read fault and must not degrade.
   util::Status NoteDiskFull(util::Status st);
 
-  /// The governed body of Query(): parse, run under `ctx` with the given
+  /// The governed body of RunSelect(): bind, run under `ctx` with the given
   /// per-query planner options (a stable copy — session knobs must not read
   /// the mutable defaults mid-flight); `query_id` keys the trace spans
   /// (sink may be null = tracing off).
-  util::Result<plan::QueryResult> RunQuery(std::string_view sql,
+  util::Result<plan::QueryResult> RunQuery(const Statement& stmt,
                                            util::QueryContext* ctx,
                                            const plan::PlannerOptions& popts,
                                            uint64_t query_id,
@@ -475,7 +445,7 @@ class Database {
   /// PoolStats / IoStats / MemoryTracker into the registry.
   void InitMetrics();
 
-  /// Handles `show metrics` / `show profile` / `show trace`.
+  /// show metrics | profile | trace | queries | storage.
   util::Result<plan::QueryResult> RunShow(std::string_view what);
 
   DatabaseOptions options_;

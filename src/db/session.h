@@ -8,7 +8,7 @@
 // knobs (max_concurrent_queries, wal_sync_interval, storage selectors)
 // forward to the Database and stay database-scoped.
 //
-// Sessions are also the admission unit: Session::Query passes the session
+// Sessions are also the admission unit: Session::Run passes the session
 // id to the AdmissionController, so a session already running a query is
 // re-entrantly admitted instead of queueing behind its own slot.
 //
@@ -38,26 +38,24 @@ class Session {
   Database* database() { return db_; }
 
   /// This session's knob copy (snapshot of the database defaults at
-  /// CreateSession time, then mutated only by this session's setters).
+  /// CreateSession time, then changed only by this session's `set`s).
   const SessionKnobs& knobs() const { return knobs_; }
-  void set_degree_of_parallelism(size_t dop) { knobs_.dop = dop; }
-  void set_timeout_ms(int64_t ms) { knobs_.timeout_ms = ms; }
-  void set_query_memory_limit(size_t bytes) {
-    knobs_.query_memory_limit = bytes;
-  }
-  void set_allow_degraded(bool allow) { knobs_.allow_degraded = allow; }
 
-  /// Runs a query under this session's knobs and session-aware admission.
-  /// Same dialect as Database::Query.
-  util::Result<plan::QueryResult> Query(std::string_view sql);
+  /// Runs a parsed statement (db/statement.h) under this session's knobs
+  /// and session-aware admission. `set` on a session knob (dop,
+  /// timeout_ms, memory_limit, allow_degraded) changes only this session;
+  /// every other statement acts on the Database. net::Server calls this.
+  util::Result<plan::QueryResult> Run(
+      const Statement& stmt,
+      std::shared_ptr<util::CancelToken> cancel = nullptr);
+
+  /// ParseStatement(text) plus Run(); same grammar as Database::Query.
   util::Result<plan::QueryResult> Query(
-      std::string_view sql, std::shared_ptr<util::CancelToken> cancel);
+      std::string_view text,
+      std::shared_ptr<util::CancelToken> cancel = nullptr);
 
-  /// Executes a statement. `set` statements on the session knobs (dop,
-  /// timeout_ms, memory_limit, allow_degraded) scope to this session;
-  /// everything else — define sma, global governor/durability knobs,
-  /// storage selectors — forwards to the Database.
-  util::Status Execute(std::string_view statement);
+  /// Query(text).status(), for statements whose result is not wanted.
+  util::Status Execute(std::string_view text);
 
   /// Mutations forward to the Database's single-writer path (serialized on
   /// its writer lock; readers overlap via bucket latches).

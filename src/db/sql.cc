@@ -47,9 +47,7 @@ Result<size_t> MatchParen(const std::vector<Token>& tokens, size_t open) {
 
 }  // namespace
 
-Result<std::string> ExtractTableName(std::string_view sql) {
-  SMADB_ASSIGN_OR_RETURN(std::vector<Token> tokens,
-                         expr::internal::Tokenize(sql));
+Result<size_t> FindFrom(const std::vector<Token>& tokens) {
   size_t depth = 0;
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
     if (tokens[i].kind == TokKind::kLParen) ++depth;
@@ -58,10 +56,17 @@ Result<std::string> ExtractTableName(std::string_view sql) {
       if (tokens[i + 1].kind != TokKind::kIdent) {
         return Status::InvalidArgument("expected table name after 'from'");
       }
-      return tokens[i + 1].text;
+      return i;
     }
   }
   return Status::InvalidArgument("query has no from clause");
+}
+
+Result<std::string> ExtractTableName(std::string_view sql) {
+  SMADB_ASSIGN_OR_RETURN(std::vector<Token> tokens,
+                         expr::internal::Tokenize(sql));
+  SMADB_ASSIGN_OR_RETURN(const size_t from, FindFrom(tokens));
+  return tokens[from + 1].text;
 }
 
 Result<ParsedQuery> ParseQuery(const Schema* schema, std::string_view sql) {
@@ -76,20 +81,8 @@ Result<ParsedQuery> ParseQuery(const Schema* schema, std::string_view sql) {
   }
   ++pos;
 
-  // Locate 'from' at depth 0 to bound the select list.
-  size_t from_pos = pos;
-  {
-    size_t depth = 0;
-    while (tokens[from_pos].kind != TokKind::kEnd) {
-      if (tokens[from_pos].kind == TokKind::kLParen) ++depth;
-      if (tokens[from_pos].kind == TokKind::kRParen) --depth;
-      if (depth == 0 && IsIdent(tokens[from_pos], "from")) break;
-      ++from_pos;
-    }
-    if (tokens[from_pos].kind == TokKind::kEnd) {
-      return Status::InvalidArgument("query has no from clause");
-    }
-  }
+  // The depth-0 'from' bounds the select list.
+  SMADB_ASSIGN_OR_RETURN(const size_t from_pos, FindFrom(tokens));
 
   // --- select list ---------------------------------------------------------
   if (pos < from_pos && tokens[pos].kind == TokKind::kStar &&
@@ -174,9 +167,6 @@ Result<ParsedQuery> ParseQuery(const Schema* schema, std::string_view sql) {
 
   // --- from ----------------------------------------------------------------
   pos = from_pos + 1;
-  if (tokens[pos].kind != TokKind::kIdent) {
-    return Status::InvalidArgument("expected table name after 'from'");
-  }
   q.table = tokens[pos].text;
   ++pos;
   if (tokens[pos].kind == TokKind::kComma) {

@@ -13,7 +13,9 @@
 #include <optional>
 #include <string>
 #include <variant>
+#include <vector>
 
+#include "expr/parser.h"
 #include "planner/planner.h"
 #include "storage/schema.h"
 
@@ -34,12 +36,19 @@ struct ParsedQuery {
 };
 
 /// Parses `sql` against `schema`. The from-clause table name is returned in
-/// the result; callers resolve it (Database does the two-pass dance).
+/// the result; callers resolve it first with ExtractTableName (Database
+/// takes it from the parsed db::Statement).
 util::Result<ParsedQuery> ParseQuery(const storage::Schema* schema,
                                      std::string_view sql);
 
 /// Extracts just the from-clause table name (first pass, schema-free).
 util::Result<std::string> ExtractTableName(std::string_view sql);
+
+/// The from-clause finder behind ParseQuery, ExtractTableName and
+/// db::ParseStatement: the index of the first `from` outside parentheses,
+/// checked to be followed by a table name.
+util::Result<size_t> FindFrom(
+    const std::vector<expr::internal::Token>& tokens);
 
 }  // namespace smadb::db
 

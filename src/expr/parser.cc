@@ -1,6 +1,7 @@
 #include "expr/parser.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "util/string_util.h"
 
@@ -40,10 +41,14 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
       continue;
     }
     Token tok;
+    tok.pos = i;
     if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      // Number: integer or two-digit decimal.
+      // Number: integer or two-digit decimal, both checked against int64.
       size_t j = i;
       while (std::isdigit(static_cast<unsigned char>(peek(j - i))) != 0) ++j;
+      bool fits = std::from_chars(text.data() + i, text.data() + j,
+                                  tok.value).ec == std::errc();
+      tok.kind = TokKind::kInt;
       if (j < text.size() && text[j] == '.') {
         size_t k = j + 1;
         while (k < text.size() &&
@@ -56,21 +61,19 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
               "decimal literals carry at most two fractional digits: '" +
               std::string(text.substr(i, k - i)) + "'");
         }
-        int64_t whole = 0;
-        for (size_t p = i; p < j; ++p) whole = whole * 10 + (text[p] - '0');
-        int64_t cents = 0;
-        for (char f : frac) cents = cents * 10 + (f - '0');
-        if (frac.size() == 1) cents *= 10;
+        const int64_t cents =
+            (frac[0] - '0') * 10 + (frac.size() == 2 ? frac[1] - '0' : 0);
+        fits = fits && !__builtin_mul_overflow(tok.value, 100, &tok.value) &&
+               !__builtin_add_overflow(tok.value, cents, &tok.value);
         tok.kind = TokKind::kDecimal;
-        tok.value = whole * 100 + cents;
-        i = k;
-      } else {
-        int64_t v = 0;
-        for (size_t p = i; p < j; ++p) v = v * 10 + (text[p] - '0');
-        tok.kind = TokKind::kInt;
-        tok.value = v;
-        i = j;
+        j = k;
       }
+      if (!fits) {
+        return Status::InvalidArgument("numeric literal '" +
+                                       std::string(text.substr(i, j - i)) +
+                                       "' overflows int64");
+      }
+      i = j;
       out.push_back(std::move(tok));
       continue;
     }
@@ -191,7 +194,7 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
     }
     out.push_back(std::move(tok));
   }
-  out.push_back(Token{});  // kEnd sentinel
+  out.emplace_back().pos = text.size();  // kEnd sentinel
   return out;
 }
 

@@ -52,10 +52,11 @@ struct Token {
   TokKind kind = TokKind::kEnd;
   std::string text;   // identifier (lower-cased) or comparison symbol
   int64_t value = 0;  // numeric/date payload
+  size_t pos = 0;     // byte offset of the token in the tokenized text
 };
 
 /// Splits `text` into tokens. Fails on unknown characters or malformed
-/// literals.
+/// literals, including numeric literals that overflow int64.
 util::Result<std::vector<Token>> Tokenize(std::string_view text);
 
 /// Reconstructs parsable source text for the token span [begin, end).

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "db/statement.h"
 #include "util/fault.h"
 #include "util/string_util.h"
 
@@ -32,36 +33,6 @@ using util::Status;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Lines that produce a result table and must run through Session::Query
-/// (everything QueryWithKnobs dispatches: selects, explains, the `show`
-/// family, `scrub`, and any of those behind a `trace <hex>` prefix).
-bool IsQuery(const std::string& line) {
-  return line.rfind("select", 0) == 0 || line.rfind("explain", 0) == 0 ||
-         line.rfind("show", 0) == 0 || line.rfind("scrub", 0) == 0 ||
-         line.rfind("trace ", 0) == 0;
-}
-
-/// Extracts the hex id from a client-supplied `trace <hex> ...` prefix, for
-/// the request log. 0 on malformed input — the engine rejects those with a
-/// typed error, so the log just shows trace=0.
-uint64_t ParseTraceHex(const std::string& line) {
-  uint64_t id = 0;
-  size_t i = 6;  // past "trace "
-  while (i < line.size() && line[i] == ' ') ++i;
-  size_t digits = 0;
-  for (; i < line.size() && digits < 16; ++i, ++digits) {
-    const char ch = line[i];
-    if (ch >= '0' && ch <= '9') {
-      id = id << 4 | static_cast<uint64_t>(ch - '0');
-    } else if (ch >= 'a' && ch <= 'f') {
-      id = id << 4 | static_cast<uint64_t>(ch - 'a' + 10);
-    } else {
-      break;
-    }
-  }
-  return digits > 0 ? id : 0;
-}
 
 /// Minimal JSON string escaping for /healthz reason text.
 std::string JsonEscape(std::string_view s) {
@@ -971,40 +942,31 @@ void Server::ProcessRequest(Conn* c) {
     if (read_only) h += " reason=" + db_->read_only_reason();
     SendLine(c, h);
     SendLine(c, "OK");
-  } else if (IsQuery(line)) {
-    // Every query request carries a trace id (DESIGN.md §16): honor a
-    // client-supplied `trace <hex>` prefix, mint one otherwise. The id
-    // rides the statement text into QueryWithKnobs, which threads it
-    // through every TraceSpan and the profile — so one grep over the log,
-    // the trace dump, and the profile output correlates a request
+  } else {
+    // Every engine line parses once and carries a trace id (DESIGN.md
+    // §16): the client's `trace <hex>` prefix, or one minted here. Run()
+    // threads it through every TraceSpan and the profile, so one grep over
+    // the log, the trace dump and the profile output correlates a request
     // end to end.
-    const std::string* stmt = &line;
-    std::string traced;
-    if (line.rfind("trace ", 0) == 0) {
-      trace_id = ParseTraceHex(line);
+    auto result = [&]() -> util::Result<plan::QueryResult> {
+      SMADB_ASSIGN_OR_RETURN(db::Statement stmt, db::ParseStatement(line));
+      if (stmt.trace_id == 0) stmt.trace_id = MintTraceId();
+      trace_id = stmt.trace_id;
+      return c->session->Run(stmt, c->token);
+    }();
+    if (!result.ok()) {
+      SendLine(c, "ERR " + result.status().ToString());
+      outcome = result.status().ToString();
+    } else if (result->schema == nullptr) {
+      SendLine(c, "OK");  // set, define sma, kill: no table
     } else {
-      trace_id = MintTraceId();
-      traced = util::Format("trace %llx ",
-                            static_cast<unsigned long long>(trace_id));
-      traced += line;
-      stmt = &traced;
-    }
-    auto result = c->session->Query(*stmt, c->token);
-    if (result.ok()) {
       std::string table = result->ToString();  // already '\n'-terminated
       if (table.empty() || table.back() != '\n') table += '\n';
       // Terminator only after the whole table made it out: a failed send
       // must close the connection, never pass off a truncated table as a
       // complete `OK` response.
       if (SendAll(c, table)) SendLine(c, "OK");
-    } else {
-      SendLine(c, "ERR " + result.status().ToString());
-      outcome = result.status().ToString();
     }
-  } else {
-    const Status st = c->session->Execute(line);
-    SendLine(c, st.ok() ? "OK" : "ERR " + st.ToString());
-    if (!st.ok()) outcome = st.ToString();
   }
   const double elapsed_ms =
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -

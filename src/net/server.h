@@ -35,9 +35,10 @@
 // handled on every path (sends use MSG_NOSIGNAL; no SIGPIPE anywhere).
 //
 // Protocol (newline-delimited text, one statement per line):
-//   select/explain/show/scrub/trace...
-//                      -> result table lines, then `OK`
-//   other statements   -> `OK` or `ERR <message>`
+//   any statement      -> parsed once by db::ParseStatement and run with
+//                         Session::Run: result table lines (select,
+//                         explain, show, scrub) then `OK`, a bare `OK`
+//                         (set, define sma, kill query), or `ERR <message>`
 //   ping               -> `OK`
 //   health             -> one status line (read_only/draining/sessions/
 //                         connections), then `OK`
@@ -45,14 +46,15 @@
 // Error lines are typed: `ERR busy`, `ERR request too long`,
 // `ERR idle timeout`, `ERR server draining`, `ERR <engine status>`.
 //
-// Telemetry plane (DESIGN.md §16): every query request carries a 64-bit
+// Telemetry plane (DESIGN.md §16): every statement carries a 64-bit
 // trace id — taken from a client-supplied `trace <hex>` statement prefix
-// or minted here — that shows up in the structured request log, in every
-// TraceSpan the query records, and in its profile. A second in-loop HTTP
-// listener serves GET /metrics, /healthz, /statusz, /debug/queries and
-// /debug/trace for scrapers and humans; it is deliberately outside
-// max_connections so a saturated server can still be observed, and it
-// keeps answering (/healthz says "draining", 503) during drain.
+// or minted here and set on the parsed statement — that shows up in the
+// structured request log, in every TraceSpan the query records, and in its
+// profile. A second in-loop HTTP listener serves GET /metrics, /healthz,
+// /statusz, /debug/queries and /debug/trace for scrapers and humans; it
+// is deliberately outside max_connections so a saturated server can still
+// be observed, and it keeps answering (/healthz says "draining", 503)
+// during drain.
 
 #ifndef SMADB_NET_SERVER_H_
 #define SMADB_NET_SERVER_H_

@@ -2,7 +2,7 @@
 // queries, the backing store for `show queries`, `/debug/queries`, and
 // `kill query <id>`.
 //
-// Each query registers on entry to Database::QueryWithKnobs (RAII Guard,
+// Each query registers on entry to Database::RunSelect (RAII Guard,
 // declared after the profile so it unregisters first) and carries:
 //   * identity — query id, request trace id, session id, the SQL text;
 //   * liveness — the lifecycle phase ("admission"/"parse"/"execute"),
@@ -54,7 +54,7 @@ class QueryRegistry {
   /// Registers a query. `cancel` must be the query's live token (shared so
   /// Kill can trip it after the query drains). `profile` may be null and
   /// must outlive the registration (the Guard's declaration order in
-  /// QueryWithKnobs guarantees it).
+  /// RunSelect guarantees it).
   void Register(uint64_t query_id, uint64_t trace_id, uint64_t session_id,
                 std::string sql, std::shared_ptr<util::CancelToken> cancel,
                 const QueryProfile* profile);
@@ -75,7 +75,7 @@ class QueryRegistry {
 
   size_t size() const;
 
-  /// RAII registration for QueryWithKnobs.
+  /// RAII registration for Database::RunSelect.
   class Guard {
    public:
     /// Null registry → no-op guard (metrics disabled).

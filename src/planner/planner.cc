@@ -54,6 +54,7 @@ std::string_view PlanKindToString(PlanKind k) {
 
 std::string QueryResult::ToString() const {
   std::string out;
+  if (schema == nullptr) return out;  // a statement without a table
   for (size_t c = 0; c < schema->num_fields(); ++c) {
     if (c > 0) out += " | ";
     out += schema->field(c).name;

@@ -87,7 +87,8 @@ struct QueryResult {
   std::vector<storage::TupleBuffer> rows;
   PlanChoice plan;
 
-  /// Formatted as a text table (column header + rows).
+  /// Formatted as a text table (column header + rows); empty without a
+  /// schema (the result of `set`, `define sma`, `kill query`).
   std::string ToString() const;
 };
 

@@ -1,7 +1,6 @@
 #include "sma/parser.h"
 
 #include "expr/parser.h"
-#include "sma/builder.h"
 #include "util/string_util.h"
 
 namespace smadb::sma {
@@ -153,36 +152,6 @@ Result<ParsedSmaDefinition> ParseSmaDefinition(const Schema* schema,
   }
   SMADB_RETURN_NOT_OK(def.spec.Validate(*schema));
   return def;
-}
-
-Status DefineSma(storage::Catalog* catalog, SmaSet* smas,
-                 std::string_view text) {
-  // Two-pass: first locate the from-clause to resolve the schema, then
-  // parse for real.
-  SMADB_ASSIGN_OR_RETURN(std::vector<Token> tokens,
-                         expr::internal::Tokenize(text));
-  std::string table_name;
-  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (tokens[i].kind == TokKind::kIdent && tokens[i].text == "from" &&
-        tokens[i + 1].kind == TokKind::kIdent) {
-      table_name = tokens[i + 1].text;
-      break;
-    }
-  }
-  if (table_name.empty()) {
-    return Status::InvalidArgument("SMA definition has no from clause");
-  }
-  SMADB_ASSIGN_OR_RETURN(storage::Table * table,
-                         catalog->GetTable(table_name));
-  SMADB_ASSIGN_OR_RETURN(ParsedSmaDefinition def,
-                         ParseSmaDefinition(&table->schema(), text));
-  if (smas->table() != table) {
-    return Status::InvalidArgument(
-        "SmaSet belongs to a different table than the definition's from "
-        "clause");
-  }
-  SMADB_ASSIGN_OR_RETURN(auto sma, BuildSma(table, std::move(def.spec)));
-  return smas->Add(std::move(sma));
 }
 
 }  // namespace smadb::sma

@@ -16,8 +16,7 @@
 #include <string_view>
 
 #include "sma/sma_def.h"
-#include "sma/sma_set.h"
-#include "storage/catalog.h"
+#include "storage/schema.h"
 
 namespace smadb::sma {
 
@@ -27,17 +26,11 @@ struct ParsedSmaDefinition {
   SmaSpec spec;
 };
 
-/// Parses a `define sma` statement against `schema` (the schema of the
-/// table the statement's from-clause names; the caller resolves the name —
-/// use ParseAndBuildSma for the catalog-driven one-step version).
+/// Parses a `define sma` statement against `schema`, the schema of the
+/// table the statement's from-clause names (the caller resolves the name;
+/// db::ParseStatement finds it). Build the result with BuildSma.
 util::Result<ParsedSmaDefinition> ParseSmaDefinition(
     const storage::Schema* schema, std::string_view text);
-
-/// One-step convenience: parse `text`, resolve the table in `catalog`,
-/// bulk-build the SMA, and register it in `smas` (which must belong to the
-/// same table the statement names).
-util::Status DefineSma(storage::Catalog* catalog, SmaSet* smas,
-                       std::string_view text);
 
 }  // namespace smadb::sma
 

@@ -58,9 +58,14 @@ class CancelToken {
   /// Trips the token (user cancel). Idempotent, thread-safe.
   void Cancel() { cancelled_.store(true, std::memory_order_release); }
 
-  /// Arms the deadline `timeout` from now; zero/negative trips immediately.
+  /// Arms the deadline `timeout` from now; zero/negative trips immediately,
+  /// and a timeout past the clock's range saturates to never.
   void SetTimeout(std::chrono::milliseconds timeout) {
-    SetDeadline(std::chrono::steady_clock::now() + timeout);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    SetDeadline(timeout < headroom ? now + timeout : Clock::time_point::max());
   }
   void SetDeadline(std::chrono::steady_clock::time_point deadline) {
     deadline_ns_.store(deadline.time_since_epoch().count(),

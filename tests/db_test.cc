@@ -4,6 +4,7 @@
 
 #include "db/database.h"
 #include "db/sql.h"
+#include "db/statement.h"
 #include <algorithm>
 
 #include "expr/parser.h"
@@ -92,6 +93,49 @@ TEST_F(SqlTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery(&schema, "select * from t extra").ok());
   EXPECT_FALSE(
       ParseQuery(&schema, "select sum(v) from t group by zz").ok());
+}
+
+// ---------------------------------------------------------- ParseStatement
+
+TEST(StatementTest, ClassifiesOnceWithTraceTableAndText) {
+  const Statement explain = Unwrap(ParseStatement(
+      "  TRACE 12aB Explain Analyze select count(*) from T where k < 3 "));
+  EXPECT_EQ(explain.kind, Statement::Kind::kExplain);
+  EXPECT_TRUE(explain.analyze);
+  EXPECT_EQ(explain.trace_id, 0x12abu);  // not split into 12 and `ab`
+  EXPECT_EQ(explain.table, "t");
+  EXPECT_EQ(explain.text, "select count(*) from T where k < 3");
+
+  const Statement set = Unwrap(ParseStatement("SET Storage_Path = '/A/b'"));
+  EXPECT_EQ(set.kind, Statement::Kind::kSet);
+  EXPECT_EQ(set.name, "storage_path");
+  EXPECT_EQ(set.value.kind, expr::internal::TokKind::kString);
+  EXPECT_EQ(set.value.text, "/A/b");
+
+  const Statement define = Unwrap(ParseStatement(
+      "define sma s select sum(v * (1.00 - v)) from t group by grp"));
+  EXPECT_EQ(define.kind, Statement::Kind::kDefineSma);
+  EXPECT_EQ(define.table, "t");
+  EXPECT_EQ(define.trace_id, 0u);
+
+  const Statement kill = Unwrap(ParseStatement("trace ff Kill Query 42"));
+  EXPECT_EQ(kill.kind, Statement::Kind::kKill);
+  EXPECT_EQ(kill.query_id, 42u);
+  EXPECT_EQ(kill.trace_id, 0xffu);
+
+  for (const char* bad : {"", "trace ab12 ", "trace ab12", "trace zz select",
+                          "explain show metrics", "show", "scrub now",
+                          "set dop 1", "set dop = 1 2", "kill query",
+                          "define sma x select min(d)"}) {
+    EXPECT_EQ(ParseStatement(bad).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << bad;
+  }
+  for (const char* unknown : {"trace", "drop table t", "42"}) {
+    EXPECT_EQ(ParseStatement(unknown).status().code(),
+              util::StatusCode::kNotSupported)
+        << unknown;
+  }
 }
 
 // ------------------------------------------------------------------ Database
@@ -205,6 +249,20 @@ TEST_F(DatabaseTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(db.Execute("define sma x select min(d) from missing").ok());
   EXPECT_FALSE(db.Insert("missing", storage::TupleBuffer(&table->schema()))
                    .ok());
+}
+
+TEST_F(DatabaseTest, OverflowingLiteralIsATypedErrorNotAWrap) {
+  // 2^64 + 1 used to wrap to 1 and match the row with k = 1.
+  const auto result = db.Query(
+      "select count(*) from t where k = 18446744073709551617");
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("18446744073709551617"),
+            std::string::npos)
+      << result.status().ToString();
+  // The same goes for a knob value.
+  EXPECT_EQ(db.Execute("set dop = 18446744073709551617").code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.degree_of_parallelism(), 0u);
 }
 
 TEST_F(DatabaseTest, StringPredicateQuery) {

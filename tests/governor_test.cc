@@ -15,6 +15,7 @@
 
 #include "db/admission.h"
 #include "db/database.h"
+#include "db/session.h"
 #include "exec/join.h"
 #include "exec/sort.h"
 #include "planner/planner.h"
@@ -674,6 +675,16 @@ TEST_F(GovernorDbTest, SessionTimeoutKnobGovernsQueries) {
   ExpectOk(database.Execute("set timeout_ms = 0"));
   const QueryResult ok = Unwrap(database.Query("select sum(v) as s from t"));
   EXPECT_EQ(ok.rows.size(), 1u);
+}
+
+TEST_F(GovernorDbTest, HugeTimeoutSaturatesInsteadOfExpiring) {
+  // INT64_MAX milliseconds lies past the steady clock's range: the deadline
+  // saturates to never instead of overflowing into the past.
+  std::unique_ptr<db::Session> session = database.CreateSession();
+  ExpectOk(session->Execute("set timeout_ms = 9223372036854775807"));
+  const QueryResult ok = Unwrap(session->Query("select count(*) from t"));
+  ASSERT_EQ(ok.rows.size(), 1u);
+  EXPECT_EQ(ok.rows[0].AsRef().GetInt64(0), 4000);
 }
 
 TEST_F(GovernorDbTest, AdmissionShedsWhenSaturated) {

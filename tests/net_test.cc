@@ -1135,6 +1135,124 @@ TEST_F(TelemetryTest, ShowScrubAndKillRouteOverTheWire) {
   EXPECT_NE(kill.find("no in-flight query"), std::string::npos) << kill;
 }
 
+// One statement parser behind every entry point: keyword case, leading
+// blanks and a `trace <hex>` prefix (either case) mean the same over TCP,
+// Session::Query/Execute and Database::Query/Execute. Each entry point gets
+// a fresh database.
+TEST_F(TelemetryTest, EveryStatementRunsThroughEveryEntryPoint) {
+  const std::string kTracedSelect = "trace AB12 select count(*) from t";
+  const std::string kTracedAnalyze =
+      "TRACE ab12 explain analyze select count(*) from t";
+  const std::vector<std::string> kLines = {
+      "SELECT count(*) FROM t",
+      "  select grp, count(*) from t group by grp",
+      "select * from t where k < 3",
+      "EXPLAIN select count(*) from t where k < 100",
+      "Show metrics",
+      "SHOW QUERIES",
+      "SCRUB",
+      "trace ab12 set dop = 1",
+      "SET timeout_ms = 0",
+      "DEFINE SMA mink SELECT min(k) FROM t",
+      "trace 00ff define sma maxk select max(k) from t",
+      kTracedSelect,
+      kTracedAnalyze,
+      "show profile",
+      "Scrub",
+  };
+  const std::vector<std::string> kKills = {"kill query 99999",
+                                           "trace ab12 kill query 99999"};
+  constexpr uint64_t kTrace = 0xab12;
+
+  enum class Entry { kTcp, kSessionQuery, kSessionExecute, kDbQuery,
+                     kDbExecute };
+  for (const Entry entry : {Entry::kTcp, Entry::kSessionQuery,
+                            Entry::kSessionExecute, Entry::kDbQuery,
+                            Entry::kDbExecute}) {
+    SCOPED_TRACE(static_cast<int>(entry));
+    db::Database database(QuietDebugOptions());
+    storage::Table* table =
+        Unwrap(database.CreateTable("t", SyntheticSchema()));
+    storage::TupleBuffer buf(&table->schema());
+    for (int64_t i = 0; i < 500; ++i) {
+      buf.SetInt64(0, i);
+      buf.SetDate(1, util::Date(static_cast<int32_t>(i / 8)));
+      buf.SetDecimal(2, util::Decimal(i));
+      buf.SetString(3, i % 2 == 0 ? "A" : "B");
+      buf.SetString(4, "MAIL");
+      ExpectOk(database.Insert("t", buf));
+    }
+    std::unique_ptr<net::Server> server;
+    TestClient client;
+    std::unique_ptr<db::Session> session = database.CreateSession();
+    if (entry == Entry::kTcp) {
+      net::ServerOptions options;
+      options.port = 0;
+      options.checkpoint_on_drain = false;
+      server = std::make_unique<net::Server>(&database, options);
+      ExpectOk(server->Start());
+      ASSERT_TRUE(client.Connect(server->port()));
+    }
+    // "OK", or the failure as Status::ToString() renders it.
+    const auto run = [&](const std::string& line) -> std::string {
+      util::Status st;
+      switch (entry) {
+        case Entry::kTcp: {
+          EXPECT_TRUE(client.SendLine(line));
+          const std::string term = client.ReadResponse();
+          return term.rfind("ERR ", 0) == 0 ? term.substr(4) : term;
+        }
+        case Entry::kSessionQuery:
+          st = session->Query(line).status();
+          break;
+        case Entry::kSessionExecute:
+          st = session->Execute(line);
+          break;
+        case Entry::kDbQuery:
+          st = database.Query(line).status();
+          break;
+        case Entry::kDbExecute:
+          st = database.Execute(line);
+          break;
+      }
+      return st.ToString();
+    };
+
+    for (const std::string& line : kLines) {
+      EXPECT_EQ(run(line), "OK") << line;
+      if (line == kTracedSelect) {
+        bool spans = false;
+        for (const obs::TraceEvent& e : database.trace()->Events()) {
+          spans |= e.trace_id == kTrace && e.name == "execute";
+        }
+        EXPECT_TRUE(spans) << database.DumpTrace();
+        if (entry == Entry::kTcp) {
+          EXPECT_TRUE(WaitFor([&] {
+            for (const std::string& l : database.logger()->Tail(1024)) {
+              if (l.find("event=request") != std::string::npos &&
+                  l.find("trace=ab12") != std::string::npos &&
+                  l.find(kTracedSelect) != std::string::npos) {
+                return true;
+              }
+            }
+            return false;
+          }));
+        }
+      }
+      if (line == kTracedAnalyze) {
+        ASSERT_NE(database.last_profile(), nullptr);
+        EXPECT_EQ(database.last_profile()->trace_id(), kTrace);
+      }
+    }
+    for (const std::string& kill : kKills) {
+      EXPECT_EQ(run(kill).rfind("Not found:", 0), 0u) << kill;
+    }
+    EXPECT_EQ(Unwrap(database.Smas("t"))->size(), 2u);
+    session.reset();
+    if (server != nullptr) ExpectOk(server->Shutdown());
+  }
+}
+
 TEST_F(TelemetryTest, HttpEndpointsServeMetricsHealthStatusAndDebug) {
   StartServer();
   ASSERT_NE(server_->http_port(), 0);

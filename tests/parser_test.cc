@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "db/database.h"
 #include "expr/parser.h"
 #include "sma/parser.h"
 #include "tests/test_util.h"
@@ -17,7 +18,6 @@ using storage::Schema;
 using storage::TupleBuffer;
 using testing::ExpectOk;
 using testing::SyntheticSchema;
-using testing::TestDb;
 using testing::Unwrap;
 using util::Date;
 using util::Decimal;
@@ -49,6 +49,21 @@ TEST_F(ParserTest, ParsesLiterals) {
   EXPECT_EQ(dec->type(), util::TypeId::kDecimal);
   EXPECT_EQ(dec->EvalInt(tuple.AsRef()), 6);
   EXPECT_EQ(Unwrap(ParseExpr(&schema, "1.5"))->EvalInt(tuple.AsRef()), 150);
+}
+
+TEST_F(ParserTest, RejectsLiteralsThatOverflowInt64) {
+  EXPECT_EQ(Unwrap(ParseExpr(&schema, "9223372036854775807"))
+                ->EvalInt(tuple.AsRef()),
+            INT64_MAX);
+  // One past the largest int64, 2^64 + 1 (which used to wrap to 1), and a
+  // decimal whose cents pass int64.
+  for (const char* text :
+       {"9223372036854775808", "18446744073709551617",
+        "92233720368547758.08"}) {
+    const util::Status st = ParseExpr(&schema, text).status();
+    EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(st.message().find(text), std::string::npos) << st.ToString();
+  }
 }
 
 TEST_F(ParserTest, ParsesArithmeticWithPrecedence) {
@@ -255,32 +270,37 @@ TEST_F(ParserTest, DefinitionErrors) {
                    .ok());
 }
 
-// ----------------------------------------------------- end-to-end DefineSma --
+// ------------------------------------------- define sma through Database --
 
-TEST(DefineSmaTest, BuildsAndRegistersThroughCatalog) {
-  TestDb db;
+TEST(DefineSmaTest, BuildsAndRegistersThroughDatabase) {
+  db::Database database;
   storage::Table* t =
-      testing::MakeSyntheticTable(&db, 2000, testing::Layout::kClustered);
-  sma::SmaSet smas(t);
-  ExpectOk(sma::DefineSma(&db.catalog, &smas,
-                          "define sma min select min(d) from t"));
-  ExpectOk(sma::DefineSma(&db.catalog, &smas,
-                          "define sma max select max(d) from t"));
-  ExpectOk(sma::DefineSma(
-      &db.catalog, &smas,
+      Unwrap(database.CreateTable("t", SyntheticSchema()));
+  TupleBuffer row(&t->schema());
+  for (int64_t i = 0; i < 2000; ++i) {
+    row.SetInt64(0, i);
+    row.SetDate(1, Date(static_cast<int32_t>(i / 8)));
+    row.SetDecimal(2, Decimal(i * 3));
+    row.SetString(3, i % 3 == 0 ? "A" : "B");
+    row.SetString(4, "MAIL");
+    ExpectOk(database.Insert("t", row));
+  }
+  ExpectOk(database.Execute("define sma min select min(d) from t"));
+  ExpectOk(database.Execute("define sma max select max(d) from t"));
+  ExpectOk(database.Execute(
       "define sma sums select sum(v * (1.00 - v)) from t group by grp"));
-  EXPECT_EQ(smas.size(), 3u);
-  EXPECT_NE(smas.FindMinMax(sma::AggFunc::kMin, 1), nullptr);
+  sma::SmaSet* smas = Unwrap(database.Smas("t"));
+  EXPECT_EQ(smas->size(), 3u);
+  EXPECT_NE(smas->FindMinMax(sma::AggFunc::kMin, 1), nullptr);
 
   // Textually-defined SMA matches a textually-parsed query expression.
-  const sma::Sma* sums = *smas.Find("sums");
+  const sma::Sma* sums = Unwrap(smas->Find("sums"));
   EXPECT_EQ(sums->spec().Signature(t->schema()),
             "sum((v * (1.00 - v))) group by grp");
 
-  // Unknown table / mismatched set.
-  EXPECT_FALSE(sma::DefineSma(&db.catalog, &smas,
-                              "define sma y select min(d) from nope")
-                   .ok());
+  // Unknown table.
+  EXPECT_FALSE(
+      database.Execute("define sma y select min(d) from nope").ok());
 }
 
 }  // namespace
