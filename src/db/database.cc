@@ -688,14 +688,16 @@ Status Database::RunSet(const Statement& stmt, SessionKnobs* session) {
          return Status::OK();
        }},
   };
-  const Knob* knob = nullptr;
-  std::string names;
-  for (const Knob& k : kKnobs) {
-    if (k.name == stmt.name && k.value == stmt.value.kind) knob = &k;
-    names += names.empty() ? "" : ", ";
-    names += k.name;
-  }
-  if (knob == nullptr) {
+  const Knob* knob =
+      std::find_if(std::begin(kKnobs), std::end(kKnobs), [&](const Knob& k) {
+        return k.name == stmt.name && k.value == stmt.value.kind;
+      });
+  if (knob == std::end(kKnobs)) {
+    std::string names;
+    for (const Knob& k : kKnobs) {
+      names += names.empty() ? "" : ", ";
+      names += k.name;
+    }
     return Status::InvalidArgument(
         "malformed set statement; expected 'set <knob> = <value>' with knob "
         "in {" + names + "}");

@@ -46,8 +46,7 @@ class Session {
   /// timeout_ms, memory_limit, allow_degraded) changes only this session;
   /// every other statement acts on the Database. net::Server calls this.
   util::Result<plan::QueryResult> Run(
-      const Statement& stmt,
-      std::shared_ptr<util::CancelToken> cancel = nullptr);
+      const Statement& stmt, std::shared_ptr<util::CancelToken> cancel);
 
   /// ParseStatement(text) plus Run(); same grammar as Database::Query.
   util::Result<plan::QueryResult> Query(
