@@ -9,7 +9,8 @@
 // entries from the bucket itself (one bucket + one SMA page per group).
 //
 // Trust: every maintained SMA is stamped with the table's new modification
-// epoch, so planner staleness checks stay green. Distrusted SMAs (condemned
+// epoch before the table write, so planner staleness checks stay green even
+// mid-mutation. Distrusted SMAs (condemned
 // by a checksum failure or a failed Verify()) are skipped — incremental
 // folding into corrupt entries is wasted work — and repaired wholesale by
 // the next Rebuild() call.

@@ -122,11 +122,15 @@ class Sma {
   /// const pointers; trust is bookkeeping, not SMA content).
   void MarkDistrusted(std::string reason) const;
 
-  /// True when the table changed behind this SMA's back. Strictly-less:
-  /// the maintainer pre-stamps the built epoch to the post-mutation value
-  /// *before* folding the mutation in (both under the bucket latch), so a
-  /// concurrent planner never observes a transiently "stale" SMA mid-fold.
-  bool stale() const { return built_epoch() < table_->epoch(); }
+  /// True when the table changed behind this SMA's back. The maintainer
+  /// stamps the post-mutation epoch *before* the table write bumps the
+  /// table's (sma/maintenance.cc), and this reads the table's epoch first,
+  /// so a concurrent planner never observes a transiently "stale" SMA
+  /// mid-mutation.
+  bool stale() const {
+    const uint64_t table_epoch = table_->epoch();
+    return built_epoch() < table_epoch;
+  }
 
   /// Self-check: recomputes up to `max_sample_buckets` evenly spaced bucket
   /// aggregates from the base data and compares them with the stored

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "sma/maintenance.h"
 #include "tests/test_util.h"
+#include "util/fault.h"
 
 namespace smadb::sma {
 namespace {
@@ -16,6 +22,7 @@ using testing::ExpectOk;
 using testing::SyntheticSchema;
 using testing::TestDb;
 using testing::Unwrap;
+using util::Status;
 using util::Value;
 
 using testing::ExpectSmaEqualsRebuild;
@@ -264,6 +271,98 @@ TEST_F(MaintenanceTest, InsertCostIsBounded) {
       MakeRow(&table->schema(), 9999, 62, 77, "A", "MAIL")));
   // Everything is buffer-resident: no disk reads at all.
   EXPECT_EQ(db.disk.stats().page_reads, 0u);
+}
+
+// A planner checks staleness without latches (SmaSet::TrustIssue) and
+// demotes its query to a full scan on a stale SMA, so the maintainer stamps
+// every SMA before the table write: a reader polling while inserts, updates
+// and deletes run must never see one stale.
+TEST_F(MaintenanceTest, SmasNeverLookStaleMidMutation) {
+  std::atomic<bool> done{false};
+  uint64_t polls = 0;
+  std::string first_issue;  // written by the reader until joined
+  std::thread reader([&] {
+    while (!done.load()) {
+      std::string issue = smas->TrustIssue();
+      ++polls;
+      if (!issue.empty() && first_issue.empty()) first_issue = issue;
+    }
+  });
+  std::vector<Rid> rids;
+  for (int i = 0; i < 2000; ++i) {
+    Rid rid;
+    ExpectOk(maintainer->Insert(
+        MakeRow(&table->schema(), i, i / 8, i, i % 3 == 0 ? "A" : "B",
+                "MAIL"),
+        &rid));
+    rids.push_back(rid);
+  }
+  for (size_t i = 0; i < rids.size(); i += 7) {
+    ExpectOk(maintainer->UpdateColumn(rids[i], 2,
+                                      Value::MakeDecimal(util::Decimal(5))));
+  }
+  for (size_t i = 3; i < rids.size(); i += 11) {
+    ExpectOk(maintainer->Delete(rids[i]));
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(first_issue, "");
+  ExpectAllSmasConsistent();
+}
+
+// A failed table write takes its early stamps back: an SMA left stamped
+// ahead of the table would hide the next mutation made behind its back.
+TEST_F(MaintenanceTest, FailedWriteLeavesNoStampAhead) {
+  for (int i = 0; i < 100; ++i) {
+    ExpectOk(maintainer->Insert(
+        MakeRow(&table->schema(), i, i / 8, i, "A", "MAIL")));
+  }
+  const uint64_t epoch = table->epoch();
+  EXPECT_EQ(maintainer->Delete(Rid{999, 0}).code(),
+            util::StatusCode::kOutOfRange);
+  ExpectOk(maintainer->Delete(Rid{0, 0}));
+  EXPECT_EQ(maintainer->Delete(Rid{0, 0}).code(),
+            util::StatusCode::kNotFound);
+  EXPECT_EQ(maintainer->UpdateColumn(Rid{0, 0}, 2, Value::Int64(1)).code(),
+            util::StatusCode::kNotFound);
+  EXPECT_EQ(table->epoch(), epoch + 1);
+  for (const Sma* sma : smas->all()) {
+    EXPECT_EQ(sma->built_epoch(), epoch + 1) << sma->spec().name;
+  }
+  // A mutation behind the maintainer's back is still detected.
+  ExpectOk(table->Append(MakeRow(&table->schema(), 7, 1, 1, "A", "MAIL")));
+  EXPECT_NE(smas->TrustIssue().find("stale"), std::string::npos);
+}
+
+// A fold that fails distrusts its SMA; the SMAs it never reached keep their
+// old stamp (stale), and Rebuild() repairs both kinds.
+TEST_F(MaintenanceTest, FailedFoldLeavesUnfoldedSmasStale) {
+  for (int i = 0; i < 100; ++i) {
+    ExpectOk(maintainer->Insert(
+        MakeRow(&table->schema(), i, i / 8, i, "A", "MAIL")));
+  }
+  ExpectOk(db.pool.DropAll());  // the fold must read SMA pages from disk
+  {
+    util::fault::ScopedFault fail("disk.read", {.file_filter = "sma.m.sum_v"});
+    const Status st = maintainer->Insert(
+        MakeRow(&table->schema(), 100, 12, 100, "A", "MAIL"));
+    EXPECT_EQ(st.code(), util::StatusCode::kIOError) << st.ToString();
+  }
+  const Sma* min_d = Unwrap(smas->Find("min_d"));
+  const Sma* sum_v = Unwrap(smas->Find("sum_v"));
+  const Sma* cnt = Unwrap(smas->Find("cnt"));
+  EXPECT_TRUE(min_d->trusted());
+  EXPECT_FALSE(min_d->stale());
+  EXPECT_FALSE(sum_v->trusted());
+  EXPECT_TRUE(cnt->trusted());
+  EXPECT_TRUE(cnt->stale());
+  ExpectOk(maintainer->Rebuild());
+  for (const Sma* sma : smas->all()) {
+    EXPECT_TRUE(sma->trusted()) << sma->spec().name;
+    EXPECT_FALSE(sma->stale()) << sma->spec().name;
+  }
+  ExpectAllSmasConsistent();
 }
 
 }  // namespace
