@@ -122,11 +122,10 @@ class Sma {
   /// const pointers; trust is bookkeeping, not SMA content).
   void MarkDistrusted(std::string reason) const;
 
-  /// True when the table changed behind this SMA's back. The maintainer
-  /// stamps the post-mutation epoch *before* the table write bumps the
-  /// table's (sma/maintenance.cc), and this reads the table's epoch first,
-  /// so a concurrent planner never observes a transiently "stale" SMA
-  /// mid-mutation.
+  /// True when the table changed behind this SMA's back. Reads the table's
+  /// epoch first: the maintainer stamps the SMA before the table write bumps
+  /// it (sma/maintenance.cc), so a concurrent planner never observes a
+  /// transiently "stale" SMA mid-mutation.
   bool stale() const {
     const uint64_t table_epoch = table_->epoch();
     return built_epoch() < table_epoch;
