@@ -10,10 +10,9 @@
 //
 // Trust: every maintained SMA is stamped with the table's new modification
 // epoch before the table write, so planner staleness checks stay green even
-// mid-mutation. Distrusted SMAs (condemned
-// by a checksum failure or a failed Verify()) are skipped — incremental
-// folding into corrupt entries is wasted work — and repaired wholesale by
-// the next Rebuild() call.
+// mid-mutation. Distrusted SMAs (condemned by a checksum failure or a failed
+// Verify()) are skipped — incremental folding into corrupt entries is wasted
+// work — and repaired wholesale by the next Rebuild() call.
 
 #ifndef SMADB_SMA_MAINTENANCE_H_
 #define SMADB_SMA_MAINTENANCE_H_
