@@ -1,18 +1,27 @@
 // Experiment X6 — morsel-parallel scaling on the Table-3 Q1 workload.
 //
 // The paper's engine is single-threaded; this extension runs the same
-// Query 1 (LINEITEM sorted on l_shipdate, Fig. 4 SMAs) warm at degrees of
-// parallelism 1, 2, 4, and 8 and reports the wall-clock speedup over the
-// serial engine. Buckets are the morsels; workers claim them through an
-// atomic counter and merge per-worker partial aggregates at the end, so
-// every DOP returns bit-identical results (verified below).
+// Query 1 (LINEITEM sorted on l_shipdate, Fig. 4 SMAs) at degrees of
+// parallelism 1, 2, 4, and 8 and reports the wall-clock speedup over dop 1.
+// Morsels are runs of consecutive buckets spanning one 32-page read run;
+// workers claim them through ParallelFor and merge per-worker partial
+// aggregates at the end, so every DOP returns bit-identical results
+// (verified below).
 //
-// Wall-clock scaling requires real cores: on an N-core host the expected
-// warm speedup at DOP 4 is ~2x or better (the workload is CPU-bound once
-// the pool is warm); on a single-core host all DOPs collapse to roughly
-// serial time, which the printed hardware_concurrency makes visible.
+// Two sweeps:
+//   * warm — a 65 536-frame pool holds everything, so the plans are
+//     CPU-bound;
+//   * pool — the full scan streams through the default 2 048-frame pool
+//     (the paper's 8 MB buffer), cold for every run, as smabench's
+//     `adhoc_scan` does: every page is read from the simulated disk, and
+//     the modeled 1997-disk seconds show whether the workers' page reads
+//     stay sequential.
+//
+// `--smoke` (first argument) runs a tiny scale once and exits 1 when any
+// DOP's rows differ from DOP 1's; it gates correctness, not timing.
 
 #include <algorithm>
+#include <cstring>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -23,63 +32,109 @@
 using namespace smadb;  // NOLINT
 using bench::Check;
 
+namespace {
+
+constexpr size_t kDops[] = {1, 2, 4, 8};
+
+struct Loaded {
+  storage::Table* lineitem = nullptr;
+  std::unique_ptr<sma::SmaSet> smas;
+};
+
+Loaded Load(bench::BenchDb* db, double sf) {
+  tpch::LoadOptions load;
+  load.mode = tpch::ClusterMode::kShipdateSorted;
+  Loaded l;
+  l.lineitem = Check(
+      tpch::GenerateAndLoadLineItem(&db->catalog, {sf, 19980401}, load));
+  l.smas = std::make_unique<sma::SmaSet>(l.lineitem);
+  Check(workloads::BuildQ1Smas(l.lineitem, l.smas.get()));
+  return l;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   bench::JsonReporter report(argv[0]);
-  const double sf = bench::ScaleFromArgs(argc, argv, 0.05);
-  bench::BenchDb db(/*pool_pages=*/65536);  // warm: everything resident
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const double sf = smoke ? 0.01 : bench::ScaleFromArgs(argc, argv, 0.05);
 
   bench::PrintHeader(util::Format(
-      "X6: parallel scaling of Q1 (Table-3 workload, warm), SF %.3f", sf));
+      "X6: parallel scaling of Q1 (Table-3 workload), SF %.3f%s", sf,
+      smoke ? " (smoke)" : ""));
   std::printf("hardware_concurrency: %u\n",
               std::thread::hardware_concurrency());
 
-  tpch::LoadOptions load;
-  load.mode = tpch::ClusterMode::kShipdateSorted;
-  storage::Table* lineitem = Check(
-      tpch::GenerateAndLoadLineItem(&db.catalog, {sf, 19980401}, load));
-  sma::SmaSet smas(lineitem);
-  Check(workloads::BuildQ1Smas(lineitem, &smas));
-  std::printf("LINEITEM %u pages, %u buckets\n", lineitem->num_pages(),
-              lineitem->num_buckets());
-
-  const plan::AggQuery q1 = Check(workloads::MakeQ1Query(lineitem, 90));
-  plan::Planner planner(&smas);
-
-  const size_t dops[] = {1, 2, 4, 8};
-  // The scan-aggregate plan carries the parallel work (every bucket is
-  // fetched and folded); SMA_GAggr is also swept to show that the pruned
-  // plan keeps its lead at every DOP.
-  for (const plan::PlanKind kind :
-       {plan::PlanKind::kScanAggr, plan::PlanKind::kSmaGAggr}) {
-    std::printf("\n%s\n%-8s %10s %10s %10s\n",
-                std::string(plan::PlanKindToString(kind)).c_str(), "dop",
-                "wall", "speedup", "rows");
+  bool mismatch = false;
+  // Runs one plan at every DOP; `cold` drops the pool before each run.
+  // Returns the wall seconds per DOP and flags rows that differ from DOP 1.
+  const auto sweep = [&](bench::BenchDb* db, const Loaded& l,
+                         plan::PlanKind kind, bool cold,
+                         const std::string& key) {
+    const plan::AggQuery q1 = Check(workloads::MakeQ1Query(l.lineitem, 90));
+    plan::Planner planner(l.smas.get());
+    std::printf("\n%s%s\n%-8s %10s %10s %12s %10s\n",
+                std::string(plan::PlanKindToString(kind)).c_str(),
+                cold ? ", cold through the pool" : ", warm", "dop", "wall",
+                "speedup", "modeled_s", "rows");
     std::string reference;
     double serial_wall = 0;
-    for (const size_t dop : dops) {
+    for (const size_t dop : kDops) {
       auto op = Check(planner.Build(q1, kind, dop));
-      // Warm the pool (and the pool's frame table) once per operator.
-      Check(op->Init());
+      if (cold) {
+        Check(db->pool.DropAll());
+        db->disk.ResetAccessPositions();
+      } else {
+        Check(op->Init());  // warm the pool (and its frame table) once
+      }
+      const storage::IoStats base = db->disk.stats();
       util::Stopwatch watch;
       plan::QueryResult r = Check(plan::RunToCompletion(op.get()));
       const double wall = watch.ElapsedSeconds();
+      const double modeled = db->ModeledSeconds(base);
       if (dop == 1) {
         reference = r.ToString();
         serial_wall = wall;
       } else if (r.ToString() != reference) {
-        std::fprintf(stderr, "RESULT MISMATCH at dop %zu!\n", dop);
-        return 1;
+        std::fprintf(stderr, "RESULT MISMATCH: %s at dop %zu\n", key.c_str(),
+                     dop);
+        mismatch = true;
       }
-      std::printf("%-8zu %9.3fs %9.2fx %10zu\n", dop, wall,
-                  serial_wall / std::max(1e-9, wall), r.rows.size());
+      const double speedup = serial_wall / std::max(1e-9, wall);
+      std::printf("%-8zu %9.3fs %9.2fx %11.2fs %10zu\n", dop, wall, speedup,
+                  modeled, r.rows.size());
+      report.Add(util::Format("%s_dop%zu_speedup", key.c_str(), dop),
+                 speedup);
+      if (cold) {
+        report.Add(util::Format("%s_dop%zu_modeled_s", key.c_str(), dop),
+                   modeled);
+      }
     }
+  };
+
+  {
+    bench::BenchDb warm(/*pool_pages=*/65536);  // everything resident
+    const Loaded l = Load(&warm, sf);
+    std::printf("LINEITEM %u pages, %u buckets\n", l.lineitem->num_pages(),
+                l.lineitem->num_buckets());
+    // The scan-aggregate plan carries the parallel work (every bucket is
+    // fetched and folded); SMA_GAggr is also swept to show that the pruned
+    // plan keeps its lead at every DOP.
+    sweep(&warm, l, plan::PlanKind::kScanAggr, /*cold=*/false, "warm_scan");
+    sweep(&warm, l, plan::PlanKind::kSmaGAggr, /*cold=*/false,
+          "warm_sma_gaggr");
+  }
+  {
+    bench::BenchDb pool(/*pool_pages=*/2048);  // the paper's 8 MB buffer
+    const Loaded l = Load(&pool, sf);
+    sweep(&pool, l, plan::PlanKind::kScanAggr, /*cold=*/true, "pool_scan");
   }
 
   bench::PrintPaperNote(
-      "not in the paper (its engine is single-threaded). Extension: bucket-"
-      "granular morsel parallelism; DOP 1 runs the paper's serial code path "
-      "and every DOP returns identical Q1 rows. Expected >=2x wall-clock at "
-      "DOP 4 on >=4 real cores; single-core hosts show ~1x across the "
-      "sweep.");
-  return 0;
+      "not in the paper (its engine is single-threaded). Extension: morsels "
+      "of consecutive buckets read a 32-page run at a time; every DOP "
+      "returns identical Q1 rows, and the modeled disk seconds of the cold "
+      "scan stay near DOP 1's because each run is one request. "
+      "EXPERIMENTS.md X6 records the measured speedups.");
+  return mismatch ? 1 : 0;
 }

@@ -333,6 +333,19 @@ void Database::InitMetrics() {
   registry_->RegisterCallback(
       "smadb_disk_page_reads", "Pages read from the storage backend",
       [this] { return static_cast<int64_t>(disk_->stats().page_reads); });
+  // The seek mix of those reads, as the modeled disk classifies them: the
+  // next page, a forward skip within kNearSeekWindowPages, or a full seek.
+  registry_->RegisterCallback(
+      "smadb_disk_sequential_reads", "Backend page reads of the next page",
+      [this] {
+        return static_cast<int64_t>(disk_->stats().sequential_reads);
+      });
+  registry_->RegisterCallback(
+      "smadb_disk_near_reads", "Backend page reads after a short forward skip",
+      [this] { return static_cast<int64_t>(disk_->stats().near_reads); });
+  registry_->RegisterCallback(
+      "smadb_disk_random_reads", "Backend page reads that needed a full seek",
+      [this] { return static_cast<int64_t>(disk_->stats().random_reads); });
   registry_->RegisterCallback(
       "smadb_disk_page_writes", "Pages written to the storage backend",
       [this] { return static_cast<int64_t>(disk_->stats().page_writes); });

@@ -223,8 +223,9 @@ void BatchAggregator::FlushInto(GroupTable* table) {
   groups_.clear();
 }
 
-util::Status BucketFolder::Fold(uint64_t bucket, const expr::Predicate* pred) {
-  SMADB_RETURN_NOT_OK(reader.OpenBucket(bucket));
+util::Status BucketFolder::Fold(uint64_t first, uint64_t end,
+                                const expr::Predicate* pred) {
+  SMADB_RETURN_NOT_OK(reader.OpenBuckets(first, end));
   while (true) {
     batch.Clear();
     SMADB_ASSIGN_OR_RETURN(bool has, reader.NextBatch(&batch.cols));

@@ -85,20 +85,24 @@ class BatchAggregator {
   std::vector<int64_t> vals_;
 };
 
-/// Folds whole buckets of one table into a BatchAggregator — the per-bucket
-/// work of SMA_GAggr's ambivalent buckets and of ParallelScanAggr's morsels.
-/// One per worker (the reader pins pages); the owning operator configures
-/// `batch` with the aggregator's columns plus the predicate's, and charges
-/// it.
+/// Folds stretches of consecutive buckets of one table into a
+/// BatchAggregator — the fetch work of SMA_GAggr's ambivalent buckets and of
+/// ParallelScanAggr's morsels. One per worker (the reader pins pages); the
+/// owning operator configures `batch` with the aggregator's columns plus
+/// the predicate's, and charges it.
 struct BucketFolder {
   BucketFolder(storage::Table* table, const std::vector<size_t>* group_by,
                const std::vector<AggSpec>* aggs)
       : reader(table), aggregator(&table->schema(), group_by, aggs) {}
 
-  /// Decodes bucket `bucket` batch by batch into `aggregator`. `pred`
-  /// refines each batch's selection; null for a qualifying bucket, whose
-  /// dense all-rows selection needs no predicate evaluation (§3.1).
-  util::Status Fold(uint64_t bucket, const expr::Predicate* pred);
+  /// Decodes buckets [first, end) batch by batch, through one reader range,
+  /// into `aggregator`. `pred` refines each batch's selection; null when
+  /// every bucket of the stretch qualifies, whose dense all-rows selection
+  /// needs no predicate evaluation (§3.1). A stretch that mixes qualifying
+  /// and ambivalent buckets passes `pred`, which every tuple of a
+  /// qualifying bucket satisfies.
+  util::Status Fold(uint64_t first, uint64_t end,
+                    const expr::Predicate* pred);
 
   BucketReader reader;
   Batch batch;

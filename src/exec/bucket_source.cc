@@ -24,7 +24,6 @@ void BucketSource::Reset() {
   // A re-executed operator sees a fresh consistent prefix.
   snapshot_ = table_->CaptureSnapshot();
   serial_next_ = 0;
-  claim_next_.store(0, std::memory_order_relaxed);
 }
 
 Result<sma::Grade> BucketSource::GradeLatched(sma::BucketGrader* grader,
@@ -59,17 +58,22 @@ Status BucketReader::Open(uint32_t first_page, uint32_t end_page) {
 
 Status BucketReader::PinPage() {
   const uint64_t bucket = table_->BucketOfPage(page_);
-  if (!latch_.held() || latched_bucket_ != bucket) {
-    // Coupling: release before acquiring so at most one latch is held (the
-    // old and new bucket can share a shard, and shared_mutex is not
-    // reentrant when a writer is queued).
-    latch_.Release();
+  // Coupling: release before acquiring so at most one latch is held (the
+  // old and new bucket can share a shard, and shared_mutex is not
+  // reentrant when a writer is queued). A bucket wider than a run keeps its
+  // latch across the run change.
+  if (latched_bucket_ != bucket) latch_.Release();
+  if (!run_.Contains(page_)) {
+    run_.Release();
+    SMADB_ASSIGN_OR_RETURN(
+        run_, table_->PinPages(page_, page_end_ - page_));
+  }
+  if (!latch_.held()) {
     latch_ = table_->latches()->LockShared(bucket);
     latched_bucket_ = bucket;
   }
-  SMADB_ASSIGN_OR_RETURN(guard_, table_->FetchPage(page_));
   ++pages_opened_;
-  uint16_t n = storage::Table::PageTupleCount(*guard_.page());
+  uint16_t n = storage::Table::PageTupleCount(*run_.page(page_));
   if (has_snapshot_) n = snapshot_.VisibleSlots(page_, n);
   page_count_ = n;
   return Status::OK();
@@ -90,7 +94,7 @@ Result<bool> BucketReader::NextBatch(storage::ColumnBatch* cols) {
       continue;
     }
     slot_ =
-        cols->AppendFromPage(*table_, *guard_.page(), slot_, page_count_);
+        cols->AppendFromPage(*table_, *run_.page(page_), slot_, page_count_);
   }
   return cols->num_rows() > before;
 }

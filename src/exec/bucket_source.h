@@ -1,19 +1,21 @@
 // BucketSource / BucketReader: the bucket-granular work-unit layer.
 //
 // Every SMA access path walks the same structure — the table's physically
-// consecutive buckets (§2.1), graded per predicate (§3.1), then read page
-// by page. This file centralizes that walk, which used to be duplicated
-// across TableScan, SmaScan, and SMA_GAggr, and doubles as the morsel
-// dispenser for parallel execution: one bucket = one work unit, claimed by
-// workers through an atomic counter, each worker grading through its own
-// cursor-backed BucketGrader (graders hold page pins and are therefore
-// per-thread; the Sma structures they read are immutable and shared).
+// consecutive buckets (§2.1), graded per predicate (§3.1), then read a run
+// of pages at a time. This file centralizes that walk, which used to be
+// duplicated across TableScan, SmaScan, and SMA_GAggr, and defines the
+// morsel of parallel execution: a run of consecutive buckets spanning one
+// read run (storage::kRunPages pages), claimed by workers through
+// ParallelFor, each worker grading through its own cursor-backed
+// BucketGrader (graders hold page pins and are therefore per-thread; the
+// Sma structures they read are immutable and shared).
 
 #ifndef SMADB_EXEC_BUCKET_SOURCE_H_
 #define SMADB_EXEC_BUCKET_SOURCE_H_
 
-#include <atomic>
+#include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "expr/predicate.h"
 #include "sma/grade.h"
@@ -62,6 +64,18 @@ struct SmaScanStats {
   }
 };
 
+/// Consecutive buckets per morsel: as many as span one run of
+/// storage::kRunPages pages (at least one).
+inline uint64_t BucketsPerMorsel(uint32_t bucket_pages) {
+  return std::max<uint64_t>(1, storage::kRunPages / bucket_pages);
+}
+
+/// Morsels covering `buckets` buckets of `bucket_pages` pages each.
+inline uint64_t MorselCount(uint64_t buckets, uint32_t bucket_pages) {
+  const uint64_t per = BucketsPerMorsel(bucket_pages);
+  return (buckets + per - 1) / per;
+}
+
 /// One graded work unit.
 struct BucketUnit {
   uint64_t bucket = 0;
@@ -70,7 +84,8 @@ struct BucketUnit {
 
 /// Enumerates the buckets of a table for one predicate, grading each
 /// against the SMAs. Serial consumers pull `NextGraded` from one thread;
-/// parallel workers share `ClaimNext` and grade with per-worker graders.
+/// morsel workers take `Morsel`s from ParallelFor and grade with
+/// per-worker graders.
 ///
 /// Construction captures a TableSnapshot: the walk covers exactly the
 /// buckets of that consistent append prefix, and the one bucket a
@@ -93,7 +108,7 @@ class BucketSource {
   /// every bucket grades ambivalent and grading is pure overhead.
   bool has_sma_support() const { return has_sma_support_; }
 
-  /// Rewinds both the serial cursor and the parallel claim counter.
+  /// Rewinds the serial cursor and recaptures the snapshot.
   void Reset();
 
   // --- serial path (single consumer) ---------------------------------------
@@ -101,15 +116,16 @@ class BucketSource {
   /// Produces the next bucket with its grade; false at the end.
   util::Result<bool> NextGraded(BucketUnit* out);
 
-  // --- parallel path (any number of workers) -------------------------------
+  // --- morsels (any number of workers) -------------------------------------
 
-  /// Claims the next unprocessed bucket (atomic work-stealing counter).
-  /// Each worker observes a non-decreasing bucket sequence.
-  bool ClaimNext(uint64_t* bucket) {
-    const uint64_t b = claim_next_.fetch_add(1, std::memory_order_relaxed);
-    if (b >= num_buckets()) return false;
-    *bucket = b;
-    return true;
+  uint64_t num_morsels() const {
+    return MorselCount(num_buckets(), table_->bucket_pages());
+  }
+
+  /// Buckets [first, end) of morsel `m`.
+  std::pair<uint64_t, uint64_t> Morsel(uint64_t m) const {
+    const uint64_t per = BucketsPerMorsel(table_->bucket_pages());
+    return {m * per, std::min<uint64_t>((m + 1) * per, num_buckets())};
   }
 
   /// A fresh grading stream for one worker (cursors hold page pins, so a
@@ -146,19 +162,23 @@ class BucketSource {
   storage::TableSnapshot snapshot_;
   bool has_sma_support_ = false;
   uint64_t serial_next_ = 0;
-  std::atomic<uint64_t> claim_next_{0};
 };
 
-/// Streams the live tuples of a consecutive page range, keeping the current
-/// page pinned — the page/slot walk shared by TableScan and SmaScan.
+/// Streams the live tuples of a consecutive page range — the page/slot walk
+/// shared by every scan and by the bucket folders. The range is pinned a
+/// run of up to storage::kRunPages pages at a time (BufferPool::PinRun: one
+/// pool mutex hold, one disk request per stretch of misses), and the run
+/// is released before the next one is pinned, so a reader holds at most
+/// one run's pins.
 ///
 /// The reader holds the shared latch of the bucket its current page belongs
 /// to (lock coupling: the old bucket's latch is released before the next
 /// bucket's is acquired, so at most one latch is ever held), which excludes
-/// concurrent writers of exactly that bucket. With a snapshot set, pages
-/// beyond the snapshot prefix are never opened and the snapshot's tail page
-/// exposes only its visible slots. Callers must NOT hold an explicit latch
-/// on the buckets they stream — shared_mutex is not reentrant.
+/// concurrent writers of exactly that bucket; a page's header is read only
+/// under its bucket's latch. With a snapshot set, pages beyond the snapshot
+/// prefix are never pinned and the snapshot's tail page exposes only its
+/// visible slots. Callers must NOT hold an explicit latch on the buckets
+/// they stream — shared_mutex is not reentrant.
 class BucketReader {
  public:
   explicit BucketReader(storage::Table* table) : table_(table) {}
@@ -173,11 +193,11 @@ class BucketReader {
   /// opens one bucket at a time).
   util::Status Open(uint32_t first_page, uint32_t end_page);
 
-  /// Positions on bucket `bucket`'s page range.
-  util::Status OpenBucket(uint64_t bucket) {
-    const auto [first, end] =
-        table_->BucketPageRange(static_cast<uint32_t>(bucket));
-    return Open(first, end);
+  /// Positions on the pages of buckets [first, end).
+  util::Status OpenBuckets(uint64_t first_bucket, uint64_t end_bucket) {
+    return Open(
+        table_->BucketPageRange(static_cast<uint32_t>(first_bucket)).first,
+        table_->BucketPageRange(static_cast<uint32_t>(end_bucket - 1)).second);
   }
 
   /// Decodes the range's live tuples column-at-a-time into `cols` until
@@ -185,9 +205,9 @@ class BucketReader {
   /// were appended.
   util::Result<bool> NextBatch(storage::ColumnBatch* cols);
 
-  /// Drops the page pin and the bucket latch.
+  /// Drops the run's pins and the bucket latch.
   void Close() {
-    guard_.Release();
+    run_.Release();
     latch_.Release();
   }
 
@@ -198,12 +218,13 @@ class BucketReader {
   uint64_t pages_opened() const { return pages_opened_; }
 
  private:
-  /// Latches `page_`'s bucket (coupling from the previous one), pins the
-  /// page, and sets the snapshot-clamped slot count.
+  /// Pins the run holding `page_` (unless pinned already), latches its
+  /// bucket (coupling from the previous one), and sets the
+  /// snapshot-clamped slot count.
   util::Status PinPage();
 
   storage::Table* table_;
-  storage::PageGuard guard_;
+  storage::PageRun run_;
   storage::BucketLatchTable::SharedGuard latch_;
   storage::TableSnapshot snapshot_;
   uint64_t pages_opened_ = 0;

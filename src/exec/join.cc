@@ -275,7 +275,8 @@ Status SmaSemiJoin::NextBucket() {
     }
     break;
   }
-  return r_reader_.OpenBucket(static_cast<uint64_t>(curr_bucket_));
+  return r_reader_.OpenBuckets(static_cast<uint64_t>(curr_bucket_),
+                               static_cast<uint64_t>(curr_bucket_) + 1);
 }
 
 Result<bool> SmaSemiJoin::NextBatch(Batch* out) {

@@ -84,22 +84,40 @@ Status ParallelScanAggr::InitImpl() {
   const util::CancelToken* cancel =
       ctx_ != nullptr ? ctx_->cancel() : nullptr;
   const Status par = util::ThreadPool::Shared()->ParallelFor(
-      0, source.num_buckets(), dop_,
-      [&](size_t w, uint64_t b) -> Status {
+      0, source.num_morsels(), dop_,
+      [&](size_t w, uint64_t m) -> Status {
         WorkerState& ws = workers[w];
-        // Bucket-granular checkpoint inside the morsel, so a deadline that
-        // expires mid-run is observed even between claim-loop checks.
-        SMADB_RETURN_NOT_OK(CheckRuntime("ParallelScanAggr"));
-        // GradeLatched = shared latch during grading + boundary-bucket
-        // demotion, keeping the worker census identical to the serial path.
-        SMADB_ASSIGN_OR_RETURN(Grade g,
-                               source.GradeLatched(ws.grader.get(), b));
-        ws.stats.Tally(g);
-        if (g == Grade::kDisqualifies) return Status::OK();
-        // The grade maps onto the selection vector: qualifying buckets keep
-        // the dense all-rows selection with no predicate evaluation.
-        return ws.folder.Fold(
-            b, g == Grade::kQualifies ? nullptr : pred_.get());
+        const auto [first, end] = source.Morsel(m);
+        // Every bucket is graded; each maximal stretch of fetched buckets
+        // is folded through one reader range, so its pages are read a run
+        // at a time. The grade maps onto the selection vector: a stretch of
+        // qualifying buckets keeps the dense all-rows selection with no
+        // predicate evaluation.
+        uint64_t stretch = first;  // first bucket not folded yet
+        bool all_qualify = true;
+        const auto fold = [&](uint64_t stop) -> Status {
+          if (stretch == stop) return Status::OK();
+          return ws.folder.Fold(stretch, stop,
+                                all_qualify ? nullptr : pred_.get());
+        };
+        for (uint64_t b = first; b < end; ++b) {
+          // Bucket-granular checkpoint inside the morsel, so a deadline
+          // that expires mid-run is observed even between claim-loop checks.
+          SMADB_RETURN_NOT_OK(CheckRuntime("ParallelScanAggr"));
+          // GradeLatched = shared latch during grading + boundary-bucket
+          // demotion, keeping the census identical at every dop.
+          SMADB_ASSIGN_OR_RETURN(Grade g,
+                                 source.GradeLatched(ws.grader.get(), b));
+          ws.stats.Tally(g);
+          if (g != Grade::kDisqualifies) {
+            all_qualify &= g == Grade::kQualifies;
+            continue;
+          }
+          SMADB_RETURN_NOT_OK(fold(b));
+          stretch = b + 1;
+          all_qualify = true;
+        }
+        return fold(end);
       },
       cancel);
 

@@ -1,14 +1,16 @@
 // ParallelScanAggr: morsel-parallel scan + grouping-aggregation.
 //
 // Fuses GAggr over TableScan / SMA_Scan into one operator whose unit of
-// work is the bucket (§2.1: physically consecutive pages). Workers claim
-// buckets through the BucketSource counter, grade them against the SMAs
-// (when present), fetch only qualifying/ambivalent buckets through private
-// BucketReaders, and aggregate into private GroupTables; the partial tables
-// are merged at the end. Every morsel carries batches: workers decode
-// buckets column-at-a-time, map the bucket grade onto the selection vector
-// (qualifying = dense all-rows, no predicate evaluation), and aggregate
-// through the fused BatchAggregator kernels. The merge is exact —
+// work is the morsel: a run of consecutive buckets (§2.1: physically
+// consecutive pages) spanning one read run. Workers claim morsels through
+// ParallelFor, grade every bucket against the SMAs (when present), fetch
+// each stretch of qualifying/ambivalent buckets through a private
+// BucketReader a run of pages at a time, and aggregate into private
+// GroupTables; the partial tables are merged at the end. Every morsel
+// carries batches: workers decode pages column-at-a-time, map the grades
+// onto the selection vector (an all-qualifying stretch = dense all-rows, no
+// predicate evaluation), and aggregate through the fused BatchAggregator
+// kernels. The merge is exact —
 // sum/count/min/max compose associatively and commutatively, averages are
 // finalized from the merged sum and count — so the result equals the
 // serial GAggr∘Scan pipeline for every degree of parallelism.

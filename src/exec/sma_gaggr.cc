@@ -191,30 +191,53 @@ Grade SmaGAggr::EffectiveGrade(Grade g, uint64_t b) const {
   return g;
 }
 
-Status SmaGAggr::ProcessBucket(Grade g, uint64_t b, GroupTable* groups,
-                               BindingCursors* cursors, SmaScanStats* stats,
-                               BucketFolder* folder) {
-  // Bucket-granular cooperative checkpoint (every grade, every worker).
-  SMADB_RETURN_NOT_OK(CheckRuntime("SmaGAggr"));
-  g = EffectiveGrade(g, b);
-  stats->Tally(g);
-  switch (g) {
-    case Grade::kQualifies:
-      return ProcessQualifying(groups, cursors, b);
-    case Grade::kDisqualifies:
-      return Status::OK();  // "do nothing"
-    case Grade::kAmbivalent:
+struct SmaGAggr::Worker {
+  std::unique_ptr<sma::BucketGrader> grader;
+  BindingCursors cursors;
+  GroupTable groups;
+  SmaScanStats stats;
+  // Decodes the ambivalent stretches; null in sma_only mode.
+  std::unique_ptr<BucketFolder> folder;
+  size_t charged = 0;  // bytes of `groups` already charged
+  explicit Worker(const std::vector<AggSpec>* aggs) : groups(aggs) {}
+};
+
+Status SmaGAggr::ProcessMorsel(const BucketSource& source, uint64_t m,
+                               Worker* worker) {
+  const auto [first, end] = source.Morsel(m);
+  uint64_t stretch = first;  // first ambivalent bucket not folded yet
+  // Decodes the ambivalent buckets [stretch, stop); the folder's reader
+  // clamps to the execution's snapshot and latches each bucket it reads.
+  const auto fold = [&](uint64_t stop) -> Status {
+    if (stretch == stop || worker->folder == nullptr) return Status::OK();
+    return worker->folder->Fold(stretch, stop, pred_.get());
+  };
+  for (uint64_t b = first; b < end; ++b) {
+    // Bucket-granular cooperative checkpoint (every grade, every worker).
+    SMADB_RETURN_NOT_OK(CheckRuntime("SmaGAggr"));
+    // GradeLatched = shared latch during grading + boundary-bucket
+    // demotion, so the census is identical at every dop.
+    SMADB_ASSIGN_OR_RETURN(Grade g,
+                           source.GradeLatched(worker->grader.get(), b));
+    g = EffectiveGrade(g, b);
+    worker->stats.Tally(g);
+    if (g == Grade::kAmbivalent) {
+      // Degraded rung: leave the bucket uninspected; the caller marks the
+      // answer partial via buckets_skipped().
       if (options_.sma_only) {
-        // Degraded rung: leave the bucket uninspected; the caller marks the
-        // answer partial via buckets_skipped().
         buckets_skipped_.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
       }
-      // Decode the bucket; the folder's reader clamps to the execution's
-      // snapshot and its latch keeps writers out of the page being read.
-      return folder->Fold(b, pred_.get());
+      continue;
+    }
+    SMADB_RETURN_NOT_OK(fold(b));
+    stretch = b + 1;
+    if (g == Grade::kQualifies) {
+      SMADB_RETURN_NOT_OK(
+          ProcessQualifying(&worker->groups, &worker->cursors, b));
+    }
+    // A disqualifying bucket: "do nothing".
   }
-  return Status::OK();
+  return fold(end);
 }
 
 Status SmaGAggr::Init() {
@@ -243,120 +266,69 @@ Status SmaGAggr::InitImpl() {
   buckets_skipped_.store(0, std::memory_order_relaxed);
 
   BucketSource source(table_, pred_, smas_);
-  GroupTable groups(&aggs_);
   const size_t dop =
       std::max<size_t>(1, options_.degree_of_parallelism);
 
-  // Ambivalent readers clamp to the source's consistent append prefix;
-  // qualifying buckets answer from SMA entries under the bucket's shared
-  // latch. SMA-only mode skips ambivalent buckets, so it has no batch.
-  using FolderPtr = std::unique_ptr<BucketFolder>;
-  auto make_folder = [&]() -> Result<FolderPtr> {
-    if (options_.sma_only) return FolderPtr();
-    auto folder = std::make_unique<BucketFolder>(table_, &group_by_, &aggs_);
-    folder->reader.set_snapshot(source.snapshot());
-    std::vector<bool> mask = folder->aggregator.RequiredColumns();
+  // Per-worker grader, cursors, census, group table and folder; exact merge
+  // afterwards. Ambivalent readers clamp to the source's consistent append
+  // prefix; qualifying buckets answer from SMA entries under the bucket's
+  // shared latch. SMA-only mode skips ambivalent buckets, so it has no
+  // batch.
+  std::vector<Worker> workers;
+  workers.reserve(dop);
+  for (size_t w = 0; w < dop; ++w) {
+    workers.emplace_back(&aggs_);
+    Worker& worker = workers.back();
+    worker.grader = source.NewGrader();
+    worker.cursors = MakeCursors();
+    if (options_.sma_only) continue;
+    worker.folder =
+        std::make_unique<BucketFolder>(table_, &group_by_, &aggs_);
+    worker.folder->reader.set_snapshot(source.snapshot());
+    std::vector<bool> mask = worker.folder->aggregator.RequiredColumns();
     pred_->AddReferencedColumns(&mask);
-    SMADB_RETURN_NOT_OK(
-        ConfigureBatch(&folder->batch, &table_->schema(), std::move(mask)));
-    return folder;
-  };
-
-  if (dop == 1) {
-    // The paper's single synchronized pass over relation and SMA-files.
-    BindingCursors cursors = MakeCursors();
-    SMADB_ASSIGN_OR_RETURN(FolderPtr folder, make_folder());
-    size_t charged = 0;
-    BucketUnit unit;
-    while (true) {
-      SMADB_ASSIGN_OR_RETURN(bool has, source.NextGraded(&unit));
-      if (!has) break;
-      SMADB_RETURN_NOT_OK(ProcessBucket(unit.grade, unit.bucket, &groups,
-                                        &cursors, &stats_,
-                                        folder.get()));
-      if (groups.approx_bytes() > charged) {
-        SMADB_RETURN_NOT_OK(
-            ChargeMemory(groups.approx_bytes() - charged, "GroupTable"));
-        charged = groups.approx_bytes();
-      }
+    SMADB_RETURN_NOT_OK(ConfigureBatch(&worker.folder->batch,
+                                       &table_->schema(), std::move(mask)));
+  }
+  // The cancel token flows into the claim loop: once it trips, no further
+  // morsel is scheduled and the pool drains before we touch worker state.
+  const util::CancelToken* cancel =
+      ctx_ != nullptr ? ctx_->cancel() : nullptr;
+  const Status par = util::ThreadPool::Shared()->ParallelFor(
+      0, source.num_morsels(), dop,
+      [&](size_t w, uint64_t m) -> Status {
+        Worker& worker = workers[w];
+        SMADB_RETURN_NOT_OK(ProcessMorsel(source, m, &worker));
+        if (worker.groups.approx_bytes() > worker.charged) {
+          SMADB_RETURN_NOT_OK(ChargeMemory(
+              worker.groups.approx_bytes() - worker.charged, "GroupTable"));
+          worker.charged = worker.groups.approx_bytes();
+        }
+        return Status::OK();
+      },
+      cancel);
+  // Per-worker censuses merge into stats_ exactly once, success or
+  // failure — the pool has drained, so worker state is quiescent — so a
+  // degraded-ladder rerun never re-counts a failed run's buckets.
+  for (Worker& worker : workers) {
+    stats_.Merge(worker.stats);
+    if (prof_ != nullptr && worker.folder != nullptr) {
+      prof_->AddPagesRead(worker.folder->reader.pages_opened());
     }
-    if (folder != nullptr) {
-      folder->aggregator.FlushInto(&groups);
-      if (prof_ != nullptr) {
-        prof_->AddPagesRead(folder->reader.pages_opened());
-      }
+  }
+  SMADB_RETURN_NOT_OK(par);
+  GroupTable groups(&aggs_);
+  for (Worker& worker : workers) {
+    if (worker.folder != nullptr) {
+      worker.folder->aggregator.FlushInto(&worker.groups);
     }
-    if (groups.approx_bytes() > charged) {
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(groups.approx_bytes() - charged, "GroupTable"));
-    }
-  } else {
-    // Morsel-parallel: per-worker grader, cursors, census, group table and
-    // batch; exact merge afterwards.
-    struct WorkerState {
-      std::unique_ptr<sma::BucketGrader> grader;
-      BindingCursors cursors;
-      GroupTable groups;
-      SmaScanStats stats;
-      FolderPtr folder;
-      size_t charged = 0;  // bytes of `groups` already charged
-      explicit WorkerState(const std::vector<AggSpec>* aggs)
-          : groups(aggs) {}
-    };
-    std::vector<WorkerState> workers;
-    workers.reserve(dop);
-    for (size_t w = 0; w < dop; ++w) {
-      workers.emplace_back(&aggs_);
-      workers.back().grader = source.NewGrader();
-      workers.back().cursors = MakeCursors();
-      SMADB_ASSIGN_OR_RETURN(workers.back().folder, make_folder());
-    }
-    // The cancel token flows into the claim loop: once it trips, no further
-    // morsel is scheduled and the pool drains before we touch worker state.
-    const util::CancelToken* cancel =
-        ctx_ != nullptr ? ctx_->cancel() : nullptr;
-    const Status par = util::ThreadPool::Shared()->ParallelFor(
-        0, source.num_buckets(), dop,
-        [&](size_t w, uint64_t b) -> Status {
-          WorkerState& ws = workers[w];
-          // GradeLatched = shared latch during grading + boundary-bucket
-          // demotion, so worker censuses match the serial NextGraded path.
-          SMADB_ASSIGN_OR_RETURN(Grade g,
-                                 source.GradeLatched(ws.grader.get(), b));
-          SMADB_RETURN_NOT_OK(ProcessBucket(g, b, &ws.groups, &ws.cursors,
-                                            &ws.stats,
-                                            ws.folder.get()));
-          if (ws.groups.approx_bytes() > ws.charged) {
-            SMADB_RETURN_NOT_OK(ChargeMemory(
-                ws.groups.approx_bytes() - ws.charged, "GroupTable"));
-            ws.charged = ws.groups.approx_bytes();
-          }
-          return Status::OK();
-        },
-        cancel);
-    // Per-worker censuses merge into stats_ exactly once, success or
-    // failure — the pool has drained, so worker state is quiescent. The
-    // pre-fix code returned before this loop on a failed morsel, dropping
-    // the partial census a degraded-ladder rerun would then re-count.
-    for (WorkerState& ws : workers) {
-      stats_.Merge(ws.stats);
-      if (prof_ != nullptr && ws.folder != nullptr) {
-        prof_->AddPagesRead(ws.folder->reader.pages_opened());
-      }
-    }
-    SMADB_RETURN_NOT_OK(par);
-    for (WorkerState& ws : workers) {
-      if (ws.folder != nullptr) {
-        ws.folder->aggregator.FlushInto(&ws.groups);
-      }
-      const size_t before = groups.approx_bytes();
-      groups.MergeFrom(ws.groups);
-      // Merge-phase growth is charged under its own component so budget
-      // failures name the phase that tripped them.
-      if (groups.approx_bytes() > before) {
-        SMADB_RETURN_NOT_OK(ChargeMemory(groups.approx_bytes() - before,
-                                         "GroupTable.merge"));
-      }
+    const size_t before = groups.approx_bytes();
+    groups.MergeFrom(worker.groups);
+    // Merge-phase growth is charged under its own component so budget
+    // failures name the phase that tripped them.
+    if (groups.approx_bytes() > before) {
+      SMADB_RETURN_NOT_OK(ChargeMemory(groups.approx_bytes() - before,
+                                       "GroupTable.merge"));
     }
   }
 

@@ -16,11 +16,14 @@
 // grouping is always required: it carries group cardinalities (for count
 // and avg results) and decides which groups have qualifying tuples at all.
 //
-// With degree_of_parallelism > 1 the buckets become morsels: workers claim
-// them through the BucketSource counter, grade and aggregate into private
-// GroupTables through private SMA-file cursors, and the partial tables are
-// merged at the end — exact, because sum/count/min/max (and avg as
-// sum+count) compose associatively and commutatively.
+// One morsel loop serves every degree of parallelism: a morsel is a run of
+// consecutive buckets spanning one read run, workers claim morsels through
+// ParallelFor (dop 1 runs the loop inline on the caller — the paper's one
+// synchronized pass), grade and aggregate into private GroupTables through
+// private SMA-file cursors, fold each stretch of consecutive ambivalent
+// buckets through one reader range, and the partial tables are merged at
+// the end — exact, because sum/count/min/max (and avg as sum+count) compose
+// associatively and commutatively.
 
 #ifndef SMADB_EXEC_SMA_GAGGR_H_
 #define SMADB_EXEC_SMA_GAGGR_H_
@@ -47,8 +50,8 @@ struct SmaGAggrOptions {
   /// predicate per tuple.
   double force_ambivalent_fraction = 0.0;
   uint64_t force_seed = 0x5eed;
-  /// Worker count for the morsel-parallel path; 1 = serial (the paper's
-  /// single synchronized pass, bit-identical to the pre-parallel engine).
+  /// Workers for the morsel loop; 1 runs it inline on the caller (the
+  /// paper's single synchronized pass).
   size_t degree_of_parallelism = 1;
   /// Degraded SMA-only mode (the bottom rung of the planner's degradation
   /// ladder, DESIGN.md §10): ambivalent buckets are *skipped* instead of
@@ -58,8 +61,6 @@ struct SmaGAggrOptions {
   /// mode never configures, or charges, a column batch.
   bool sma_only = false;
 };
-
-struct BucketFolder;
 
 class SmaGAggr final : public Operator {
  public:
@@ -110,6 +111,9 @@ class SmaGAggr final : public Operator {
     std::vector<std::vector<sma::SmaFile::Cursor>> per_agg;
   };
 
+  /// One worker's private state (defined in sma_gaggr.cc).
+  struct Worker;
+
   SmaGAggr(storage::Table* table, expr::PredicatePtr pred,
            std::vector<size_t> group_by, std::vector<AggSpec> aggs,
            const sma::SmaSet* smas, storage::Schema schema,
@@ -136,11 +140,12 @@ class SmaGAggr final : public Operator {
   /// mid-run failure, and the degraded sma_only rung alike.
   util::Status InitImpl();
 
-  /// One bucket's phase-2 work, dispatched on its grade. `folder` decodes
-  /// the worker's ambivalent buckets (null in sma_only mode).
-  util::Status ProcessBucket(sma::Grade g, uint64_t b, GroupTable* groups,
-                             BindingCursors* cursors, SmaScanStats* stats,
-                             BucketFolder* folder);
+  /// Phase 2 over morsel `m`: grades each bucket, answers qualifying ones
+  /// from SMA entries, skips disqualifying ones, and folds each maximal
+  /// stretch of ambivalent buckets through one reader range (sma_only mode
+  /// skips them instead).
+  util::Status ProcessMorsel(const BucketSource& source, uint64_t m,
+                             Worker* worker);
   util::Status ProcessQualifying(GroupTable* groups, BindingCursors* cursors,
                                  uint64_t b);
 

@@ -41,7 +41,7 @@ Status SmaScan::GetBucket() {
   }
   curr_grade_ = unit.grade;
   // "read bucket currBucketNo" — position on its first page.
-  return reader_.OpenBucket(unit.bucket);
+  return reader_.OpenBuckets(unit.bucket, unit.bucket + 1);
 }
 
 Result<bool> SmaScan::NextBatch(Batch* out) {

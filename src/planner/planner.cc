@@ -94,13 +94,13 @@ Status Planner::Census(storage::Table* table, const expr::PredicatePtr& pred,
   return Status::OK();
 }
 
-PlanChoice Planner::Demoted(uint64_t total_buckets, bool select,
+PlanChoice Planner::Demoted(const storage::Table* table, bool select,
                             const std::string& reason) const {
   PlanChoice choice;
   choice.kind = select ? PlanKind::kScan : PlanKind::kScanAggr;
-  choice.ambivalent = total_buckets;
+  choice.ambivalent = table->num_buckets();
   choice.fetch_fraction = 1.0;
-  choice.dop = select ? 1 : PlanDop(total_buckets);
+  choice.dop = select ? 1 : PlanDop(table, choice.ambivalent);
   choice.explanation = "demoted to sequential scan: " + reason;
   if (!select) choice.explanation += util::Format(", dop=%zu", choice.dop);
   return choice;
@@ -120,17 +120,16 @@ void Planner::DistrustCorrupted(const Status& s) const {
   }
 }
 
-size_t Planner::PlanDop(uint64_t fetch_buckets) const {
+size_t Planner::PlanDop(const storage::Table* table,
+                        uint64_t fetch_buckets) const {
   size_t requested = options_.degree_of_parallelism;
   if (requested == 0) requested = util::ThreadPool::DefaultDop();
-  if (requested <= 1) return 1;
-  // Each worker should own at least a handful of fetchable buckets;
-  // otherwise thread startup dwarfs the per-morsel work.
-  constexpr uint64_t kMinBucketsPerWorker = 4;
-  const uint64_t cap =
-      std::max<uint64_t>(1, fetch_buckets / kMinBucketsPerWorker);
+  // No more workers than morsels of fetch work: a worker without a whole
+  // morsel would only add thread startup.
+  const uint64_t morsels = std::max<uint64_t>(
+      1, exec::MorselCount(fetch_buckets, table->bucket_pages()));
   return static_cast<size_t>(
-      std::min<uint64_t>(static_cast<uint64_t>(requested), cap));
+      std::min<uint64_t>(static_cast<uint64_t>(requested), morsels));
 }
 
 Result<PlanChoice> Planner::Choose(const AggQuery& query,
@@ -140,14 +139,14 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
     choice.kind = PlanKind::kScanAggr;
     choice.ambivalent = query.table->num_buckets();
     choice.fetch_fraction = 1.0;
-    choice.dop = PlanDop(choice.ambivalent);
+    choice.dop = PlanDop(query.table, choice.ambivalent);
     choice.explanation =
         util::Format("no SMAs available, dop=%zu", choice.dop);
     return choice;
   }
   const std::string trust_issue = smas_->TrustIssue();
   if (!trust_issue.empty()) {
-    return Demoted(query.table->num_buckets(), /*select=*/false, trust_issue);
+    return Demoted(query.table, /*select=*/false, trust_issue);
   }
   const Status census = Census(query.table, query.pred, &choice, ctx);
   if (!census.ok()) {
@@ -155,7 +154,7 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
     if (census.code() == StatusCode::kCorruption ||
         census.code() == StatusCode::kIOError) {
       // Grading failed reading a SMA-file; base data is still authoritative.
-      return Demoted(query.table->num_buckets(), /*select=*/false,
+      return Demoted(query.table, /*select=*/false,
                      "grading failed (" + census.message() + ")");
     }
     return census;
@@ -177,7 +176,7 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
       (options_.force_sma || ambivalent_frac < options_.breakeven_fraction)) {
     choice.kind = PlanKind::kSmaGAggr;
     choice.fetch_fraction = ambivalent_frac;
-    choice.dop = PlanDop(choice.qualifying + choice.ambivalent);
+    choice.dop = PlanDop(query.table, choice.qualifying + choice.ambivalent);
     choice.explanation = util::Format(
         "SMA_GAggr fetches %.1f%% of buckets (break-even %.0f%%)",
         ambivalent_frac * 100.0, options_.breakeven_fraction * 100.0);
@@ -186,14 +185,14 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
               processed_frac < options_.breakeven_fraction)) {
     choice.kind = PlanKind::kSmaScanAggr;
     choice.fetch_fraction = processed_frac;
-    choice.dop = PlanDop(choice.qualifying + choice.ambivalent);
+    choice.dop = PlanDop(query.table, choice.qualifying + choice.ambivalent);
     choice.explanation = util::Format(
         "SMA_Scan fetches %.1f%% of buckets%s", processed_frac * 100.0,
         gaggr_available ? "" : " (no matching aggregate SMAs)");
   } else {
     choice.kind = PlanKind::kScanAggr;
     choice.fetch_fraction = 1.0;
-    choice.dop = PlanDop(choice.total_buckets());
+    choice.dop = PlanDop(query.table, choice.total_buckets());
     choice.explanation = util::Format(
         "sequential scan: SMA plan would fetch %.1f%% of buckets "
         "(break-even %.0f%%)",
@@ -216,14 +215,14 @@ Result<PlanChoice> Planner::ChooseSelect(const SelectQuery& query,
   }
   const std::string trust_issue = smas_->TrustIssue();
   if (!trust_issue.empty()) {
-    return Demoted(query.table->num_buckets(), /*select=*/true, trust_issue);
+    return Demoted(query.table, /*select=*/true, trust_issue);
   }
   const Status census = Census(query.table, query.pred, &choice, ctx);
   if (!census.ok()) {
     if (census.code() == StatusCode::kCorruption) DistrustCorrupted(census);
     if (census.code() == StatusCode::kCorruption ||
         census.code() == StatusCode::kIOError) {
-      return Demoted(query.table->num_buckets(), /*select=*/true,
+      return Demoted(query.table, /*select=*/true,
                      "grading failed (" + census.message() + ")");
     }
     return census;
@@ -377,7 +376,7 @@ Result<QueryResult> Planner::Execute(const AggQuery& query,
       DistrustCorrupted(run.status());
     }
     PlanChoice fallback =
-        Demoted(query.table->num_buckets(), /*select=*/false,
+        Demoted(query.table, /*select=*/false,
                 std::string(PlanKindToString(choice.kind)) +
                     " failed mid-run (" + run.status().message() + ")");
     obs::QueryProfile::Event(prof, "demoted to sequential scan: " +
@@ -456,7 +455,7 @@ Result<QueryResult> Planner::ExecuteSelect(const SelectQuery& query,
     DistrustCorrupted(run.status());
   }
   PlanChoice fallback =
-      Demoted(query.table->num_buckets(), /*select=*/true,
+      Demoted(query.table, /*select=*/true,
               std::string(PlanKindToString(choice.kind)) +
                   " failed mid-run (" + run.status().message() + ")");
   obs::QueryProfile::Event(prof, "demoted to sequential scan: " +

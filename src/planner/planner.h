@@ -101,7 +101,7 @@ struct PlannerOptions {
   bool force_sma = false;
   /// Requested degree of parallelism for aggregation plans. 0 = auto
   /// (hardware concurrency), 1 = serial. The planner may lower it per plan:
-  /// each worker should own a few buckets of real work, so tiny tables and
+  /// never more workers than morsels of fetch work, so tiny tables and
   /// highly pruned plans stay serial.
   size_t degree_of_parallelism = 0;
   /// Allow the bottom rung of the degradation ladder: when a SMA_GAggr plan
@@ -127,9 +127,10 @@ class Planner {
       const SelectQuery& query,
       const util::QueryContext* ctx = nullptr) const;
 
-  /// Instantiates the operator tree for a choice. `dop` > 1 swaps in the
-  /// morsel-parallel forms (ParallelScanAggr, parallel SMA_GAggr); the
-  /// default keeps the serial operators and every existing call site.
+  /// Instantiates the operator tree for a choice. `dop` > 1 swaps in
+  /// ParallelScanAggr for the scan plans and runs SMA_GAggr's morsel loop
+  /// on that many workers; the default keeps the serial scan operators and
+  /// every existing call site.
   util::Result<std::unique_ptr<exec::Operator>> Build(const AggQuery& query,
                                                       PlanKind kind,
                                                       size_t dop = 1) const;
@@ -156,16 +157,16 @@ class Planner {
 
   /// The bottom rung of the degradation ladder: a full-scan choice whose
   /// explanation records why the SMA plan was demoted.
-  PlanChoice Demoted(uint64_t total_buckets, bool select,
+  PlanChoice Demoted(const storage::Table* table, bool select,
                      const std::string& reason) const;
 
   /// Condemns every SMA owning a file named in `s`'s message (checksum
   /// failures name the file), so the next Rebuild() repairs it.
   void DistrustCorrupted(const util::Status& s) const;
 
-  /// Per-plan DOP: the requested (or hardware) worker count, lowered so
-  /// every worker owns at least a handful of fetchable buckets.
-  size_t PlanDop(uint64_t fetch_buckets) const;
+  /// Per-plan DOP: the requested (or hardware) worker count, capped at the
+  /// number of morsels the `fetch_buckets` buckets to fetch fill.
+  size_t PlanDop(const storage::Table* table, uint64_t fetch_buckets) const;
 
   const sma::SmaSet* smas_;
   PlannerOptions options_;

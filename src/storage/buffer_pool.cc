@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <thread>
 
@@ -33,7 +34,7 @@ Page* PageGuard::MutablePage() {
 
 void PageGuard::Release() {
   if (pool_ != nullptr && page_ != nullptr) {
-    pool_->Unpin(frame_, /*dirty=*/false);
+    pool_->Unpin(frame_);
   }
   pool_ = nullptr;
   page_ = nullptr;
@@ -49,74 +50,143 @@ BufferPool::BufferPool(DiskBackend* disk, BufferPoolOptions options)
   }
 }
 
-Status BufferPool::LoadFrameLocked(size_t idx, FileId file, uint32_t page_no) {
-  Frame& fr = frames_[idx];
-  // The disk read happens under the pool mutex: the SimulatedDisk is an
-  // in-memory copy (thread-compatible, not thread-safe), and serializing
-  // here keeps its sequential/near/random accounting well-defined. The
-  // retry backoff is bounded (at most retries × backoff × 2^retries) and
-  // only taken on injected/transient I/O errors, so holding the mutex
-  // across it is acceptable.
-  Status read;
-  auto backoff = options_.retry_backoff;
-  for (int attempt = 0;; ++attempt) {
-    read = disk_->ReadPage(file, page_no, &fr.page);
-    if (read.ok() || read.code() != StatusCode::kIOError ||
-        attempt >= options_.max_read_retries) {
-      break;
+PageRun& PageRun::operator=(PageRun&& o) noexcept {
+  if (this == &o) return *this;  // self-move keeps the pins
+  Release();                     // drop the old pins before adopting
+  pool_ = o.pool_;
+  first_ = o.first_;
+  size_ = o.size_;
+  std::copy_n(o.frames_.begin(), size_, frames_.begin());
+  o.pool_ = nullptr;
+  o.size_ = 0;
+  return *this;
+}
+
+const Page* PageRun::page(uint32_t page_no) const {
+  assert(Contains(page_no));
+  return &pool_->frames_[frames_[page_no - first_]].page;
+}
+
+void PageRun::Release() {
+  if (pool_ != nullptr && size_ > 0) pool_->UnpinRun(*this);
+  pool_ = nullptr;
+  size_ = 0;
+}
+
+Status BufferPool::LoadFrames(FileId file, const PageRun& run) {
+  // The loader owns its loading frames' metadata and bytes until it
+  // publishes them, so reading them here without the mutex is race-free.
+  Page* pages[kRunPages];
+  uint32_t crcs[kRunPages];
+  for (uint32_t i = 0; i < run.size_;) {
+    uint32_t n = 0;  // the stretch of loading frames from page first_ + i
+    while (i + n < run.size_ && frames_[run.frames_[i + n]].loading) {
+      pages[n] = &frames_[run.frames_[i + n]].page;
+      ++n;
     }
-    read_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    backoff *= 2;
-  }
-  if (!read.ok()) {
-    free_list_.push_back(idx);
-    return read;
-  }
-  if (options_.verify_checksums) {
-    const uint32_t computed = util::Crc32c(fr.page.data, kPageSize);
-    SMADB_ASSIGN_OR_RETURN(const uint32_t stored,
-                           disk_->PageChecksum(file, page_no));
-    if (computed != stored) {
-      checksum_failures_.fetch_add(1, std::memory_order_relaxed);
-      free_list_.push_back(idx);
-      return Status::Corruption(util::Format(
-          "checksum mismatch on file '%s' page %u (stored %08x, read %08x)",
-          disk_->FileName(file).c_str(), page_no, stored, computed));
+    if (n == 0) {
+      ++i;
+      continue;
+    }
+    const uint32_t start = run.first_ + i;
+    i += n;
+    Status read;
+    uint32_t done = 0;  // pages delivered; a retry resumes at the failed one
+    auto backoff = options_.retry_backoff;
+    for (int attempt = 0;; ++attempt) {
+      uint32_t delivered = 0;
+      read = disk_->ReadPages(file, start + done, n - done, pages + done,
+                              crcs + done, &delivered);
+      done += delivered;
+      if (read.ok() || read.code() != StatusCode::kIOError ||
+          attempt >= options_.max_read_retries) {
+        break;
+      }
+      read_retries_.fetch_add(1, std::memory_order_relaxed);
+      if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
+      backoff *= 2;
+    }
+    SMADB_RETURN_NOT_OK(read);
+    if (!options_.verify_checksums) continue;
+    for (uint32_t k = 0; k < n; ++k) {
+      const uint32_t computed = util::Crc32c(pages[k]->data, kPageSize);
+      if (computed != crcs[k]) {
+        checksum_failures_.fetch_add(1, std::memory_order_relaxed);
+        return Status::Corruption(util::Format(
+            "checksum mismatch on file '%s' page %u (stored %08x, read %08x)",
+            disk_->FileName(file).c_str(), start + k, crcs[k], computed));
+      }
     }
   }
   return Status::OK();
 }
 
-Result<PageGuard> BufferPool::Fetch(FileId file, uint32_t page_no) {
+Status BufferPool::ChargePinLocked() {
+  if (options_.pin_tracker != nullptr) {
+    SMADB_RETURN_NOT_OK(
+        options_.pin_tracker->TryCharge(kPageSize, "BufferPool.pins"));
+  }
+  ++pinned_frames_;
+  return Status::OK();
+}
+
+void BufferPool::ReleasePinLocked() {
+  --pinned_frames_;
+  if (options_.pin_tracker != nullptr) {
+    options_.pin_tracker->Release(kPageSize, "BufferPool.pins");
+  }
+}
+
+Result<bool> BufferPool::PinLocked(std::unique_lock<std::mutex>* lock,
+                                   FileId file, PageRun* run,
+                                   uint32_t* loads) {
+  const bool first = run->size_ == 0;
+  const uint32_t page_no = run->end();
   const uint64_t key = Key(file, page_no);
-  std::unique_lock<std::mutex> lock(mu_);
+  // A later page may not take the pool past three quarters pinned.
+  const auto budget_left = [&] {
+    return first || (pinned_frames_ + 1) * 4 <= frames_.size() * 3;
+  };
   int wait_rounds = 0;
   while (true) {
-    // Re-checked after every frame wait: another thread may have loaded the
-    // page (or freed a frame) while we slept.
+    // Re-checked after every wait: another thread may have loaded the page
+    // (or freed a frame) while we slept.
     auto it = table_.find(key);
     if (it != table_.end()) {
-      Frame& fr = frames_[it->second];
-      // Pin transition 0 -> 1 charges the page against the governor's
-      // tracker; rejection leaves the frame cached and unpinned.
-      if (fr.pin_count == 0 && options_.pin_tracker != nullptr) {
-        SMADB_RETURN_NOT_OK(
-            options_.pin_tracker->TryCharge(kPageSize, "BufferPool.pins"));
+      const size_t idx = it->second;
+      Frame& fr = frames_[idx];
+      if (fr.loading) {
+        // Its loader holds no latch and finishes in bounded time, so the
+        // first page may wait; a later page ends the run, which holds pins.
+        if (!first) return false;
+        load_done_.wait(*lock);
+        continue;
+      }
+      if (fr.pin_count == 0) {
+        if (!budget_left()) return false;
+        // The 0 -> 1 transition charges the governor's tracker; rejection
+        // leaves the frame cached and unpinned.
+        if (Status charge = ChargePinLocked(); !charge.ok()) {
+          if (first) return charge;
+          return false;
+        }
+        if (fr.in_lru) {
+          lru_.erase(fr.lru_pos);
+          fr.in_lru = false;
+        }
       }
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (fr.pin_count == 0 && fr.in_lru) {
-        lru_.erase(fr.lru_pos);
-        fr.in_lru = false;
-      }
       ++fr.pin_count;
-      return PageGuard(this, it->second, &fr.page);
+      run->frames_[run->size_++] = static_cast<uint32_t>(idx);
+      return true;
     }
+    if (!budget_left()) return false;
     Result<size_t> idx_r = GetFreeFrameLocked();
     if (!idx_r.ok()) {
       if (idx_r.status().code() != StatusCode::kResourceExhausted) {
         return idx_r.status();
       }
+      if (!first) return false;
       // All frames pinned: wait (bounded) for a pin release, then retry.
       if (wait_rounds >= options_.pinned_wait_rounds) {
         return Status::ResourceExhausted(util::Format(
@@ -127,30 +197,90 @@ Result<PageGuard> BufferPool::Fetch(FileId file, uint32_t page_no) {
             static_cast<long long>(options_.pinned_wait_quantum.count())));
       }
       ++wait_rounds;
-      frame_available_.wait_for(lock, options_.pinned_wait_quantum);
+      frame_available_.wait_for(*lock, options_.pinned_wait_quantum);
       continue;
     }
     const size_t idx = *idx_r;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    SMADB_RETURN_NOT_OK(LoadFrameLocked(idx, file, page_no));
-    if (options_.pin_tracker != nullptr) {
-      Status charge =
-          options_.pin_tracker->TryCharge(kPageSize, "BufferPool.pins");
-      if (!charge.ok()) {
-        free_list_.push_back(idx);
-        return charge;
-      }
+    if (Status charge = ChargePinLocked(); !charge.ok()) {
+      free_list_.push_back(idx);
+      if (first) return charge;
+      return false;
     }
+    misses_.fetch_add(1, std::memory_order_relaxed);
     Frame& fr = frames_[idx];
     fr.file = file;
     fr.page_no = page_no;
     fr.pin_count = 1;
     fr.dirty = false;
     fr.used = true;
+    fr.loading = true;
     fr.in_lru = false;
     table_[key] = idx;
-    return PageGuard(this, idx, &fr.page);
+    run->frames_[run->size_++] = static_cast<uint32_t>(idx);
+    ++*loads;
+    return true;
   }
+}
+
+void BufferPool::AbandonLocked(PageRun* run) {
+  for (uint32_t i = 0; i < run->size_; ++i) {
+    const size_t idx = run->frames_[i];
+    Frame& fr = frames_[idx];
+    if (!fr.loading) {
+      UnpinLocked(idx);
+      continue;
+    }
+    // Only this run pins its loading frames: drop them uncached.
+    table_.erase(Key(fr.file, fr.page_no));
+    fr.loading = false;
+    fr.used = false;
+    fr.pin_count = 0;
+    ReleasePinLocked();
+    free_list_.push_back(idx);
+    frame_available_.notify_one();
+  }
+  run->size_ = 0;
+  load_done_.notify_all();
+}
+
+Result<PageRun> BufferPool::PinRun(FileId file, uint32_t first, uint32_t n) {
+  assert(n > 0);
+  n = std::min(n, kRunPages);
+  PageRun run;
+  run.pool_ = this;
+  run.first_ = first;
+  uint32_t loads = 0;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (run.size_ < n) {
+      Result<bool> pinned = PinLocked(&lock, file, &run, &loads);
+      if (!pinned.ok()) {
+        AbandonLocked(&run);
+        return pinned.status();
+      }
+      if (!*pinned) break;
+    }
+  }
+  if (loads == 0) return run;
+  const Status loaded = LoadFrames(file, run);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!loaded.ok()) {
+    AbandonLocked(&run);
+    return loaded;
+  }
+  for (uint32_t i = 0; i < run.size_; ++i) {
+    frames_[run.frames_[i]].loading = false;
+  }
+  load_done_.notify_all();
+  return run;
+}
+
+Result<PageGuard> BufferPool::Fetch(FileId file, uint32_t page_no) {
+  SMADB_ASSIGN_OR_RETURN(PageRun run, PinRun(file, page_no, 1));
+  // Hand the run's one pin to a guard.
+  const size_t frame = run.frames_[0];
+  run.size_ = 0;
+  return PageGuard(this, frame, &frames_[frame].page);
 }
 
 Result<PageGuard> BufferPool::NewPage(FileId file, uint32_t* page_no_out) {
@@ -172,19 +302,13 @@ Result<PageGuard> BufferPool::NewPage(FileId file, uint32_t* page_no_out) {
     }
     return idx_r.status();
   }
-  if (options_.pin_tracker != nullptr) {
-    Status charge =
-        options_.pin_tracker->TryCharge(kPageSize, "BufferPool.pins");
-    if (!charge.ok()) {
-      free_list_.push_back(*idx_r);
-      return charge;
-    }
+  if (Status charge = ChargePinLocked(); !charge.ok()) {
+    free_list_.push_back(*idx_r);
+    return charge;
   }
   Result<uint32_t> page_no_r = disk_->AllocatePage(file);
   if (!page_no_r.ok()) {
-    if (options_.pin_tracker != nullptr) {
-      options_.pin_tracker->Release(kPageSize, "BufferPool.pins");
-    }
+    ReleasePinLocked();
     free_list_.push_back(*idx_r);
     return page_no_r.status();
   }
@@ -202,15 +326,21 @@ Result<PageGuard> BufferPool::NewPage(FileId file, uint32_t* page_no_out) {
   return PageGuard(this, *idx_r, &fr.page);
 }
 
-void BufferPool::Unpin(size_t frame, bool dirty) {
+void BufferPool::Unpin(size_t frame) {
   std::lock_guard<std::mutex> lock(mu_);
+  UnpinLocked(frame);
+}
+
+void BufferPool::UnpinRun(const PageRun& run) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (uint32_t i = 0; i < run.size_; ++i) UnpinLocked(run.frames_[i]);
+}
+
+void BufferPool::UnpinLocked(size_t frame) {
   Frame& fr = frames_[frame];
   assert(fr.pin_count > 0);
-  if (dirty) fr.dirty = true;
   if (--fr.pin_count == 0) {
-    if (options_.pin_tracker != nullptr) {
-      options_.pin_tracker->Release(kPageSize, "BufferPool.pins");
-    }
+    ReleasePinLocked();
     lru_.push_front(frame);
     fr.lru_pos = lru_.begin();
     fr.in_lru = true;

@@ -10,20 +10,32 @@
 // corruption (injected or otherwise) surfaces as a typed kCorruption status
 // naming the file and page instead of flowing into query results. Transient
 // read errors are absorbed by a small bounded retry; when every frame is
-// pinned, Fetch/NewPage wait (bounded) for a pin release before giving up
-// with kResourceExhausted.
+// pinned, the first page of a PinRun/Fetch and NewPage wait (bounded) for a
+// pin release before giving up with kResourceExhausted.
+//
+// Pages are pinned a run at a time: PinRun pins up to n consecutive pages
+// of a file in one mutex hold and its PageRun releases them in one hold;
+// Fetch is the n = 1 case. Each miss takes a frame marked *loading*, and
+// the pool drops its mutex while the backend reads the run's missing pages
+// (one ReadPages per stretch of consecutive misses) and their CRCs are
+// checked, then publishes the frames. A thread that wants a loading frame
+// as its first page waits on a condition variable; a run never waits once
+// it holds pins — it ends early instead (see PinRun).
 //
 // Thread safety: all frame-table / LRU / free-list state is guarded by one
 // mutex and the hit/miss counters are atomics, so any number of worker
-// threads may Fetch / release PageGuards concurrently (the morsel-parallel
-// operators do). Page *contents* follow pin discipline: a pinned frame
-// cannot move or be evicted, and query workers only read data pages, so no
-// page-level latch is needed; writers (bulk load, maintenance) are
-// single-threaded by design.
+// threads may pin / release pages concurrently (the morsel-parallel
+// operators do). Only a frame's loader touches its bytes while it is
+// loading. Page *contents* follow pin discipline: a pinned frame cannot
+// move or be evicted, and query workers only read data pages, so no
+// page-level latch is needed; writers (bulk load, maintenance) latch the
+// bucket they change. Write-back of dirty frames (eviction, FlushAll) still
+// runs under the pool mutex.
 
 #ifndef SMADB_STORAGE_BUFFER_POOL_H_
 #define SMADB_STORAGE_BUFFER_POOL_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -66,13 +78,15 @@ struct BufferPoolOptions {
   /// Backoff before each read retry (doubles per attempt).
   std::chrono::microseconds retry_backoff{50};
   /// Rounds × quantum bounds the wait for a pinned frame to free up before
-  /// Fetch/NewPage fail with kResourceExhausted.
+  /// the first page of a PinRun/Fetch, or NewPage, fails with
+  /// kResourceExhausted.
   int pinned_wait_rounds = 64;
   std::chrono::milliseconds pinned_wait_quantum{1};
   /// Optional governor hook (DESIGN.md §10): every pin's page is charged
   /// against this tracker (component "BufferPool.pins") while pinned, so
   /// pinned working memory counts toward the global budget. Null = off.
-  /// Charge rejection surfaces from Fetch/NewPage as kResourceExhausted.
+  /// Charge rejection surfaces from Fetch/NewPage as kResourceExhausted and
+  /// ends a PinRun early after its first page.
   util::MemoryTracker* pin_tracker = nullptr;
   /// WAL-before-data barrier (DESIGN.md §12): invoked before any dirty page
   /// is written back (eviction or FlushAll). The durable Database wires this
@@ -113,6 +127,42 @@ class PageGuard {
   Page* page_ = nullptr;
 };
 
+/// RAII pins on a run of up to kRunPages consecutive pages of one file,
+/// taken and released in one pool mutex hold each. Movable, not copyable;
+/// read-only. Holds its frame numbers inline: pinning allocates nothing.
+class PageRun {
+ public:
+  PageRun() = default;
+  PageRun(PageRun&& o) noexcept { *this = std::move(o); }
+  /// Releases the currently held pins (if any) before adopting `o`'s.
+  PageRun& operator=(PageRun&& o) noexcept;
+  PageRun(const PageRun&) = delete;
+  PageRun& operator=(const PageRun&) = delete;
+  ~PageRun() { Release(); }
+
+  /// The pinned pages are [first(), end()).
+  uint32_t first() const { return first_; }
+  uint32_t end() const { return first_ + size_; }
+  uint32_t size() const { return size_; }
+  bool Contains(uint32_t page_no) const {
+    return page_no >= first_ && page_no < end();
+  }
+
+  /// Page `page_no`, which must lie in [first(), end()).
+  const Page* page(uint32_t page_no) const;
+
+  /// Releases every pin (idempotent).
+  void Release();
+
+ private:
+  friend class BufferPool;
+
+  BufferPool* pool_ = nullptr;
+  uint32_t first_ = 0;
+  uint32_t size_ = 0;
+  std::array<uint32_t, kRunPages> frames_;  // frame of page first_ + i
+};
+
 /// Fixed-capacity LRU buffer pool; thread-safe (see header comment).
 class BufferPool {
  public:
@@ -126,11 +176,26 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Pins (fetching from disk on miss) page `page_no` of `file`. On miss the
-  /// fetched bytes are verified against the stored checksum (kCorruption on
-  /// mismatch, with file and page attached); transient read errors are
-  /// retried up to the options budget; if all frames are pinned, waits
-  /// (bounded) for a release before failing with kResourceExhausted.
+  /// Pins up to min(n, kRunPages) (n >= 1) consecutive pages of `file`
+  /// from `first` in one mutex hold, reading the misses outside the mutex
+  /// with one ReadPages per stretch of consecutive misses. Missed bytes are verified against
+  /// the stored checksum (kCorruption on mismatch, naming file and page);
+  /// transient read errors are retried up to the options budget.
+  ///
+  /// Only the first page waits: for another thread's load of it, and
+  /// (bounded) for a frame when all are pinned, failing with
+  /// kResourceExhausted. Once it holds a pin the run never waits; it ends
+  /// early, returning the pages pinned so far, when another thread is
+  /// loading the next page, no frame is free, or the pin budget is used up
+  /// (the governor's pin tracker rejects a charge, or pinning the page
+  /// would take the pool past three quarters pinned — the last quarter is
+  /// kept for other runs' first pages, SMA cursors and writers). On a read
+  /// or checksum failure the run's loaded frames are dropped (the pages
+  /// stay uncached) and all its pins are released before the error
+  /// returns.
+  util::Result<PageRun> PinRun(FileId file, uint32_t first, uint32_t n);
+
+  /// Pins page `page_no` of `file`: PinRun with n = 1.
   util::Result<PageGuard> Fetch(FileId file, uint32_t page_no);
 
   /// Appends a fresh zeroed page to `file` and pins it (for bulk loading).
@@ -186,6 +251,7 @@ class BufferPool {
 
  private:
   friend class PageGuard;
+  friend class PageRun;
 
   struct Frame {
     Page page;
@@ -194,6 +260,9 @@ class BufferPool {
     uint32_t pin_count = 0;
     bool dirty = false;
     bool used = false;
+    // Pinned by the thread reading its bytes outside the mutex; no one else
+    // pins it until the load is published.
+    bool loading = false;
     std::list<size_t>::iterator lru_pos;  // valid iff pinned == 0 && used
     bool in_lru = false;
   };
@@ -202,28 +271,46 @@ class BufferPool {
     return (static_cast<uint64_t>(f) << 32) | p;
   }
 
-  void Unpin(size_t frame, bool dirty);
+  void Unpin(size_t frame);
+  void UnpinRun(const PageRun& run);
   void MarkDirty(size_t frame);
   // The Locked helpers require mu_ to be held by the caller.
+  void UnpinLocked(size_t frame);
+  // Pins the page after `run`'s last (its first page when empty); a miss
+  // takes a frame marked loading and bumps `*loads`. Returns false when a
+  // later page ends the run instead.
+  util::Result<bool> PinLocked(std::unique_lock<std::mutex>* lock,
+                               FileId file, PageRun* run, uint32_t* loads);
+  // Counts a frame's 0 -> 1 pin, charging it to the pin tracker; the
+  // release undoes both.
+  util::Status ChargePinLocked();
+  void ReleasePinLocked();
+  // Undoes a failed PinRun: its loading frames are dropped (uncached, back
+  // on the free list) and its other pins released.
+  void AbandonLocked(PageRun* run);
   util::Result<size_t> GetFreeFrameLocked();
   util::Status EvictFrameLocked(size_t idx);
-  // Reads (with bounded retry) and verifies a page into frame `idx`; on
-  // failure the frame is returned to the free list.
-  util::Status LoadFrameLocked(size_t idx, FileId file, uint32_t page_no);
   // Drops every cached page of `file`; writes dirty frames back first iff
   // `writeback`.
   util::Status DropFileLocked(FileId file, bool writeback);
   // Runs the pre_writeback barrier (if configured).
   util::Status BarrierLocked();
 
+  // Reads `run`'s loading frames with one ReadPages per stretch of
+  // consecutive ones, bounded retry, and checksum verification. Runs
+  // without the mutex.
+  util::Status LoadFrames(FileId file, const PageRun& run);
+
   DiskBackend* disk_;
   BufferPoolOptions options_;
   mutable std::mutex mu_;  // guards frames_ metadata, free_list_, lru_, table_
   std::condition_variable frame_available_;  // signaled when a pin releases
+  std::condition_variable load_done_;  // signaled when loads publish or drop
   std::vector<Frame> frames_;
   std::vector<size_t> free_list_;
   std::list<size_t> lru_;  // front = most recent
   std::unordered_map<uint64_t, size_t> table_;
+  size_t pinned_frames_ = 0;  // frames with pin_count > 0
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};

@@ -53,18 +53,24 @@ void FaultFlipBit(Page* page, uint64_t bit) {
 // Shared failpoint routing and access accounting (every backend).
 
 Status DiskBackend::ConsultReadFaults(const std::string& file_name,
-                                      uint32_t page_no, bool* flip_delivered) {
-  *flip_delivered = false;
-  auto fk = util::fault::Hit("disk.read", file_name);
-  if (fk && *fk != FaultKind::kBitFlip) {
-    return util::InjectedFaultStatus(
-        *fk, util::Format("disk.read '%s' page %u", file_name.c_str(),
-                          page_no));
+                                      uint32_t first, uint32_t n,
+                                      uint32_t* clean,
+                                      std::vector<uint32_t>* flips) {
+  flips->clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    *clean = i;
+    auto fk = util::fault::Hit("disk.read", file_name);
+    if (fk && *fk != FaultKind::kBitFlip) {
+      return util::InjectedFaultStatus(
+          *fk, util::Format("disk.read '%s' page %u", file_name.c_str(),
+                            first + i));
+    }
+    if (fk == FaultKind::kBitFlip ||
+        util::fault::Hit("disk.page_bitflip", file_name).has_value()) {
+      flips->push_back(i);
+    }
   }
-  if (fk == FaultKind::kBitFlip ||
-      util::fault::Hit("disk.page_bitflip", file_name).has_value()) {
-    *flip_delivered = true;
-  }
+  *clean = n;
   return Status::OK();
 }
 
@@ -203,31 +209,45 @@ Status SimulatedDisk::FreePage(FileId file, uint32_t page_no) {
   return Status::OK();
 }
 
-Status SimulatedDisk::CheckBounds(FileId file, uint32_t page_no) const {
+Status SimulatedDisk::CheckBounds(FileId file, uint32_t page_no,
+                                  uint32_t n) const {
   if (file >= files_.size()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
-  if (page_no >= files_[file].pages.size()) {
-    return Status::OutOfRange(
-        util::Format("page %u out of range for file '%s' (%zu pages)", page_no,
-                     files_[file].name.c_str(), files_[file].pages.size()));
+  const size_t pages = files_[file].pages.size();
+  if (static_cast<uint64_t>(page_no) + n > pages) {
+    // Name the first missing page of the run.
+    return Status::OutOfRange(util::Format(
+        "page %zu out of range for file '%s' (%zu pages)",
+        std::max<size_t>(page_no, pages), files_[file].name.c_str(), pages));
   }
   return Status::OK();
 }
 
-Status SimulatedDisk::ReadPage(FileId file, uint32_t page_no, Page* out) {
+Status SimulatedDisk::ReadPages(FileId file, uint32_t first, uint32_t n,
+                                Page* const* out, uint32_t* crcs,
+                                uint32_t* delivered) {
+  if (delivered != nullptr) *delivered = 0;
   std::lock_guard<std::mutex> lock(mu_);
-  SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
+  SMADB_RETURN_NOT_OK(CheckBounds(file, first, n));
   File& f = files_[file];
-  // Failpoints: errors abort the read before any transfer is accounted;
-  // bit flips corrupt only the delivered copy (the stored page — and its
-  // checksum — stay intact, so the flip is silent until verified).
-  bool flip = false;
-  SMADB_RETURN_NOT_OK(ConsultReadFaults(f.name, page_no, &flip));
-  *out = *f.pages[page_no];
-  if (flip) FaultFlipBit(out, FaultFlipBitOf(file, page_no));
-  AccountRead(&f.last_read, page_no);
-  return Status::OK();
+  // Failpoints: an error stops the read at its page, which is never
+  // transferred or accounted; bit flips corrupt only the delivered copy
+  // (the stored page — and its checksum — stay intact, so the flip is
+  // silent until verified).
+  uint32_t clean = 0;
+  std::vector<uint32_t> flips;
+  const Status fault = ConsultReadFaults(f.name, first, n, &clean, &flips);
+  for (uint32_t i = 0; i < clean; ++i) {
+    *out[i] = *f.pages[first + i];
+    if (crcs != nullptr) crcs[i] = f.checksums[first + i];
+    AccountRead(&f.last_read, first + i);
+  }
+  for (const uint32_t i : flips) {
+    FaultFlipBit(out[i], FaultFlipBitOf(file, first + i));
+  }
+  if (delivered != nullptr) *delivered = clean;
+  return fault;
 }
 
 Status SimulatedDisk::WritePage(FileId file, uint32_t page_no,

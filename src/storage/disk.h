@@ -9,7 +9,7 @@
 // pread/pwrite + fsync backend whose pages survive the process — the base
 // of the durable stack (WAL + checkpoints + recovery, DESIGN.md §12).
 //
-// The backend is also the fault boundary. ReadPage/WritePage of *every*
+// The backend is also the fault boundary. ReadPages/WritePage of *every*
 // implementation consult the failpoints "disk.read" / "disk.write" (plus
 // "disk.page_bitflip", which always flips a bit on delivery regardless of
 // the armed kind) through the shared helpers on the base class, so tests can
@@ -71,6 +71,10 @@ struct DiskModel {
 /// Forward skips up to this many pages (4 MB) count as "near" accesses.
 inline constexpr int64_t kNearSeekWindowPages = 1024;
 
+/// The longest run the buffer pool pins, and reads as one request: 32
+/// pages, 128 KiB.
+inline constexpr uint32_t kRunPages = 32;
+
 /// Cumulative I/O counters.
 struct IoStats {
   uint64_t page_reads = 0;
@@ -129,16 +133,20 @@ void FaultFlipBit(Page* page, uint64_t bit);
 ///  - pages are allocated at the tail (or from the free list after
 ///    FreePage) and addressed by number;
 ///  - every page has an out-of-band CRC-32C stamped on write;
-///  - ReadPage/WritePage consult the "disk.read"/"disk.write"/
-///    "disk.page_bitflip" failpoints via the shared base helpers;
+///  - ReadPages/WritePage consult the "disk.read"/"disk.write"/
+///    "disk.page_bitflip" failpoints page by page via the shared base
+///    helpers;
 ///  - all accesses are recorded in IoStats with sequential/near/random
 ///    classification (the modeled 1997 disk reads the same counters for
 ///    every backend).
 ///
-/// Thread-safe: the buffer pool serializes page traffic under its own
-/// mutex, but DDL (CreateFile), metric callbacks (stats, FileBytes) and
-/// recovery helpers reach the backend directly from other threads, so every
-/// implementation guards its structures with the backend mutex `mu_`.
+/// Thread-safe: the buffer pool reads pages from many threads at once, with
+/// its own mutex released, and DDL (CreateFile), metric callbacks (stats,
+/// FileBytes) and recovery helpers reach the backend directly too, so every
+/// implementation guards its structures with the backend mutex `mu_`. One
+/// ReadPages call holds it for its whole run, which keeps the run's
+/// classification (one positioning access, then sequential pages)
+/// independent of how many threads read the same file.
 class DiskBackend {
  public:
   DiskBackend() = default;
@@ -174,8 +182,23 @@ class DiskBackend {
   /// with kInvalidArgument.
   virtual util::Status FreePage(FileId file, uint32_t page_no) = 0;
 
-  /// Reads page `page_no` of `file` into `*out`, recording the access.
-  virtual util::Status ReadPage(FileId file, uint32_t page_no, Page* out) = 0;
+  /// Reads the `n` consecutive pages first .. first+n-1 of `file` into
+  /// `*out[0]` .. `*out[n-1]` as one request, recording each access. When
+  /// `crcs` is non-null, `crcs[i]` receives the stored checksum of page
+  /// first+i, read in the same mutex hold. The failpoints are consulted page
+  /// by page, as if each page were its own read: a fault on page first+k
+  /// fails the call with an error naming that page, after pages
+  /// first .. first+k-1 were delivered and recorded; `*delivered` (when
+  /// non-null) receives the count of delivered pages, so a caller can
+  /// resume at the failed page.
+  virtual util::Status ReadPages(FileId file, uint32_t first, uint32_t n,
+                                 Page* const* out, uint32_t* crcs,
+                                 uint32_t* delivered) = 0;
+
+  /// Reads page `page_no` of `file` into `*out`: ReadPages with n = 1.
+  util::Status ReadPage(FileId file, uint32_t page_no, Page* out) {
+    return ReadPages(file, page_no, 1, &out, nullptr, nullptr);
+  }
 
   /// Writes `page` to `file` at `page_no`, recording the access.
   virtual util::Status WritePage(FileId file, uint32_t page_no,
@@ -225,12 +248,16 @@ class DiskBackend {
   virtual void ResetAccessPositions() = 0;
 
  protected:
-  /// Consults the "disk.read" failpoints for one page read. Returns the
-  /// injected error (kIOError) for transient/permanent faults; on OK,
-  /// `*flip_delivered` says whether the delivered copy must have a bit
-  /// flipped (kBitFlip or an armed "disk.page_bitflip").
-  util::Status ConsultReadFaults(const std::string& file_name,
-                                 uint32_t page_no, bool* flip_delivered);
+  /// Consults the "disk.read" failpoints for each page of the run
+  /// first .. first+n-1, in order, up to the first transient/permanent
+  /// fault, whose injected error (kIOError, naming its page) is returned.
+  /// `*clean` receives the number of pages before that fault (n when none
+  /// fired): the pages to deliver. `*flips` lists the run offsets, among
+  /// them, whose delivered copy must have a bit flipped (kBitFlip or an
+  /// armed "disk.page_bitflip").
+  util::Status ConsultReadFaults(const std::string& file_name, uint32_t first,
+                                 uint32_t n, uint32_t* clean,
+                                 std::vector<uint32_t>* flips);
 
   /// Same for "disk.write": on OK, `*flip_stored` asks the backend to flip
   /// a bit in the *stored* bytes after stamping the intended checksum (the
@@ -267,7 +294,9 @@ class SimulatedDisk final : public DiskBackend {
   util::Status RemoveFile(FileId file) override;
   util::Result<uint32_t> AllocatePage(FileId file) override;
   util::Status FreePage(FileId file, uint32_t page_no) override;
-  util::Status ReadPage(FileId file, uint32_t page_no, Page* out) override;
+  util::Status ReadPages(FileId file, uint32_t first, uint32_t n,
+                         Page* const* out, uint32_t* crcs,
+                         uint32_t* delivered) override;
   util::Status WritePage(FileId file, uint32_t page_no,
                          const Page& page) override;
   util::Status TruncateFile(FileId file) override;
@@ -316,8 +345,10 @@ class SimulatedDisk final : public DiskBackend {
     int64_t last_write = -2;
   };
 
-  /// Caller must hold `mu_`.
-  util::Status CheckBounds(FileId file, uint32_t page_no) const;
+  /// Checks that pages page_no .. page_no+n-1 exist. Caller must hold
+  /// `mu_`.
+  util::Status CheckBounds(FileId file, uint32_t page_no,
+                           uint32_t n = 1) const;
 
   std::deque<File> files_;
 };

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -56,6 +57,43 @@ Status PReadFull(int fd, void* buf, size_t n, uint64_t off,
           path.c_str(), n, static_cast<unsigned long long>(off)));
     }
     done += static_cast<size_t>(r);
+  }
+  return Status::OK();
+}
+
+// Reads `n` whole pages starting at byte `off` into `pages[0..n)`: one
+// preadv per kRunPages pages, more only after a short read or EINTR.
+Status PReadPages(int fd, Page* const* pages, uint32_t n, uint64_t off,
+                  const std::string& path) {
+  for (uint32_t base = 0; base < n; base += kRunPages) {
+    const uint32_t count = std::min(kRunPages, n - base);
+    iovec iov[kRunPages];
+    for (uint32_t i = 0; i < count; ++i) {
+      iov[i] = {pages[base + i]->data, kPageSize};
+    }
+    uint64_t pos = off + static_cast<uint64_t>(base) * kPageSize;
+    for (uint32_t next = 0; next < count;) {  // first iovec not yet filled
+      const ssize_t r = ::preadv(fd, &iov[next], static_cast<int>(count - next),
+                                 static_cast<off_t>(pos));
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        return ErrnoError("preadv", path);
+      }
+      if (r == 0) {
+        return Status::IOError(util::Format(
+            "short read from '%s': wanted %u pages at offset %llu, file "
+            "ended",
+            path.c_str(), n, static_cast<unsigned long long>(off)));
+      }
+      pos += static_cast<uint64_t>(r);
+      for (size_t left = static_cast<size_t>(r); left > 0;) {
+        const size_t take = std::min(left, iov[next].iov_len);
+        iov[next].iov_base = static_cast<uint8_t*>(iov[next].iov_base) + take;
+        iov[next].iov_len -= take;
+        left -= take;
+        if (iov[next].iov_len == 0) ++next;
+      }
+    }
   }
   return Status::OK();
 }
@@ -242,14 +280,18 @@ Status FileDiskManager::WriteSuperblock() {
   return Status::OK();
 }
 
-Status FileDiskManager::CheckBounds(FileId file, uint32_t page_no) const {
+Status FileDiskManager::CheckBounds(FileId file, uint32_t page_no,
+                                    uint32_t n) const {
   if (file >= files_.size()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
-  if (page_no >= files_[file].num_pages) {
+  const uint32_t pages = files_[file].num_pages;
+  if (static_cast<uint64_t>(page_no) + n > pages) {
+    // Name the first missing page of the run.
     return Status::OutOfRange(
-        util::Format("page %u out of range for file '%s' (%u pages)", page_no,
-                     files_[file].name.c_str(), files_[file].num_pages));
+        util::Format("page %u out of range for file '%s' (%u pages)",
+                     std::max(page_no, pages), files_[file].name.c_str(),
+                     pages));
   }
   return Status::OK();
 }
@@ -384,18 +426,29 @@ Status FileDiskManager::FreePage(FileId file, uint32_t page_no) {
   return Status::OK();
 }
 
-Status FileDiskManager::ReadPage(FileId file, uint32_t page_no, Page* out) {
+Status FileDiskManager::ReadPages(FileId file, uint32_t first, uint32_t n,
+                                  Page* const* out, uint32_t* crcs,
+                                  uint32_t* delivered) {
+  if (delivered != nullptr) *delivered = 0;
   std::lock_guard<std::mutex> lock(mu_);
-  SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
+  SMADB_RETURN_NOT_OK(CheckBounds(file, first, n));
   File& f = files_[file];
-  bool flip = false;
-  SMADB_RETURN_NOT_OK(ConsultReadFaults(f.name, page_no, &flip));
-  SMADB_RETURN_NOT_OK(PReadFull(f.pages_fd, out->data, kPageSize,
-                                static_cast<uint64_t>(page_no) * kPageSize,
-                                f.name));
-  if (flip) FaultFlipBit(out, FaultFlipBitOf(file, page_no));
-  AccountRead(&f.last_read, page_no);
-  return Status::OK();
+  // The pages before the first injected error go out in one preadv.
+  uint32_t clean = 0;
+  std::vector<uint32_t> flips;
+  const Status fault = ConsultReadFaults(f.name, first, n, &clean, &flips);
+  SMADB_RETURN_NOT_OK(PReadPages(f.pages_fd, out, clean,
+                                 static_cast<uint64_t>(first) * kPageSize,
+                                 f.name));
+  for (uint32_t i = 0; i < clean; ++i) {
+    if (crcs != nullptr) crcs[i] = f.checksums[first + i];
+    AccountRead(&f.last_read, first + i);
+  }
+  for (const uint32_t i : flips) {
+    FaultFlipBit(out[i], FaultFlipBitOf(file, first + i));
+  }
+  if (delivered != nullptr) *delivered = clean;
+  return fault;
 }
 
 Status FileDiskManager::WritePage(FileId file, uint32_t page_no,

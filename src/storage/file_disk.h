@@ -24,7 +24,7 @@
 // (created after the last superblock write) are clobbered with O_TRUNC when
 // their id is reused.
 //
-// Fault injection: ReadPage/WritePage route through the same
+// Fault injection: ReadPages/WritePage route through the same
 // "disk.read"/"disk.write"/"disk.page_bitflip" failpoints as SimulatedDisk
 // (shared base-class helpers), so the whole fault matrix runs identically
 // against real files.
@@ -61,7 +61,10 @@ class FileDiskManager final : public DiskBackend {
   util::Status RemoveFile(FileId file) override;
   util::Result<uint32_t> AllocatePage(FileId file) override;
   util::Status FreePage(FileId file, uint32_t page_no) override;
-  util::Status ReadPage(FileId file, uint32_t page_no, Page* out) override;
+  /// One preadv per run (more only on a short read).
+  util::Status ReadPages(FileId file, uint32_t first, uint32_t n,
+                         Page* const* out, uint32_t* crcs,
+                         uint32_t* delivered) override;
   util::Status WritePage(FileId file, uint32_t page_no,
                          const Page& page) override;
   util::Status TruncateFile(FileId file) override;
@@ -110,8 +113,10 @@ class FileDiskManager final : public DiskBackend {
 
   explicit FileDiskManager(std::string directory);
 
-  /// Caller must hold `mu_` (as for every private helper below).
-  util::Status CheckBounds(FileId file, uint32_t page_no) const;
+  /// Checks that pages page_no .. page_no+n-1 exist. Caller must hold
+  /// `mu_` (as for every private helper below).
+  util::Status CheckBounds(FileId file, uint32_t page_no,
+                           uint32_t n = 1) const;
 
   /// Opens (creating if needed) the two segment fds of `f` for file id `id`.
   /// `truncate` clobbers any orphan left by a crash.

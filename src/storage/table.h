@@ -169,6 +169,11 @@ class Table {
     return pool_->Fetch(file_, page_no);
   }
 
+  /// Pins up to `n` consecutive data pages from `first` (BufferPool::PinRun).
+  util::Result<PageRun> PinPages(uint32_t first, uint32_t n) const {
+    return pool_->PinRun(file_, first, n);
+  }
+
   /// Slots used on a page (including tombstoned ones).
   static uint16_t PageTupleCount(const Page& page) {
     return page.ReadAt<uint16_t>(0);
@@ -235,12 +240,15 @@ class Table {
   template <typename Fn>
   util::Status ForEachTupleInBucket(uint32_t bucket, Fn&& fn) const {
     const auto [first, end] = BucketPageRange(bucket);
-    for (uint32_t p = first; p < end; ++p) {
-      SMADB_ASSIGN_OR_RETURN(PageGuard guard, FetchPage(p));
-      const uint16_t n = PageTupleCount(*guard.page());
-      for (uint16_t s = 0; s < n; ++s) {
-        if (PageSlotDeleted(*guard.page(), s)) continue;
-        fn(PageTuple(*guard.page(), s), Rid{p, s});
+    for (uint32_t p = first; p < end;) {
+      SMADB_ASSIGN_OR_RETURN(PageRun run, PinPages(p, end - p));
+      for (; p < run.end(); ++p) {
+        const Page& page = *run.page(p);
+        const uint16_t n = PageTupleCount(page);
+        for (uint16_t s = 0; s < n; ++s) {
+          if (PageSlotDeleted(page, s)) continue;
+          fn(PageTuple(page, s), Rid{p, s});
+        }
       }
     }
     return util::Status::OK();

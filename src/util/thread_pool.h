@@ -1,11 +1,12 @@
 // Fixed-size worker pool driving morsel-granular parallelism.
 //
-// The execution layer hands out *buckets* as work units (the paper's §3.1
-// partitioning makes them independently gradable and aggregatable), so the
-// scheduling primitive is ParallelFor over a bucket range: workers claim
-// the next unprocessed index through one atomic counter — the classic
-// morsel-driven work-stealing loop — which self-balances skew from
-// disqualified (zero-cost) vs ambivalent (full-fetch) buckets.
+// The execution layer hands out *morsels* — runs of consecutive buckets,
+// which the paper's §3.1 partitioning makes independently gradable and
+// aggregatable — as work units, so the scheduling primitive is ParallelFor
+// over an index range: workers claim the next unprocessed index through one
+// atomic counter — the classic morsel-driven work-stealing loop — which
+// self-balances skew from disqualified (zero-cost) vs ambivalent
+// (full-fetch) buckets.
 
 #ifndef SMADB_UTIL_THREAD_POOL_H_
 #define SMADB_UTIL_THREAD_POOL_H_

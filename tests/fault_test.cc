@@ -95,19 +95,31 @@ TEST_F(FaultInjectorTest, ProbabilityScheduleIsSeedDeterministic) {
 // identical matrix must hold against the simulated disk and real files.
 
 struct PoolFaultTest : ::testing::TestWithParam<BackendKind> {
+  // The run cases read all kPages pages and fault on page kFaultPage.
+  static constexpr uint32_t kPages = 8;
+  static constexpr uint32_t kFaultPage = 5;
+
   PoolFaultTest() : db(64, GetParam()) {}
   ~PoolFaultTest() override { util::fault::DisarmAll(); }
 
-  // One file with one non-zero flushed page, nothing cached.
+  // One file of kPages flushed pages, page p holding 0xabcdef01 + p;
+  // nothing cached.
   void SetUp() override {
     file = Unwrap(db.disk.CreateFile("tbl.pf"));
-    uint32_t page_no = 0;
-    PageGuard guard = Unwrap(db.pool.NewPage(file, &page_no));
-    guard.MutablePage()->WriteAt<uint64_t>(0, 0xabcdef01u);
-    guard.Release();
+    for (uint32_t p = 0; p < kPages; ++p) {
+      uint32_t page_no = 0;
+      PageGuard guard = Unwrap(db.pool.NewPage(file, &page_no));
+      guard.MutablePage()->WriteAt<uint64_t>(0, 0xabcdef01u + page_no);
+    }
     ExpectOk(db.pool.FlushAll());
     ExpectOk(db.pool.DropAll());
     db.pool.ResetStats();
+  }
+
+  // A failed run leaves no frame pinned and no page cached.
+  void ExpectRunLeftNothingBehind() {
+    EXPECT_EQ(db.pool.num_cached(), 0u);
+    ExpectOk(db.pool.DropAll());  // fails while any frame is pinned
   }
 
   TestDb db;
@@ -127,6 +139,23 @@ TEST_P(PoolFaultTest, TransientReadErrorsAreAbsorbedByRetry) {
   PageGuard guard = Unwrap(db.pool.Fetch(file, 0));
   EXPECT_EQ(guard.page()->ReadAt<uint64_t>(0), 0xabcdef01u);
   EXPECT_EQ(db.pool.stats().read_retries, 2u);
+  guard.Release();
+
+  // The same fault on page k of a run: the retries resume at page k and
+  // the whole run is pinned.
+  ExpectOk(db.pool.DropAll());
+  db.pool.ResetStats();
+  db.disk.ResetStats();
+  util::fault::Arm("disk.read", {.count = 2,
+                                 .kind = FaultKind::kTransient,
+                                 .skip = kFaultPage});
+  storage::PageRun run = Unwrap(db.pool.PinRun(file, 0, kPages));
+  ASSERT_EQ(run.size(), kPages);
+  for (uint32_t p = 0; p < kPages; ++p) {
+    EXPECT_EQ(run.page(p)->ReadAt<uint64_t>(0), 0xabcdef01u + p);
+  }
+  EXPECT_EQ(db.pool.stats().read_retries, 2u);
+  EXPECT_EQ(db.disk.stats().page_reads, kPages);
 }
 
 TEST_P(PoolFaultTest, PermanentReadErrorSurfacesTypedWithContext) {
@@ -139,6 +168,19 @@ TEST_P(PoolFaultTest, PermanentReadErrorSurfacesTypedWithContext) {
   // The bounded retry budget was spent before giving up.
   EXPECT_EQ(db.pool.stats().read_retries,
             static_cast<uint64_t>(db.pool.options().max_read_retries));
+  ExpectRunLeftNothingBehind();
+
+  // On page k of a run: the error names page k, and the pages before it,
+  // read into frames, are dropped with it.
+  util::fault::Arm("disk.read",
+                   {.kind = FaultKind::kPermanent, .skip = kFaultPage});
+  auto run = db.pool.PinRun(file, 0, kPages);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kIOError);
+  EXPECT_NE(run.status().message().find("tbl.pf"), std::string::npos);
+  EXPECT_NE(run.status().message().find("page 5"), std::string::npos)
+      << run.status().ToString();
+  ExpectRunLeftNothingBehind();
 }
 
 TEST_P(PoolFaultTest, ReadBitFlipIsCaughtByChecksumAndIsTransient) {
@@ -149,9 +191,22 @@ TEST_P(PoolFaultTest, ReadBitFlipIsCaughtByChecksumAndIsTransient) {
   EXPECT_NE(r.status().message().find("checksum mismatch"), std::string::npos);
   EXPECT_NE(r.status().message().find("tbl.pf"), std::string::npos);
   EXPECT_EQ(db.pool.stats().checksum_failures, 1u);
+  ExpectRunLeftNothingBehind();
   // The stored page was never harmed: the next read succeeds.
   PageGuard guard = Unwrap(db.pool.Fetch(file, 0));
   EXPECT_EQ(guard.page()->ReadAt<uint64_t>(0), 0xabcdef01u);
+  guard.Release();
+
+  // A flip delivered on page k of a run fails the run naming page k.
+  ExpectOk(db.pool.DropAll());
+  util::fault::Arm("disk.page_bitflip", {.count = 1, .skip = kFaultPage});
+  auto run = db.pool.PinRun(file, 0, kPages);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(run.status().message().find("page 5"), std::string::npos)
+      << run.status().ToString();
+  EXPECT_EQ(db.pool.stats().checksum_failures, 2u);
+  ExpectRunLeftNothingBehind();
 }
 
 TEST_P(PoolFaultTest, WriteBitFlipIsCaughtOnNextVerifiedRead) {

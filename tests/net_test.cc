@@ -383,8 +383,11 @@ TEST_F(NetTest, StatementTranscriptIsPinned) {
        "smadb_buckets_disqualifying_total =\n"
        "smadb_buckets_qualifying_total =\n"
        "smadb_checkpoints_total =\n"
+       "smadb_disk_near_reads =\n"
        "smadb_disk_page_reads =\n"
        "smadb_disk_page_writes =\n"
+       "smadb_disk_random_reads =\n"
+       "smadb_disk_sequential_reads =\n"
        "smadb_disk_syncs =\n"
        "smadb_latch_contended =\n"
        "smadb_latch_exclusive_acquires =\n"

@@ -970,6 +970,18 @@ TEST(MetricsTest, RenderPrometheusPassesFormatLint) {
   EXPECT_NE(prom.find("# HELP smadb_queries_total"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE smadb_query_latency_us summary"),
             std::string::npos);
+  // The disk's seek mix partitions its page reads.
+  const auto sample = [&](const std::string& name) -> int64_t {
+    const size_t at = prom.find("\n" + name + " ");
+    EXPECT_NE(at, std::string::npos) << name;
+    return at == std::string::npos
+               ? -1
+               : std::stoll(prom.substr(at + name.size() + 2));
+  };
+  EXPECT_EQ(sample("smadb_disk_sequential_reads") +
+                sample("smadb_disk_near_reads") +
+                sample("smadb_disk_random_reads"),
+            sample("smadb_disk_page_reads"));
 }
 
 TEST(MetricsTest, LabeledGaugeEscapesHostileLabelValues) {

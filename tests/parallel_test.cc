@@ -3,11 +3,14 @@
 //   * ThreadPool        — ParallelFor coverage, inline dop=1, error
 //                         propagation, shared-pool identity.
 //   * BufferPool        — many threads fetching/evicting through one pool
-//                         smaller than the working set.
+//                         smaller than the working set, page by page and
+//                         a run at a time.
 //   * DOP equivalence   — the property the refactor rests on: for random
 //                         predicates over a generated LINEITEM sample,
 //                         every plan produces identical rows and an
-//                         identical bucket census at DOP 1, 2, and 8.
+//                         identical bucket census at DOP 1, 2, and 8; and
+//                         at morsel edges, the brute-force reference's
+//                         rows and census at DOP 1, 2, 4 and 8.
 //   * Planner/Database  — per-plan DOP choice, `set dop = n`.
 
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include <vector>
 
 #include "db/database.h"
+#include "exec/batch.h"
+#include "exec/bucket_source.h"
 #include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
 #include "planner/planner.h"
@@ -104,37 +109,71 @@ TEST(ThreadPoolTest, SharedPoolIsASingleton) {
 // ------------------------------------------------ concurrent BufferPool --
 
 TEST(BufferPoolConcurrencyTest, ParallelScansThroughTinyPoolSeeEveryTuple) {
-  // A pool far smaller than the table: constant concurrent eviction.
+  // A pool far smaller than the table: constant concurrent eviction. Eight
+  // workers read it page by page (one bucket per claim), then a run at a
+  // time (one morsel of kRunPages pages per claim, through BucketReaders):
+  // runs shrink to what the pool can pin, and no worker ever runs out of
+  // frames.
   TestDb db(32);
-  constexpr int64_t kRows = 20000;
+  constexpr int64_t kRows = 40000;
   storage::Table* t = testing::MakeSyntheticTable(&db, kRows,
                                                   testing::Layout::kRandom,
                                                   /*seed=*/3);
-  ASSERT_GT(t->num_pages(), 32u) << "table must not fit in the pool";
-  db.pool.ResetStats();
-
+  ASSERT_GE(exec::MorselCount(t->num_buckets(), t->bucket_pages()), 8u)
+      << "every worker needs a morsel";
   ThreadPool pool(8);
-  std::atomic<int64_t> tuples{0};
-  std::atomic<int64_t> key_sum{0};
-  ExpectOk(pool.ParallelFor(0, t->num_buckets(), 8, [&](size_t, uint64_t b) {
-    int64_t local_tuples = 0;
-    int64_t local_sum = 0;
-    SMADB_RETURN_NOT_OK(t->ForEachTupleInBucket(
-        static_cast<uint32_t>(b), [&](const TupleRef& tup, storage::Rid) {
-          ++local_tuples;
-          local_sum += tup.GetValue(0).AsInt64();
-        }));
-    tuples.fetch_add(local_tuples, std::memory_order_relaxed);
-    key_sum.fetch_add(local_sum, std::memory_order_relaxed);
-    return Status::OK();
-  }));
+  std::vector<std::unique_ptr<exec::BucketReader>> readers;
+  for (int w = 0; w < 8; ++w) {
+    readers.push_back(std::make_unique<exec::BucketReader>(t));
+  }
+  std::vector<exec::Batch> batches(8);
+  for (exec::Batch& batch : batches) batch.Configure(&t->schema(), 1024);
 
-  EXPECT_EQ(tuples.load(), kRows);
-  EXPECT_EQ(key_sum.load(), kRows * (kRows - 1) / 2);  // keys are 0..n-1
-  const storage::PoolStats stats = db.pool.stats();
-  EXPECT_GT(stats.evictions, 0u) << "pool never evicted: not under pressure";
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(t->num_pages()));
+  for (const bool runs : {false, true}) {
+    SCOPED_TRACE(runs ? "run reads" : "page reads");
+    ExpectOk(db.pool.DropAll());
+    db.pool.ResetStats();
+    std::atomic<int64_t> tuples{0};
+    std::atomic<int64_t> key_sum{0};
+    const uint64_t claims =
+        runs ? exec::MorselCount(t->num_buckets(), t->bucket_pages())
+             : t->num_buckets();
+    ExpectOk(pool.ParallelFor(0, claims, 8, [&](size_t w, uint64_t i) {
+      int64_t local_tuples = 0;
+      int64_t local_sum = 0;
+      if (!runs) {
+        SMADB_RETURN_NOT_OK(t->ForEachTupleInBucket(
+            static_cast<uint32_t>(i), [&](const TupleRef& tup, storage::Rid) {
+              ++local_tuples;
+              local_sum += tup.GetValue(0).AsInt64();
+            }));
+      } else {
+        const uint64_t per = exec::BucketsPerMorsel(t->bucket_pages());
+        SMADB_RETURN_NOT_OK(readers[w]->OpenBuckets(
+            i * per, std::min<uint64_t>((i + 1) * per, t->num_buckets())));
+        while (true) {
+          batches[w].cols.Clear();
+          SMADB_ASSIGN_OR_RETURN(bool has,
+                                 readers[w]->NextBatch(&batches[w].cols));
+          if (!has) break;
+          for (size_t r = 0; r < batches[w].cols.num_rows(); ++r) {
+            local_sum += batches[w].cols.Ints(0)[r];
+          }
+          local_tuples += static_cast<int64_t>(batches[w].cols.num_rows());
+        }
+      }
+      tuples.fetch_add(local_tuples, std::memory_order_relaxed);
+      key_sum.fetch_add(local_sum, std::memory_order_relaxed);
+      return Status::OK();
+    }));
+
+    EXPECT_EQ(tuples.load(), kRows);
+    EXPECT_EQ(key_sum.load(), kRows * (kRows - 1) / 2);  // keys are 0..n-1
+    const storage::PoolStats stats = db.pool.stats();
+    EXPECT_GT(stats.evictions, 0u) << "pool never evicted: not under pressure";
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<uint64_t>(t->num_pages()));
+  }
 }
 
 TEST(BufferPoolConcurrencyTest, RepeatedParallelReadsStayConsistent) {
@@ -162,10 +201,65 @@ TEST(BufferPoolConcurrencyTest, RepeatedParallelReadsStayConsistent) {
 
 // ---------------------------------------------------- DOP equivalence ----
 
-bool SameCensus(const SmaScanStats& a, const SmaScanStats& b) {
-  return a.qualifying_buckets == b.qualifying_buckets &&
-         a.disqualifying_buckets == b.disqualifying_buckets &&
-         a.ambivalent_buckets == b.ambivalent_buckets;
+using testing::SameCensus;
+
+// Morsels are runs of buckets; tables whose bucket count is no multiple of
+// the morsel size end on a short morsel. Scan, SMA_Scan and SMA_GAggr must
+// return the brute-force reference's rows and census at every dop.
+TEST(DopEquivalenceTest, MorselEdgesMatchReferenceRowsAndCensus) {
+  TestDb db(16384);
+  for (const uint32_t bucket_pages : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "bucket_pages " << bucket_pages);
+    storage::Table* t = testing::MakeSyntheticTable(
+        &db, 12000, testing::Layout::kNoisy, /*seed=*/29, bucket_pages,
+        "edges" + std::to_string(bucket_pages));
+    const uint64_t per = exec::BucketsPerMorsel(bucket_pages);
+    ASSERT_GT(t->num_buckets(), 2 * per);
+    ASSERT_NE(t->num_buckets() % per, 0u);
+    sma::SmaSet smas(t);
+    testing::AddMinMaxSmas(t, &smas, "d");
+    const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
+    ExpectOk(
+        smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Sum("s", v, {3})))));
+    ExpectOk(
+        smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Count("c", {3})))));
+    const std::vector<exec::AggSpec> aggs = {exec::AggSpec::Sum(v, "sum_v"),
+                                             exec::AggSpec::Count("cnt")};
+    // d spans about 0..1500 days: all, none, and windows ending in the
+    // first, a middle and the last morsel.
+    std::vector<PredicatePtr> preds = {Predicate::True()};
+    for (const int32_t day : {-5, 40, 700, 1450, 2000}) {
+      preds.push_back(Unwrap(Predicate::AtomConst(
+          &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(day)))));
+    }
+    preds.push_back(Unwrap(Predicate::AtomConst(
+        &t->schema(), "d", CmpOp::kGt, Value::MakeDate(util::Date(1000)))));
+    for (size_t p = 0; p < preds.size(); ++p) {
+      SCOPED_TRACE(::testing::Message() << "pred " << p);
+      const std::vector<std::string> want =
+          testing::ReferenceAggregate(t, *preds[p], {3}, aggs);
+      const SmaScanStats census = testing::ReferenceCensus(t, *preds[p]);
+      SmaScanStats all_ambivalent;
+      all_ambivalent.ambivalent_buckets = t->num_buckets();
+      for (const size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+        SCOPED_TRACE(::testing::Message() << "dop " << dop);
+        auto scan = Unwrap(
+            ParallelScanAggr::Make(t, preds[p], {3}, aggs, nullptr, dop));
+        EXPECT_EQ(Sorted(DrainRows(scan.get())), want);
+        EXPECT_TRUE(SameCensus(scan->stats(), all_ambivalent));
+        auto sma_scan = Unwrap(
+            ParallelScanAggr::Make(t, preds[p], {3}, aggs, &smas, dop));
+        EXPECT_EQ(Sorted(DrainRows(sma_scan.get())), want);
+        EXPECT_TRUE(SameCensus(sma_scan->stats(), census));
+        exec::SmaGAggrOptions options;
+        options.degree_of_parallelism = dop;
+        auto gaggr = Unwrap(
+            SmaGAggr::Make(t, preds[p], {3}, aggs, &smas, options));
+        EXPECT_EQ(Sorted(DrainRows(gaggr.get())), want);
+        EXPECT_TRUE(SameCensus(gaggr->stats(), census));
+      }
+    }
+  }
 }
 
 /// LINEITEM sample (~6k rows, diagonal clustering) with the Fig. 4 SMAs.

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "exec/batch.h"
+#include "exec/bucket_source.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/disk.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace smadb::storage {
@@ -79,6 +85,27 @@ TEST(DiskTest, SequentialVsRandomClassification) {
   EXPECT_EQ(disk.stats().sequential_reads, 2u);
   EXPECT_EQ(disk.stats().near_reads, 2u);
   EXPECT_EQ(disk.stats().random_reads, 1u);
+  // A run read is one request: back from page 5 to page 2 is random, the
+  // other seven pages stream. It returns the stored checksums too.
+  disk.ResetStats();
+  Page run[8];
+  Page* out[8];
+  for (int i = 0; i < 8; ++i) out[i] = &run[i];
+  uint32_t crcs[8];
+  uint32_t delivered = 0;
+  ASSERT_TRUE(disk.ReadPages(f, 2, 8, out, crcs, &delivered).ok());
+  EXPECT_EQ(delivered, 8u);
+  EXPECT_EQ(disk.stats().page_reads, 8u);
+  EXPECT_EQ(disk.stats().sequential_reads, 7u);
+  EXPECT_EQ(disk.stats().random_reads, 1u);
+  for (uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(crcs[i], *disk.PageChecksum(f, 2 + i)) << "page " << 2 + i;
+  }
+  // A run past the end is rejected whole, naming the first missing page.
+  const util::Status past = disk.ReadPages(f, 6, 8, out, nullptr, nullptr);
+  EXPECT_EQ(past.code(), util::StatusCode::kOutOfRange);
+  EXPECT_NE(past.message().find("page 10"), std::string::npos)
+      << past.ToString();
 }
 
 TEST(DiskTest, NearWindowBoundary) {
@@ -157,6 +184,86 @@ TEST(BufferPoolTest, FetchCachesPages) {
   }
   EXPECT_EQ(pool.stats().misses, 1u);
   EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(disk.stats().page_reads, 1u);
+}
+
+// A cold run costs one positioning read plus sequential ones, also while
+// another thread reads another run of the same file: each run holds the
+// backend mutex for its whole request, so the two cannot interleave.
+TEST(BufferPoolTest, ColdRunIsOneSeekPlusSequentialReads) {
+  SimulatedDisk disk;
+  FileId f = *disk.CreateFile("a");
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(disk.AllocatePage(f).ok());
+  BufferPool pool(&disk, 128);
+  {
+    auto run = pool.PinRun(f, 0, 32);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->first(), 0u);
+    EXPECT_EQ(run->size(), 32u);
+    EXPECT_EQ(disk.stats().page_reads, 32u);
+    EXPECT_EQ(disk.stats().sequential_reads, 31u);
+    EXPECT_EQ(pool.stats().misses, 32u);
+  }
+  for (int round = 0; round < 50; ++round) {
+    ASSERT_TRUE(pool.DropAll().ok());
+    disk.ResetStats();
+    disk.ResetAccessPositions();
+    std::atomic<int> ready{0};
+    const auto reader = [&](uint32_t first) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      auto run = pool.PinRun(f, first, 32);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->size(), 32u);
+    };
+    std::thread a(reader, 0);
+    std::thread b(reader, 32);
+    a.join();
+    b.join();
+    // One positioning read per run (the second run's first page is
+    // sequential too when it happens to follow the first run).
+    const IoStats io = disk.stats();
+    EXPECT_EQ(io.page_reads, 64u);
+    EXPECT_LE(io.near_reads + io.random_reads, 2u) << "round " << round;
+    EXPECT_GE(io.sequential_reads, 62u) << "round " << round;
+  }
+}
+
+// A Fetch that meets a frame another thread is loading waits for that load
+// and returns the loader's frame: the page is read once.
+TEST(BufferPoolTest, FetchOfALoadingPageWaitsForTheLoader) {
+  SimulatedDisk disk;
+  FileId f = *disk.CreateFile("a");
+  ASSERT_TRUE(disk.AllocatePage(f).ok());
+  Page w;
+  w.Zero();
+  w.WriteAt<uint64_t>(0, 0x10ad);
+  ASSERT_TRUE(disk.WritePage(f, 0, w).ok());
+  // One transient fault keeps the loader in its retry backoff, outside the
+  // pool mutex, with the frame marked loading.
+  BufferPool pool(&disk,
+                  BufferPoolOptions{.capacity_pages = 4,
+                                    .retry_backoff =
+                                        std::chrono::milliseconds(200)});
+  util::fault::Arm("disk.read",
+                   {.count = 1, .kind = util::FaultKind::kTransient});
+  const Page* loaded = nullptr;
+  std::thread loader([&] {
+    auto g = pool.Fetch(f, 0);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    loaded = g->page();
+  });
+  while (pool.num_cached() == 0) std::this_thread::yield();
+  auto waiter = pool.Fetch(f, 0);
+  loader.join();
+  util::fault::DisarmAll();
+  ASSERT_TRUE(waiter.ok()) << waiter.status().ToString();
+  EXPECT_EQ(waiter->page(), loaded);
+  EXPECT_EQ(waiter->page()->ReadAt<uint64_t>(0), 0x10adu);
+  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.stats().read_retries, 1u);
   EXPECT_EQ(disk.stats().page_reads, 1u);
 }
 
@@ -602,6 +709,56 @@ TEST_F(TableFixture, VacuumFreesTailSlotsForAppend) {
   ASSERT_TRUE(t->Append(buf, &rid).ok());
   EXPECT_EQ(rid, (Rid{0, 4}));  // the freed tail slot is reused
   EXPECT_EQ(t->num_pages(), 1u);
+}
+
+// A pool smaller than a run still serves a BucketReader range: a run's
+// later pages never take the pool past three quarters pinned, so through
+// two frames every run is one page.
+TEST(BucketReaderTest, TwoFramePoolServesARunOnePageAtATime) {
+  SimulatedDisk disk;
+  BufferPool pool(&disk, 2);
+  Catalog catalog(&pool);
+  Table* t = *catalog.CreateTable("t", TestSchema(), TableOptions{32});
+  const int64_t rows = static_cast<int64_t>(t->tuples_per_page()) * 32;
+  TupleBuffer buf(&t->schema());
+  for (int64_t i = 0; i < rows; ++i) {
+    buf.SetInt64(0, i);
+    buf.SetDate(1, util::Date(static_cast<int32_t>(i / 10)));
+    buf.SetDecimal(2, util::Decimal(i));
+    buf.SetString(3, "x");
+    ASSERT_TRUE(t->Append(buf).ok());
+  }
+  ASSERT_EQ(t->num_pages(), 32u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool.DropAll().ok());
+  {
+    auto run = t->PinPages(0, 32);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->size(), 1u);
+  }
+  ASSERT_TRUE(pool.DropAll().ok());
+  pool.ResetStats();
+
+  exec::BucketReader reader(t);
+  ASSERT_TRUE(reader.OpenBuckets(0, 1).ok());
+  exec::Batch batch;
+  batch.Configure(&t->schema(), 1000);
+  int64_t seen = 0;
+  int64_t key_sum = 0;
+  while (true) {
+    batch.cols.Clear();
+    auto has = reader.NextBatch(&batch.cols);
+    ASSERT_TRUE(has.ok()) << has.status().ToString();
+    if (!*has) break;
+    for (size_t r = 0; r < batch.cols.num_rows(); ++r) {
+      key_sum += batch.cols.Ints(0)[r];
+    }
+    seen += static_cast<int64_t>(batch.cols.num_rows());
+  }
+  EXPECT_EQ(seen, rows);
+  EXPECT_EQ(key_sum, rows * (rows - 1) / 2);
+  EXPECT_EQ(reader.pages_opened(), 32u);
+  EXPECT_EQ(pool.stats().misses, 32u);
 }
 
 TEST_F(TableFixture, CapacityAccountsForBitmap) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exec/aggregate.h"
+#include "exec/bucket_source.h"
 #include "expr/predicate.h"
 #include "planner/planner.h"
 #include "sma/builder.h"
@@ -355,6 +356,39 @@ inline std::vector<std::string> ReferenceAggregate(
     rows.push_back(RowString(values));
   }
   return Sorted(std::move(rows));
+}
+
+/// The bucket census that grading `pred` — True or one range atom (<, <=,
+/// >, >=) on a column with min/max SMAs — must produce: a bucket qualifies
+/// iff every tuple satisfies `pred` and disqualifies iff none does, except
+/// that an unfinished tail bucket (its last page not full, or fewer pages
+/// than a bucket holds) is ambivalent, since appends may still land in it.
+inline exec::SmaScanStats ReferenceCensus(storage::Table* table,
+                                          const expr::Predicate& pred) {
+  exec::SmaScanStats census;
+  const bool tail_open =
+      table->num_tuples() % table->tuples_per_page() != 0 ||
+      table->num_pages() % table->bucket_pages() != 0;
+  for (uint32_t b = 0; b < table->num_buckets(); ++b) {
+    const auto [all, any] = BucketTruth(table, b, pred);
+    if (tail_open && b + 1 == table->num_buckets()) {
+      census.Tally(sma::Grade::kAmbivalent);
+    } else if (all) {
+      census.Tally(sma::Grade::kQualifies);
+    } else if (!any) {
+      census.Tally(sma::Grade::kDisqualifies);
+    } else {
+      census.Tally(sma::Grade::kAmbivalent);
+    }
+  }
+  return census;
+}
+
+inline bool SameCensus(const exec::SmaScanStats& a,
+                       const exec::SmaScanStats& b) {
+  return a.qualifying_buckets == b.qualifying_buckets &&
+         a.disqualifying_buckets == b.disqualifying_buckets &&
+         a.ambivalent_buckets == b.ambivalent_buckets;
 }
 
 /// Builds and registers min/max SMAs on column `col_name` of `table`.

@@ -9,9 +9,10 @@
 //     tests/test_util.h, across predicates × layouts × consumer batch
 //     capacities × bucket sizes.
 //   * Aggregation ≡ the row path — GAggr∘TableScan, GAggr∘SmaScan,
-//     SmaGAggr and ParallelScanAggr produce the reference's groups across
-//     predicates × layouts × DOPs, served through the shared RowEmitter at
-//     several consumer batch capacities.
+//     SmaGAggr and ParallelScanAggr produce the reference's groups (and,
+//     for range predicates, its bucket census) across predicates × layouts
+//     × bucket sizes × DOPs, on tables that end on a short morsel, served
+//     through the shared RowEmitter at several consumer batch capacities.
 //   * Fault injection — runs return the fault-free rows exactly or a typed
 //     error, and mid-run demotion reruns from base data.
 
@@ -44,8 +45,10 @@ using testing::ExpectOk;
 using testing::Layout;
 using testing::MakeSyntheticTable;
 using testing::ReferenceAggregate;
+using testing::ReferenceCensus;
 using testing::ReferenceSelect;
 using testing::RowsOf;
+using testing::SameCensus;
 using testing::Sorted;
 using testing::TestDb;
 using testing::Unwrap;
@@ -254,7 +257,8 @@ TEST_P(BatchScanEquivalenceP, EveryOperatorReturnsTheRowPathTuples) {
   TestDb db(16384);
   for (const Layout layout : kLayouts) {
     SCOPED_TRACE(LayoutName(layout));
-    storage::Table* t = MakeSyntheticTable(&db, 2000, layout, /*seed=*/21,
+    // 38 pages: the scans cross a read-run edge (kRunPages).
+    storage::Table* t = MakeSyntheticTable(&db, 6000, layout, /*seed=*/21,
                                            bucket_pages, LayoutName(layout));
     sma::SmaSet smas(t);
     AddMinMaxSmas(t, &smas, "d");
@@ -342,15 +346,22 @@ class BatchAggrEquivalenceP : public ::testing::TestWithParam<AggrParam> {};
 
 // Every aggregate plan shape against the brute-force reference. The
 // pipeline breakers serve their groups through the shared RowEmitter, here
-// pulled at the parameter's batch capacity (1 = one group per batch).
+// pulled at the parameter's batch capacity (1 = one group per batch). The
+// tables span three morsels, the last one short, at one and three pages
+// per bucket; the SMA plans also match the reference census wherever it is
+// exact (True and the one-atom ranges on d).
 TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
   const auto [capacity, dop] = GetParam();
   TestDb db(16384);
-  for (const Layout layout : kLayouts) {
-    SCOPED_TRACE(LayoutName(layout));
-    storage::Table* t = MakeSyntheticTable(&db, 3000, layout, 17,
-                                           /*bucket_pages=*/1,
-                                           LayoutName(layout));
+  for (const auto& [layout, bucket_pages] :
+       {std::pair{Layout::kClustered, 1u}, std::pair{Layout::kNoisy, 3u},
+        std::pair{Layout::kRandom, 1u}, std::pair{Layout::kRandom, 3u}}) {
+    SCOPED_TRACE(::testing::Message() << LayoutName(layout)
+                                      << " bucket_pages " << bucket_pages);
+    storage::Table* t = MakeSyntheticTable(
+        &db, 12000, layout, 17, bucket_pages,
+        LayoutName(layout) + std::to_string(bucket_pages));
+    ASSERT_EQ(exec::MorselCount(t->num_buckets(), bucket_pages), 3u);
     sma::SmaSet smas(t);
     AddMinMaxSmas(t, &smas, "d");
     const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
@@ -372,6 +383,9 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
       const PredicatePtr& pred = preds[p];
       const std::vector<std::string> want =
           ReferenceAggregate(t, *pred, {3}, aggs);
+      // PredicateSweep puts True and the ranges on d first.
+      const bool exact_census = p < 4;
+      const exec::SmaScanStats census = ReferenceCensus(t, *pred);
       auto over_scan = Unwrap(exec::GAggr::Make(
           std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
       EXPECT_EQ(Sorted(DrainBatches(over_scan.get(), capacity)), want);
@@ -384,6 +398,9 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
         auto parallel = Unwrap(
             exec::ParallelScanAggr::Make(t, pred, {3}, aggs, set, dop));
         EXPECT_EQ(Sorted(DrainBatches(parallel.get(), capacity)), want);
+        if (set != nullptr && exact_census) {
+          EXPECT_TRUE(SameCensus(parallel->stats(), census));
+        }
       }
       // SmaGAggr: qualifying buckets answer from SMA entries, only the
       // ambivalent remainder is decoded and folded.
@@ -393,6 +410,9 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
           exec::SmaGAggr::Make(t, pred, {3}, sma_aggs, &smas, options));
       EXPECT_EQ(Sorted(DrainBatches(sma_gaggr.get(), capacity)),
                 ReferenceAggregate(t, *pred, {3}, sma_aggs));
+      if (exact_census) {
+        EXPECT_TRUE(SameCensus(sma_gaggr->stats(), census));
+      }
     }
   }
 }
@@ -400,7 +420,8 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchAggrEquivalenceP,
     ::testing::Combine(::testing::Values(size_t{1}, size_t{64}, size_t{1024}),
-                       ::testing::Values(size_t{1}, size_t{2}, size_t{4})),
+                       ::testing::Values(size_t{1}, size_t{2}, size_t{4},
+                                         size_t{8})),
     [](const ::testing::TestParamInfo<AggrParam>& info) {
       return "Bs" + std::to_string(std::get<0>(info.param)) + "Dop" +
              std::to_string(std::get<1>(info.param));
