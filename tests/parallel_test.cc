@@ -6,11 +6,11 @@
 //                         smaller than the working set, page by page and
 //                         a run at a time.
 //   * DOP equivalence   — the property the refactor rests on: for random
-//                         predicates over a generated LINEITEM sample,
-//                         every plan produces identical rows and an
-//                         identical bucket census at DOP 1, 2, and 8; and
-//                         at morsel edges, the brute-force reference's
-//                         rows and census at DOP 1, 2, 4 and 8.
+//                         atoms, windows at morsel edges and ORs of windows
+//                         over a generated LINEITEM sample, and at the
+//                         morsel edges of a synthetic table, every plan
+//                         returns the brute-force reference's rows and
+//                         census at DOP 1, 2, 4 and 8.
 //   * Planner/Database  — per-plan DOP choice, `set dop = n`.
 
 #include <gtest/gtest.h>
@@ -268,69 +268,147 @@ struct LineItemFixture {
   storage::Table* table = nullptr;
   std::unique_ptr<sma::SmaSet> smas;
 
-  LineItemFixture() {
+  explicit LineItemFixture(uint32_t bucket_pages = 2) {
     tpch::DbgenOptions gen;
     gen.scale_factor = 0.001;
     tpch::LoadOptions load;
     load.mode = tpch::ClusterMode::kDiagonal;
-    load.bucket_pages = 2;
+    load.bucket_pages = bucket_pages;
     table = Unwrap(tpch::GenerateAndLoadLineItem(&db.catalog, gen, load));
     smas = std::make_unique<sma::SmaSet>(table);
     ExpectOk(workloads::BuildQ1Smas(table, smas.get()));
   }
 };
 
+/// Smallest l_shipdate (days) in `bucket`.
+int32_t MinShipDate(storage::Table* table, uint32_t bucket) {
+  int32_t day = INT32_MAX;
+  ExpectOk(table->ForEachTupleInBucket(
+      bucket, [&](const TupleRef& t, storage::Rid) {
+        day = std::min(day, t.GetDate(tpch::lineitem::kShipDate).days());
+      }));
+  return day;
+}
+
+// Every SMA plan against the brute-force reference (rows and census) at
+// every dop: random single atoms, two-atom windows whose ends fall inside,
+// on and across morsel edges, an OR of two windows, ungrouped min/max
+// answered from the min/max SMAs, and a grouped max SMA whose groups are
+// absent from most buckets (undefined entries there).
 TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
-  LineItemFixture fx;
-  plan::AggQuery query = Unwrap(workloads::MakeQ1Query(fx.table));
+  for (const uint32_t bucket_pages : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "bucket_pages " << bucket_pages);
+    LineItemFixture fx(bucket_pages);
+    storage::Table* t = fx.table;
+    const storage::Schema* schema = &t->schema();
+    const uint64_t per = exec::BucketsPerMorsel(bucket_pages);
+    ASSERT_GT(t->num_buckets(), 3 * per);
 
-  // Random shipdate predicates spanning never / sometimes / always true.
-  util::Rng rng(0xD0B);
-  const CmpOp ops[] = {CmpOp::kLe, CmpOp::kGt, CmpOp::kLt, CmpOp::kGe};
-  for (int trial = 0; trial < 6; ++trial) {
-    const int32_t day =
-        tpch::kStartDate.days() +
-        static_cast<int32_t>(rng.Uniform(-30, 2600));
-    const CmpOp op = ops[rng.Uniform(0, 3)];
-    query.pred = Unwrap(Predicate::AtomConst(
-        &fx.table->schema(), "l_shipdate", op,
-        Value::MakeDate(util::Date(day))));
-
-    // SMA_GAggr at DOP 1 (the pre-refactor serial engine) is the reference.
-    exec::SmaGAggrOptions serial_opts;
-    auto reference = Unwrap(SmaGAggr::Make(fx.table, query.pred,
-                                           query.group_by, query.aggs,
-                                           fx.smas.get(), serial_opts));
-    const std::vector<std::string> want_rows =
-        Sorted(DrainRows(reference.get()));
-    const SmaScanStats want_census = reference->stats();
-
-    for (size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
-      exec::SmaGAggrOptions opts;
-      opts.degree_of_parallelism = dop;
-      auto gaggr = Unwrap(SmaGAggr::Make(fx.table, query.pred,
-                                         query.group_by, query.aggs,
-                                         fx.smas.get(), opts));
-      EXPECT_EQ(Sorted(DrainRows(gaggr.get())), want_rows)
-          << "SMA_GAggr trial " << trial << " dop " << dop;
-      EXPECT_TRUE(SameCensus(gaggr->stats(), want_census))
-          << "SMA_GAggr census trial " << trial << " dop " << dop;
-
-      auto scan_aggr = Unwrap(ParallelScanAggr::Make(
-          fx.table, query.pred, query.group_by, query.aggs, fx.smas.get(), dop));
-      EXPECT_EQ(Sorted(DrainRows(scan_aggr.get())), want_rows)
-          << "ParallelScanAggr trial " << trial << " dop " << dop;
-      EXPECT_TRUE(SameCensus(scan_aggr->stats(), want_census))
-          << "ParallelScanAggr census trial " << trial << " dop " << dop;
-
-      // Without SMAs: full parallel scan, same rows (census all-ambivalent).
-      auto full = Unwrap(ParallelScanAggr::Make(
-          fx.table, query.pred, query.group_by, query.aggs,
-          /*smas=*/nullptr, dop));
-      EXPECT_EQ(Sorted(DrainRows(full.get())), want_rows)
-          << "full-scan trial " << trial << " dop " << dop;
-      EXPECT_EQ(full->stats().ambivalent_buckets, fx.table->num_buckets());
+    const expr::ExprPtr shipdate = Unwrap(expr::Column(schema, "l_shipdate"));
+    const expr::ExprPtr price =
+        Unwrap(expr::Column(schema, "l_extendedprice"));
+    const expr::ExprPtr quantity = Unwrap(expr::Column(schema, "l_quantity"));
+    const std::vector<size_t> flags = {tpch::lineitem::kReturnFlag,
+                                       tpch::lineitem::kLineStatus};
+    ExpectOk(fx.smas->Add(Unwrap(
+        sma::BuildSma(t, sma::SmaSpec::Max("gmax_price", price, flags)))));
+    const sma::Sma* gmax = Unwrap(fx.smas->Find("gmax_price"));
+    uint64_t undefined = 0;
+    for (size_t g = 0; g < gmax->num_groups(); ++g) {
+      for (uint64_t b = 0; b < gmax->num_buckets(); ++b) {
+        undefined += gmax->IsUndefined(Unwrap(gmax->group_file(g)->Get(b)));
+      }
     }
+    ASSERT_GT(undefined, gmax->num_buckets());
+
+    struct Query {
+      std::vector<size_t> group_by;
+      std::vector<exec::AggSpec> aggs;
+    };
+    const plan::AggQuery q1 = Unwrap(workloads::MakeQ1Query(t));
+    const std::vector<Query> queries = {
+        {q1.group_by, q1.aggs},
+        {{},
+         {exec::AggSpec::Min(shipdate, "first"),
+          exec::AggSpec::Max(shipdate, "last"), exec::AggSpec::Count("n")}},
+        {flags,
+         {exec::AggSpec::Max(price, "max_price"),
+          exec::AggSpec::Sum(quantity, "sum_qty"),
+          exec::AggSpec::Count("n")}},
+    };
+
+    const auto date = [](int32_t day) {
+      return Value::MakeDate(util::Date(day));
+    };
+    const auto atom = [&](CmpOp op, int32_t day) {
+      return Unwrap(Predicate::AtomConst(schema, "l_shipdate", op, date(day)));
+    };
+    const auto window = [&](int32_t from, int32_t to) {
+      return Predicate::And(atom(CmpOp::kGe, from), atom(CmpOp::kLt, to));
+    };
+
+    // Random shipdate atoms spanning never / sometimes / always true.
+    std::vector<PredicatePtr> preds;
+    util::Rng rng(0xD0B);
+    const CmpOp ops[] = {CmpOp::kLe, CmpOp::kGt, CmpOp::kLt, CmpOp::kGe};
+    for (int trial = 0; trial < 6; ++trial) {
+      preds.push_back(atom(ops[rng.Uniform(0, 3)],
+                           tpch::kStartDate.days() +
+                               static_cast<int32_t>(rng.Uniform(-30, 2600))));
+    }
+    // Windows around the first buckets of morsels 1 and 2: ending on the
+    // edge, starting on it, straddling it, inside the morsel, and spanning
+    // a whole morsel.
+    for (const uint64_t m : {uint64_t{1}, uint64_t{2}}) {
+      const int32_t edge = MinShipDate(t, static_cast<uint32_t>(m * per));
+      preds.push_back(window(edge - 20, edge));
+      preds.push_back(window(edge, edge + 20));
+      preds.push_back(window(edge - 9, edge + 9));
+      preds.push_back(window(edge + 30, edge + 37));
+      preds.push_back(window(edge - 1, MinShipDate(
+                                           t, static_cast<uint32_t>(
+                                                  (m + 1) * per)) + 1));
+    }
+    const int32_t mid = MinShipDate(t, static_cast<uint32_t>(2 * per));
+    preds.push_back(Predicate::Or(window(mid - 200, mid - 120),
+                                  window(mid + 40, mid + 75)));
+
+    SmaScanStats totals;
+    for (size_t p = 0; p < preds.size(); ++p) {
+      SCOPED_TRACE(::testing::Message() << "pred " << preds[p]->ToString());
+      const SmaScanStats census = testing::ReferenceCensus(t, *preds[p]);
+      totals.Merge(census);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        SCOPED_TRACE(::testing::Message() << "query " << qi);
+        const Query& q = queries[qi];
+        const std::vector<std::string> want =
+            testing::ReferenceAggregate(t, *preds[p], q.group_by, q.aggs);
+        for (const size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+          SCOPED_TRACE(::testing::Message() << "dop " << dop);
+          exec::SmaGAggrOptions opts;
+          opts.degree_of_parallelism = dop;
+          auto gaggr = Unwrap(SmaGAggr::Make(t, preds[p], q.group_by, q.aggs,
+                                             fx.smas.get(), opts));
+          EXPECT_EQ(Sorted(DrainRows(gaggr.get())), want);
+          EXPECT_TRUE(SameCensus(gaggr->stats(), census));
+
+          auto scan_aggr = Unwrap(ParallelScanAggr::Make(
+              t, preds[p], q.group_by, q.aggs, fx.smas.get(), dop));
+          EXPECT_EQ(Sorted(DrainRows(scan_aggr.get())), want);
+          EXPECT_TRUE(SameCensus(scan_aggr->stats(), census));
+
+          // Without SMAs: full parallel scan, every bucket ambivalent.
+          auto full = Unwrap(ParallelScanAggr::Make(
+              t, preds[p], q.group_by, q.aggs, /*smas=*/nullptr, dop));
+          EXPECT_EQ(Sorted(DrainRows(full.get())), want);
+          EXPECT_EQ(full->stats().ambivalent_buckets, t->num_buckets());
+        }
+      }
+    }
+    // The predicates exercise all three grades.
+    EXPECT_GT(totals.qualifying_buckets, 0u);
+    EXPECT_GT(totals.disqualifying_buckets, 0u);
+    EXPECT_GT(totals.ambivalent_buckets, 0u);
   }
 }
 

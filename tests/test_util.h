@@ -358,11 +358,39 @@ inline std::vector<std::string> ReferenceAggregate(
   return Sorted(std::move(rows));
 }
 
-/// The bucket census that grading `pred` — True or one range atom (<, <=,
-/// >, >=) on a column with min/max SMAs — must produce: a bucket qualifies
-/// iff every tuple satisfies `pred` and disqualifies iff none does, except
-/// that an unfinished tail bucket (its last page not full, or fewer pages
-/// than a bucket holds) is ambivalent, since appends may still land in it.
+/// The grade min/max SMAs must give `bucket` for `pred` — True, range atoms
+/// (<, <=, >, >=) on columns with min/max SMAs, and AND/OR of those. A range
+/// atom's min/max grade is exact: the bucket qualifies iff every tuple
+/// satisfies the atom and disqualifies iff none does. AND/OR combine the
+/// atoms' grades by the §3.1 rules (spelled out here, not shared with
+/// src/sma), so e.g. a window with no tuple inside a bucket that spans it
+/// stays ambivalent, as grading leaves it.
+inline sma::Grade ReferenceGrade(storage::Table* table, uint32_t bucket,
+                                 const expr::Predicate& pred) {
+  using sma::Grade;
+  switch (pred.kind()) {
+    case expr::Predicate::Kind::kAnd:
+    case expr::Predicate::Kind::kOr: {
+      const Grade l = ReferenceGrade(table, bucket, *pred.left());
+      const Grade r = ReferenceGrade(table, bucket, *pred.right());
+      const bool is_and = pred.kind() == expr::Predicate::Kind::kAnd;
+      const Grade settles = is_and ? Grade::kDisqualifies : Grade::kQualifies;
+      if (l == settles || r == settles) return settles;
+      if (l == r) return l;
+      return Grade::kAmbivalent;
+    }
+    default: {
+      const auto [all, any] = BucketTruth(table, bucket, pred);
+      if (all) return Grade::kQualifies;
+      return any ? Grade::kAmbivalent : Grade::kDisqualifies;
+    }
+  }
+}
+
+/// The bucket census that grading `pred` (see ReferenceGrade) must produce,
+/// except that an unfinished tail bucket (its last page not full, or fewer
+/// pages than a bucket holds) is ambivalent, since appends may still land
+/// in it.
 inline exec::SmaScanStats ReferenceCensus(storage::Table* table,
                                           const expr::Predicate& pred) {
   exec::SmaScanStats census;
@@ -370,15 +398,10 @@ inline exec::SmaScanStats ReferenceCensus(storage::Table* table,
       table->num_tuples() % table->tuples_per_page() != 0 ||
       table->num_pages() % table->bucket_pages() != 0;
   for (uint32_t b = 0; b < table->num_buckets(); ++b) {
-    const auto [all, any] = BucketTruth(table, b, pred);
     if (tail_open && b + 1 == table->num_buckets()) {
       census.Tally(sma::Grade::kAmbivalent);
-    } else if (all) {
-      census.Tally(sma::Grade::kQualifies);
-    } else if (!any) {
-      census.Tally(sma::Grade::kDisqualifies);
     } else {
-      census.Tally(sma::Grade::kAmbivalent);
+      census.Tally(ReferenceGrade(table, b, pred));
     }
   }
   return census;
