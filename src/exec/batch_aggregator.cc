@@ -118,6 +118,10 @@ void BatchAggregator::AddBatch(const Batch& batch) {
       if (inserted) {
         keys_.push_back(key_scratch_);
         groups_.push_back(MakeGroup());
+        // The key twice (hash node and keys_), the group and its
+        // accumulators, and hash-node overhead.
+        approx_bytes_ += 2 * (sizeof(std::string) + key_width_) +
+                         sizeof(Group) + aggs_->size() * sizeof(int64_t) + 64;
       }
       gid = it->second;
       last_gid = gid;
@@ -221,6 +225,7 @@ void BatchAggregator::FlushInto(GroupTable* table) {
   gids_.clear();
   keys_.clear();
   groups_.clear();
+  approx_bytes_ = 0;
 }
 
 util::Status BucketFolder::Fold(uint64_t first, uint64_t end,

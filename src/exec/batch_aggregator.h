@@ -47,6 +47,12 @@ class BatchAggregator {
   /// AddSummary entry points the SMA path uses) and resets this aggregator.
   void FlushInto(GroupTable* table);
 
+  /// Estimated heap footprint of the partial groups, maintained as groups
+  /// appear. Operators charge its growth against the query budget batch by
+  /// batch, so a high-cardinality group-by fails before it has built every
+  /// group.
+  size_t approx_bytes() const { return approx_bytes_; }
+
  private:
   /// One group's partial state: raw accumulators parallel to *aggs_
   /// (min/max seeded with sentinels — every existing group has >= 1 row,
@@ -77,6 +83,7 @@ class BatchAggregator {
   std::unordered_map<std::string, uint32_t> gids_;
   std::vector<std::string> keys_;  // gid -> raw key bytes
   std::vector<Group> groups_;
+  size_t approx_bytes_ = 0;
 
   // Per-batch scratch (reused; sized to the selection).
   std::vector<KeyPtr> key_ptrs_;

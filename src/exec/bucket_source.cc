@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/dcheck.h"
+
 namespace smadb::exec {
 
 using util::Result;
@@ -24,23 +26,45 @@ void BucketSource::Reset() {
   // A re-executed operator sees a fresh consistent prefix.
   snapshot_ = table_->CaptureSnapshot();
   serial_next_ = 0;
+  graded_first_ = 0;
+  graded_end_ = 0;
 }
 
-Result<sma::Grade> BucketSource::GradeLatched(sma::BucketGrader* grader,
-                                              uint64_t bucket) const {
+Status BucketSource::GradeMorsel(
+    sma::BucketGrader* grader, uint64_t first, uint64_t end, sma::Grade* out,
+    storage::BucketLatchTable::SharedGuard* hold) const {
+  storage::BucketLatchTable* latches = table_->latches();
+  SMADB_DCHECK(end <= first ||
+               latches->GroupOf(first) == latches->GroupOf(end - 1));
+  const size_t n = static_cast<size_t>(end - first);
   if (grader == nullptr) {
-    return ApplySnapshot(bucket, sma::Grade::kAmbivalent);
+    std::fill(out, out + n, sma::Grade::kAmbivalent);
+    return Status::OK();
   }
-  auto latch = table_->latches()->LockShared(bucket);
-  SMADB_ASSIGN_OR_RETURN(sma::Grade g, grader->GradeBucket(bucket));
-  latch.Release();
-  return ApplySnapshot(bucket, g);
+  auto latch = latches->LockShared(first);
+  SMADB_RETURN_NOT_OK(grader->GradeRange(first, end, out));
+  if (hold != nullptr) {
+    *hold = std::move(latch);
+  } else {
+    latch.Release();
+  }
+  for (size_t k = 0; k < n; ++k) out[k] = ApplySnapshot(first + k, out[k]);
+  return Status::OK();
 }
 
 Result<bool> BucketSource::NextGraded(BucketUnit* out) {
   if (serial_next_ >= num_buckets()) return false;
+  if (serial_next_ >= graded_end_) {
+    const uint64_t per = BucketsPerMorsel(table_->bucket_pages());
+    graded_first_ = serial_next_;
+    graded_end_ = std::min<uint64_t>((serial_next_ / per + 1) * per,
+                                     num_buckets());
+    graded_.resize(static_cast<size_t>(graded_end_ - graded_first_));
+    SMADB_RETURN_NOT_OK(GradeMorsel(grader_.get(), graded_first_,
+                                    graded_end_, graded_.data()));
+  }
   out->bucket = serial_next_++;
-  SMADB_ASSIGN_OR_RETURN(out->grade, GradeLatched(grader_.get(), out->bucket));
+  out->grade = graded_[static_cast<size_t>(out->bucket - graded_first_)];
   return true;
 }
 
@@ -58,11 +82,12 @@ Status BucketReader::Open(uint32_t first_page, uint32_t end_page) {
 
 Status BucketReader::PinPage() {
   const uint64_t bucket = table_->BucketOfPage(page_);
+  const uint64_t group = table_->latches()->GroupOf(bucket);
   // Coupling: release before acquiring so at most one latch is held (the
-  // old and new bucket can share a shard, and shared_mutex is not
-  // reentrant when a writer is queued). A bucket wider than a run keeps its
-  // latch across the run change.
-  if (latched_bucket_ != bucket) latch_.Release();
+  // old and new group can share a shard, and shared_mutex is not
+  // reentrant when a writer is queued). A group keeps its latch across
+  // the run change of a bucket wider than a run.
+  if (latched_group_ != group) latch_.Release();
   if (!run_.Contains(page_)) {
     run_.Release();
     SMADB_ASSIGN_OR_RETURN(
@@ -70,7 +95,7 @@ Status BucketReader::PinPage() {
   }
   if (!latch_.held()) {
     latch_ = table_->latches()->LockShared(bucket);
-    latched_bucket_ = bucket;
+    latched_group_ = group;
   }
   ++pages_opened_;
   uint16_t n = storage::Table::PageTupleCount(*run_.page(page_));

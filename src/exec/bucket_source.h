@@ -5,10 +5,12 @@
 // of pages at a time. This file centralizes that walk, which used to be
 // duplicated across TableScan, SmaScan, and SMA_GAggr, and defines the
 // morsel of parallel execution: a run of consecutive buckets spanning one
-// read run (storage::kRunPages pages), claimed by workers through
-// ParallelFor, each worker grading through its own cursor-backed
-// BucketGrader (graders hold page pins and are therefore per-thread; the
-// Sma structures they read are immutable and shared).
+// read run (storage::kRunPages pages), which is also one latch group of the
+// table's storage::BucketLatchTable. Workers claim morsels through
+// ParallelFor and grade each one with GradeMorsel — one range read per
+// bound SMA-file through the worker's own cursor-backed BucketGrader, under
+// one shared latch acquire (graders hold page pins and are therefore
+// per-thread; the Sma structures they read are immutable and shared).
 
 #ifndef SMADB_EXEC_BUCKET_SOURCE_H_
 #define SMADB_EXEC_BUCKET_SOURCE_H_
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "expr/predicate.h"
 #include "sma/grade.h"
@@ -65,9 +68,10 @@ struct SmaScanStats {
 };
 
 /// Consecutive buckets per morsel: as many as span one run of
-/// storage::kRunPages pages (at least one).
+/// storage::kRunPages pages (at least one) — one latch group, so a morsel
+/// is graded and answered under one shared latch acquire.
 inline uint64_t BucketsPerMorsel(uint32_t bucket_pages) {
-  return std::max<uint64_t>(1, storage::kRunPages / bucket_pages);
+  return storage::BucketsPerRun(bucket_pages);
 }
 
 /// Morsels covering `buckets` buckets of `bucket_pages` pages each.
@@ -82,10 +86,10 @@ struct BucketUnit {
   sma::Grade grade = sma::Grade::kAmbivalent;
 };
 
-/// Enumerates the buckets of a table for one predicate, grading each
-/// against the SMAs. Serial consumers pull `NextGraded` from one thread;
-/// morsel workers take `Morsel`s from ParallelFor and grade with
-/// per-worker graders.
+/// Enumerates the buckets of a table for one predicate, grading them a
+/// morsel at a time against the SMAs. Serial consumers pull `NextGraded`
+/// from one thread (it grades one morsel ahead); morsel workers take
+/// `Morsel`s from ParallelFor and grade them with per-worker graders.
 ///
 /// Construction captures a TableSnapshot: the walk covers exactly the
 /// buckets of that consistent append prefix, and the one bucket a
@@ -113,7 +117,9 @@ class BucketSource {
 
   // --- serial path (single consumer) ---------------------------------------
 
-  /// Produces the next bucket with its grade; false at the end.
+  /// Produces the next bucket with its grade; false at the end. Grades a
+  /// morsel at a time through GradeMorsel and hands its buckets out one by
+  /// one.
   util::Result<bool> NextGraded(BucketUnit* out);
 
   // --- morsels (any number of workers) -------------------------------------
@@ -147,12 +153,20 @@ class BucketSource {
     return g;
   }
 
-  /// Grades `bucket` with `grader` (null = ambivalent) under the bucket's
-  /// shared latch, then applies the snapshot demotion. The one grading
-  /// entry point every consumer — serial or worker — goes through, so all
-  /// censuses agree.
-  util::Result<sma::Grade> GradeLatched(sma::BucketGrader* grader,
-                                        uint64_t bucket) const;
+  /// Grades buckets [first, end) — at most one morsel, hence one latch
+  /// group — into out[0, end - first) with `grader` (null = every bucket
+  /// ambivalent) under one shared acquire of the group's latch, then
+  /// applies the snapshot demotion bucket by bucket. The one grading entry
+  /// point every consumer — planner census, serial or worker — goes
+  /// through, so all censuses agree at every dop.
+  ///
+  /// With `hold` non-null the latch is handed to the caller instead of
+  /// released, so SMA entries of the morsel can be read in the same hold
+  /// (SMA_GAggr's direct answers); `hold` stays empty for a null grader.
+  util::Status GradeMorsel(
+      sma::BucketGrader* grader, uint64_t first, uint64_t end,
+      sma::Grade* out,
+      storage::BucketLatchTable::SharedGuard* hold = nullptr) const;
 
  private:
   storage::Table* table_;
@@ -162,6 +176,10 @@ class BucketSource {
   storage::TableSnapshot snapshot_;
   bool has_sma_support_ = false;
   uint64_t serial_next_ = 0;
+  // Serial path: grades of the buffered morsel [graded_first_, graded_end_).
+  std::vector<sma::Grade> graded_;
+  uint64_t graded_first_ = 0;
+  uint64_t graded_end_ = 0;
 };
 
 /// Streams the live tuples of a consecutive page range — the page/slot walk
@@ -171,11 +189,11 @@ class BucketSource {
 /// is released before the next one is pinned, so a reader holds at most
 /// one run's pins.
 ///
-/// The reader holds the shared latch of the bucket its current page belongs
-/// to (lock coupling: the old bucket's latch is released before the next
-/// bucket's is acquired, so at most one latch is ever held), which excludes
-/// concurrent writers of exactly that bucket; a page's header is read only
-/// under its bucket's latch. With a snapshot set, pages beyond the snapshot
+/// The reader holds the shared latch of the latch group its current page
+/// belongs to (lock coupling: the old group's latch is released before the
+/// next group's is acquired, so at most one latch is ever held), which
+/// excludes concurrent writers of that group's buckets; a page's header is
+/// read only under its group's latch. With a snapshot set, pages beyond the snapshot
 /// prefix are never pinned and the snapshot's tail page exposes only its
 /// visible slots. Callers must NOT hold an explicit latch on the buckets
 /// they stream — shared_mutex is not reentrant.
@@ -219,7 +237,7 @@ class BucketReader {
 
  private:
   /// Pins the run holding `page_` (unless pinned already), latches its
-  /// bucket (coupling from the previous one), and sets the
+  /// latch group (coupling from the previous one), and sets the
   /// snapshot-clamped slot count.
   util::Status PinPage();
 
@@ -228,7 +246,7 @@ class BucketReader {
   storage::BucketLatchTable::SharedGuard latch_;
   storage::TableSnapshot snapshot_;
   uint64_t pages_opened_ = 0;
-  uint64_t latched_bucket_ = 0;
+  uint64_t latched_group_ = 0;
   uint32_t page_ = 0;
   uint32_t page_end_ = 0;
   uint16_t slot_ = 0;

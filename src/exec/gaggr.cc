@@ -33,15 +33,19 @@ Status GAggr::Init() {
   Batch batch;
   SMADB_RETURN_NOT_OK(
       ConfigureBatch(&batch, &child_->output_schema(), std::move(mask)));
+  size_t charged = 0;  // group-state bytes charged so far
   while (true) {
     SMADB_RETURN_NOT_OK(CheckRuntime("GAggr"));
     SMADB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
     if (!has) break;
     aggregator.AddBatch(batch);
+    SMADB_RETURN_NOT_OK(
+        ChargeGrowth(aggregator.approx_bytes(), &charged, "GroupTable"));
   }
   GroupTable groups(&aggs_);
   aggregator.FlushInto(&groups);
-  SMADB_RETURN_NOT_OK(ChargeMemory(groups.approx_bytes(), "GroupTable"));
+  SMADB_RETURN_NOT_OK(
+      ChargeGrowth(groups.approx_bytes(), &charged, "GroupTable"));
   SMADB_RETURN_NOT_OK(groups.Emit(&schema_, &results_.rows));
   if (prof_ != nullptr) {
     prof_->NotePeakBytes(groups.approx_bytes());

@@ -76,6 +76,17 @@ class Operator {
     return util::QueryContext::Charge(ctx_, bytes, component);
   }
 
+  /// Charges what a structure's footprint `bytes` has grown past
+  /// `*charged`, then records it as charged — how growing group state is
+  /// charged batch by batch or morsel by morsel.
+  util::Status ChargeGrowth(size_t bytes, size_t* charged,
+                            std::string_view component) const {
+    if (bytes <= *charged) return util::Status::OK();
+    SMADB_RETURN_NOT_OK(ChargeMemory(bytes - *charged, component));
+    *charged = bytes;
+    return util::Status::OK();
+  }
+
   /// Configures a batch this operator owns and charges its column vectors
   /// against the query budget as "ColumnBatch" (DESIGN.md §10).
   util::Status ConfigureBatch(Batch* batch, const storage::Schema* schema,

@@ -52,9 +52,11 @@ Status ParallelScanAggr::InitImpl() {
   // after the parallel region and merged (and charged) there.
   struct WorkerState {
     std::unique_ptr<sma::BucketGrader> grader;
+    std::vector<Grade> grades;  // the claimed morsel's
     BucketFolder folder;
     GroupTable groups;
     SmaScanStats stats;
+    size_t charged = 0;  // bytes of the folder's partial groups charged
     WorkerState(storage::Table* table, const std::vector<size_t>* group_by,
                 const std::vector<AggSpec>* aggs)
         : folder(table, group_by, aggs), groups(aggs) {}
@@ -69,6 +71,7 @@ Status ParallelScanAggr::InitImpl() {
     // kQualifies, letting workers skip per-tuple checks), and the census
     // the workers tally stays identical across degrees of parallelism.
     ws.grader = source.NewGrader();
+    ws.grades.resize(BucketsPerMorsel(table_->bucket_pages()));
     // Every worker reads the same consistent append prefix the source
     // captured; pages appended mid-run stay invisible.
     ws.folder.reader.set_snapshot(source.snapshot());
@@ -88,11 +91,18 @@ Status ParallelScanAggr::InitImpl() {
       [&](size_t w, uint64_t m) -> Status {
         WorkerState& ws = workers[w];
         const auto [first, end] = source.Morsel(m);
-        // Every bucket is graded; each maximal stretch of fetched buckets
-        // is folded through one reader range, so its pages are read a run
-        // at a time. The grade maps onto the selection vector: a stretch of
-        // qualifying buckets keeps the dense all-rows selection with no
-        // predicate evaluation.
+        // Morsel-granular checkpoint, so a deadline that expires mid-run is
+        // observed even between claim-loop checks.
+        SMADB_RETURN_NOT_OK(CheckRuntime("ParallelScanAggr"));
+        // GradeMorsel = one shared latch acquire for the morsel's grades +
+        // boundary-bucket demotion, keeping the census identical at every
+        // dop.
+        SMADB_RETURN_NOT_OK(
+            source.GradeMorsel(ws.grader.get(), first, end, ws.grades.data()));
+        // Each maximal stretch of fetched buckets is folded through one
+        // reader range, so its pages are read a run at a time. The grade
+        // maps onto the selection vector: a stretch of qualifying buckets
+        // keeps the dense all-rows selection with no predicate evaluation.
         uint64_t stretch = first;  // first bucket not folded yet
         bool all_qualify = true;
         const auto fold = [&](uint64_t stop) -> Status {
@@ -101,13 +111,7 @@ Status ParallelScanAggr::InitImpl() {
                                 all_qualify ? nullptr : pred_.get());
         };
         for (uint64_t b = first; b < end; ++b) {
-          // Bucket-granular checkpoint inside the morsel, so a deadline
-          // that expires mid-run is observed even between claim-loop checks.
-          SMADB_RETURN_NOT_OK(CheckRuntime("ParallelScanAggr"));
-          // GradeLatched = shared latch during grading + boundary-bucket
-          // demotion, keeping the census identical at every dop.
-          SMADB_ASSIGN_OR_RETURN(Grade g,
-                                 source.GradeLatched(ws.grader.get(), b));
+          const Grade g = ws.grades[b - first];
           ws.stats.Tally(g);
           if (g != Grade::kDisqualifies) {
             all_qualify &= g == Grade::kQualifies;
@@ -117,7 +121,10 @@ Status ParallelScanAggr::InitImpl() {
           stretch = b + 1;
           all_qualify = true;
         }
-        return fold(end);
+        SMADB_RETURN_NOT_OK(fold(end));
+        // Partial groups are charged as they grow, not only at the merge.
+        return ChargeGrowth(ws.folder.aggregator.approx_bytes(), &ws.charged,
+                            "GroupTable");
       },
       cancel);
 

@@ -70,38 +70,24 @@ SmaGAggr::AggBinding SmaGAggr::BindAggregate(AggFunc func,
   if (best == nullptr) return binding;
 
   binding.sma = best;
-  // Project each SMA group key onto the query group-by columns.
-  std::vector<size_t> positions;  // query col -> index in SMA group key
+  const auto& sg = best->spec().group_by;
   for (size_t qcol : group_by_) {
-    const auto& sg = best->spec().group_by;
-    positions.push_back(static_cast<size_t>(
+    binding.positions.push_back(static_cast<size_t>(
         std::find(sg.begin(), sg.end(), qcol) - sg.begin()));
   }
-  for (size_t g = 0; g < best->num_groups(); ++g) {
-    const std::vector<Value>& key = best->group_key(g);
-    std::vector<Value> projected;
-    projected.reserve(positions.size());
-    for (size_t pos : positions) projected.push_back(key[pos]);
-    binding.result_keys.push_back(std::move(projected));
-  }
+  ProjectGroups(&binding);
   return binding;
 }
 
-SmaGAggr::BindingCursors SmaGAggr::MakeCursors() const {
-  BindingCursors cursors;
-  for (size_t g = 0; g < count_binding_.sma->num_groups(); ++g) {
-    cursors.count.push_back(count_binding_.sma->group_file(g)->NewCursor());
+void SmaGAggr::ProjectGroups(AggBinding* binding) {
+  const Sma* sma = binding->sma;
+  for (size_t g = binding->result_keys.size(); g < sma->num_groups(); ++g) {
+    const std::vector<Value>& key = sma->group_key(g);
+    std::vector<Value> projected;
+    projected.reserve(binding->positions.size());
+    for (size_t pos : binding->positions) projected.push_back(key[pos]);
+    binding->result_keys.push_back(std::move(projected));
   }
-  for (const AggBinding& binding : bindings_) {
-    std::vector<sma::SmaFile::Cursor> agg_cursors;
-    if (binding.sma != nullptr) {
-      for (size_t g = 0; g < binding.sma->num_groups(); ++g) {
-        agg_cursors.push_back(binding.sma->group_file(g)->NewCursor());
-      }
-    }
-    cursors.per_agg.push_back(std::move(agg_cursors));
-  }
-  return cursors;
 }
 
 Result<std::unique_ptr<SmaGAggr>> SmaGAggr::Make(
@@ -139,40 +125,19 @@ Result<std::unique_ptr<SmaGAggr>> SmaGAggr::Make(
     }
     op->bindings_.push_back(std::move(binding));
   }
-  return op;
-}
-
-Status SmaGAggr::ProcessQualifying(GroupTable* groups,
-                                   BindingCursors* cursors, uint64_t b) {
-  // Direct answers read aggregate values straight out of the SMA entries, so
-  // the bucket's shared latch must exclude a concurrent maintainer folding a
-  // fresh append into those entries mid-read. (Grading only needs superset
-  // soundness; direct answers need the exact snapshot value — the boundary
-  // bucket was already demoted to ambivalent for that reason.)
-  auto latch = table_->latches()->LockShared(b);
-  // Group cardinalities first: they establish which groups exist.
-  for (size_t g = 0; g < cursors->count.size(); ++g) {
-    SMADB_ASSIGN_OR_RETURN(int64_t count, cursors->count[g].Get(b));
-    if (count > 0) {
-      groups->Get(count_binding_.result_keys[g])->AddBucketCount(count);
-    }
-  }
-  // Then each aggregate from its own SMA.
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggBinding& binding = bindings_[i];
-    if (binding.sma == nullptr) continue;  // count(*): handled above
-    std::vector<sma::SmaFile::Cursor>& agg_cursors = cursors->per_agg[i];
-    for (size_t g = 0; g < agg_cursors.size(); ++g) {
-      SMADB_ASSIGN_OR_RETURN(int64_t v, agg_cursors[g].Get(b));
-      if (binding.sma->IsUndefined(v)) continue;  // empty min/max group
-      if (v == 0 && (binding.sma->spec().func == AggFunc::kSum)) {
-        // Zero sums are identity; skip the group-table touch.
-        continue;
+  // Direct answers read each distinct SMA once (avg shares its sum's).
+  op->sources_.push_back(&op->count_binding_);
+  for (const AggBinding& binding : op->bindings_) {
+    size_t s = 0;
+    if (binding.sma != nullptr) {
+      while (s < op->sources_.size() && op->sources_[s]->sma != binding.sma) {
+        ++s;
       }
-      groups->Get(binding.result_keys[g])->AddSummary(i, v);
+      if (s == op->sources_.size()) op->sources_.push_back(&binding);
     }
+    op->agg_source_.push_back(s);
   }
-  return Status::OK();
+  return op;
 }
 
 Grade SmaGAggr::EffectiveGrade(Grade g, uint64_t b) const {
@@ -193,51 +158,134 @@ Grade SmaGAggr::EffectiveGrade(Grade g, uint64_t b) const {
 
 struct SmaGAggr::Worker {
   std::unique_ptr<sma::BucketGrader> grader;
-  BindingCursors cursors;
+  std::vector<Grade> grades;  // the claimed morsel's
+  // Per source (sources_): a cursor per SMA group file, and the flat
+  // accumulators [source][SMA group] qualifying entries fold into,
+  // starting at the SMA's identity (undefined for min/max).
+  std::vector<std::vector<sma::SmaFile::Cursor>> cursors;
+  std::vector<std::vector<int64_t>> acc;
+  std::vector<int64_t> entries;  // one group file's entries for a morsel
   GroupTable groups;
   SmaScanStats stats;
   // Decodes the ambivalent stretches; null in sma_only mode.
   std::unique_ptr<BucketFolder> folder;
-  size_t charged = 0;  // bytes of `groups` already charged
+  size_t charged = 0;  // group-state bytes already charged
   explicit Worker(const std::vector<AggSpec>* aggs) : groups(aggs) {}
 };
+
+Status SmaGAggr::AnswerQualifying(uint64_t first, uint64_t end,
+                                  const Grade* grades, Worker* worker) const {
+  const size_t n = static_cast<size_t>(end - first);
+  int64_t* e = worker->entries.data();
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    const AggFunc func = sources_[s]->sma->spec().func;
+    std::vector<int64_t>& acc = worker->acc[s];
+    for (size_t g = 0; g < acc.size(); ++g) {
+      SMADB_RETURN_NOT_OK(worker->cursors[s][g].Read(first, end, e));
+      int64_t a = acc[g];
+      switch (func) {
+        case AggFunc::kSum:
+        case AggFunc::kCount:
+          for (size_t k = 0; k < n; ++k) {
+            if (grades[k] == Grade::kQualifies) a += e[k];
+          }
+          break;
+        case AggFunc::kMin:
+          for (size_t k = 0; k < n; ++k) {
+            if (grades[k] == Grade::kQualifies) a = std::min(a, e[k]);
+          }
+          break;
+        case AggFunc::kMax:
+          for (size_t k = 0; k < n; ++k) {
+            if (grades[k] == Grade::kQualifies) a = std::max(a, e[k]);
+          }
+          break;
+      }
+      acc[g] = a;
+    }
+  }
+  return Status::OK();
+}
+
+void SmaGAggr::FlushAnswers(Worker* worker) const {
+  // Group cardinalities first: they establish which groups exist.
+  const std::vector<int64_t>& counts = worker->acc[0];
+  for (size_t g = 0; g < counts.size(); ++g) {
+    if (counts[g] > 0) {
+      worker->groups.Get(count_binding_.result_keys[g])
+          ->AddBucketCount(counts[g]);
+    }
+  }
+  // Then each aggregate from its own SMA's accumulators.
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    const AggBinding& binding = bindings_[i];
+    if (binding.sma == nullptr) continue;  // count(*): handled above
+    const std::vector<int64_t>& acc = worker->acc[agg_source_[i]];
+    for (size_t g = 0; g < acc.size(); ++g) {
+      if (binding.sma->IsUndefined(acc[g])) continue;  // empty min/max group
+      // Zero sums are identity; skip the group-table touch.
+      if (acc[g] == 0 && binding.sma->spec().func == AggFunc::kSum) continue;
+      worker->groups.Get(binding.result_keys[g])->AddSummary(i, acc[g]);
+    }
+  }
+}
 
 Status SmaGAggr::ProcessMorsel(const BucketSource& source, uint64_t m,
                                Worker* worker) {
   const auto [first, end] = source.Morsel(m);
-  uint64_t stretch = first;  // first ambivalent bucket not folded yet
-  // Decodes the ambivalent buckets [stretch, stop); the folder's reader
-  // clamps to the execution's snapshot and latches each bucket it reads.
-  const auto fold = [&](uint64_t stop) -> Status {
-    if (stretch == stop || worker->folder == nullptr) return Status::OK();
-    return worker->folder->Fold(stretch, stop, pred_.get());
-  };
+  // Morsel-granular cooperative checkpoint (every morsel, every worker).
+  SMADB_RETURN_NOT_OK(CheckRuntime("SmaGAggr"));
+  // GradeMorsel = one shared latch acquire for the morsel + boundary-bucket
+  // demotion, so the census is identical at every dop. The latch stays
+  // held for the direct answers: they read aggregate values straight out
+  // of the SMA entries, so it must exclude a concurrent maintainer folding
+  // a fresh append into those entries mid-read. (Grading only needs
+  // superset soundness; direct answers need the exact snapshot value — the
+  // boundary bucket was demoted to ambivalent for that reason.)
+  Grade* grades = worker->grades.data();
+  storage::BucketLatchTable::SharedGuard latch;
+  SMADB_RETURN_NOT_OK(
+      source.GradeMorsel(worker->grader.get(), first, end, grades, &latch));
+  uint64_t q_first = end;  // span of the qualifying buckets
+  uint64_t q_end = first;
+  uint64_t ambivalent = 0;
   for (uint64_t b = first; b < end; ++b) {
-    // Bucket-granular cooperative checkpoint (every grade, every worker).
-    SMADB_RETURN_NOT_OK(CheckRuntime("SmaGAggr"));
-    // GradeLatched = shared latch during grading + boundary-bucket
-    // demotion, so the census is identical at every dop.
-    SMADB_ASSIGN_OR_RETURN(Grade g,
-                           source.GradeLatched(worker->grader.get(), b));
-    g = EffectiveGrade(g, b);
+    const Grade g = EffectiveGrade(grades[b - first], b);
+    grades[b - first] = g;
     worker->stats.Tally(g);
-    if (g == Grade::kAmbivalent) {
-      // Degraded rung: leave the bucket uninspected; the caller marks the
-      // answer partial via buckets_skipped().
-      if (options_.sma_only) {
-        buckets_skipped_.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (g == Grade::kQualifies) {
+      q_first = std::min(q_first, b);
+      q_end = b + 1;
+    }
+    ambivalent += g == Grade::kAmbivalent;
+  }
+  if (q_first < q_end) {
+    SMADB_RETURN_NOT_OK(
+        AnswerQualifying(q_first, q_end, grades + (q_first - first), worker));
+  }
+  latch.Release();
+  // A disqualifying bucket: "do nothing".
+  if (options_.sma_only) {
+    // Degraded rung: leave ambivalent buckets uninspected; the caller marks
+    // the answer partial via buckets_skipped().
+    buckets_skipped_.fetch_add(ambivalent, std::memory_order_relaxed);
+    return Status::OK();
+  }
+  // Each maximal stretch of ambivalent buckets is decoded through one
+  // reader range; the reader clamps to the execution's snapshot and
+  // latches the groups it reads itself.
+  for (uint64_t b = first; b < end;) {
+    if (grades[b - first] != Grade::kAmbivalent) {
+      ++b;
       continue;
     }
-    SMADB_RETURN_NOT_OK(fold(b));
-    stretch = b + 1;
-    if (g == Grade::kQualifies) {
-      SMADB_RETURN_NOT_OK(
-          ProcessQualifying(&worker->groups, &worker->cursors, b));
-    }
-    // A disqualifying bucket: "do nothing".
+    uint64_t stop = b + 1;
+    while (stop < end && grades[stop - first] == Grade::kAmbivalent) ++stop;
+    SMADB_RETURN_NOT_OK(worker->folder->Fold(b, stop, pred_.get()));
+    b = stop;
   }
-  return fold(end);
+  return ChargeGrowth(worker->folder->aggregator.approx_bytes(),
+                      &worker->charged, "GroupTable");
 }
 
 Status SmaGAggr::Init() {
@@ -268,19 +316,37 @@ Status SmaGAggr::InitImpl() {
   BucketSource source(table_, pred_, smas_);
   const size_t dop =
       std::max<size_t>(1, options_.degree_of_parallelism);
+  // Groups a maintainer created before the source captured its snapshot
+  // may hold entries in buckets the snapshot covers; later ones only in
+  // the (demoted) boundary bucket or beyond it.
+  ProjectGroups(&count_binding_);
+  for (AggBinding& binding : bindings_) {
+    if (binding.sma != nullptr) ProjectGroups(&binding);
+  }
 
-  // Per-worker grader, cursors, census, group table and folder; exact merge
-  // afterwards. Ambivalent readers clamp to the source's consistent append
-  // prefix; qualifying buckets answer from SMA entries under the bucket's
-  // shared latch. SMA-only mode skips ambivalent buckets, so it has no
-  // batch.
+  // Per-worker grader, cursors, accumulators, census, group table and
+  // folder; exact merge afterwards. Ambivalent readers clamp to the
+  // source's consistent append prefix; qualifying buckets answer from SMA
+  // entries under the morsel's shared latch. SMA-only mode skips ambivalent
+  // buckets, so it has no batch.
+  const uint64_t per = BucketsPerMorsel(table_->bucket_pages());
   std::vector<Worker> workers;
   workers.reserve(dop);
   for (size_t w = 0; w < dop; ++w) {
     workers.emplace_back(&aggs_);
     Worker& worker = workers.back();
     worker.grader = source.NewGrader();
-    worker.cursors = MakeCursors();
+    worker.grades.resize(per);
+    worker.entries.resize(per);
+    for (const AggBinding* src : sources_) {
+      std::vector<sma::SmaFile::Cursor> cursors;
+      for (size_t g = 0; g < src->result_keys.size(); ++g) {
+        cursors.push_back(src->sma->group_file(g)->NewCursor());
+      }
+      worker.cursors.push_back(std::move(cursors));
+      worker.acc.emplace_back(src->result_keys.size(),
+                              src->sma->IdentityEntry());
+    }
     if (options_.sma_only) continue;
     worker.folder =
         std::make_unique<BucketFolder>(table_, &group_by_, &aggs_);
@@ -297,14 +363,7 @@ Status SmaGAggr::InitImpl() {
   const Status par = util::ThreadPool::Shared()->ParallelFor(
       0, source.num_morsels(), dop,
       [&](size_t w, uint64_t m) -> Status {
-        Worker& worker = workers[w];
-        SMADB_RETURN_NOT_OK(ProcessMorsel(source, m, &worker));
-        if (worker.groups.approx_bytes() > worker.charged) {
-          SMADB_RETURN_NOT_OK(ChargeMemory(
-              worker.groups.approx_bytes() - worker.charged, "GroupTable"));
-          worker.charged = worker.groups.approx_bytes();
-        }
-        return Status::OK();
+        return ProcessMorsel(source, m, &workers[w]);
       },
       cancel);
   // Per-worker censuses merge into stats_ exactly once, success or
@@ -319,9 +378,12 @@ Status SmaGAggr::InitImpl() {
   SMADB_RETURN_NOT_OK(par);
   GroupTable groups(&aggs_);
   for (Worker& worker : workers) {
+    FlushAnswers(&worker);
     if (worker.folder != nullptr) {
       worker.folder->aggregator.FlushInto(&worker.groups);
     }
+    SMADB_RETURN_NOT_OK(ChargeGrowth(worker.groups.approx_bytes(),
+                                     &worker.charged, "GroupTable"));
     const size_t before = groups.approx_bytes();
     groups.MergeFrom(worker.groups);
     // Merge-phase growth is charged under its own component so budget

@@ -17,13 +17,20 @@
 // and avg results) and decides which groups have qualifying tuples at all.
 //
 // One morsel loop serves every degree of parallelism: a morsel is a run of
-// consecutive buckets spanning one read run, workers claim morsels through
-// ParallelFor (dop 1 runs the loop inline on the caller — the paper's one
-// synchronized pass), grade and aggregate into private GroupTables through
-// private SMA-file cursors, fold each stretch of consecutive ambivalent
-// buckets through one reader range, and the partial tables are merged at
-// the end — exact, because sum/count/min/max (and avg as sum+count) compose
-// associatively and commutatively.
+// consecutive buckets spanning one read run (one latch group), and workers
+// claim morsels through ParallelFor (dop 1 runs the loop inline on the
+// caller — the paper's one synchronized pass). Under one shared latch
+// acquire per morsel a worker grades the morsel's buckets from SMA-file
+// entry ranges and answers its qualifying buckets from those same ranges:
+// each bound SMA group file's entries for the morsel are read off the
+// pinned page and the qualifying ones folded into flat per-worker
+// accumulators indexed [SMA][SMA group] (count and sum add, min/max keep
+// the extreme and skip undefined entries). After releasing the latch it
+// folds each stretch of consecutive ambivalent buckets through one reader
+// range. Each worker flushes its accumulators into its GroupTable once,
+// projecting SMA groups onto query groups, and the partial tables are
+// merged at the end — exact, because sum/count/min/max (and avg as
+// sum+count) compose associatively and commutatively.
 
 #ifndef SMADB_EXEC_SMA_GAGGR_H_
 #define SMADB_EXEC_SMA_GAGGR_H_
@@ -97,18 +104,13 @@ class SmaGAggr final : public Operator {
 
  private:
   /// One aggregate's SMA source: the SMA and each SMA group's key projected
-  /// onto the query's group-by columns. Immutable after Make — shared
-  /// read-only by all workers.
+  /// onto the query's group-by columns. Set up before the morsel loop
+  /// starts — shared read-only by all workers.
   struct AggBinding {
     const sma::Sma* sma = nullptr;
+    /// Query group-by column -> index in the SMA's group key.
+    std::vector<size_t> positions;
     std::vector<std::vector<util::Value>> result_keys;
-  };
-
-  /// Per-worker SMA-file cursors (cursors pin pages; one set per thread,
-  /// mirroring bindings_ + count_binding_).
-  struct BindingCursors {
-    std::vector<sma::SmaFile::Cursor> count;
-    std::vector<std::vector<sma::SmaFile::Cursor>> per_agg;
   };
 
   /// One worker's private state (defined in sma_gaggr.cc).
@@ -130,7 +132,9 @@ class SmaGAggr final : public Operator {
   /// query's; builds the binding. Null sma on no match.
   AggBinding BindAggregate(sma::AggFunc func, const expr::Expr* arg) const;
 
-  BindingCursors MakeCursors() const;
+  /// Projects the SMA groups created since the last call onto the query's
+  /// group-by columns (appends to result_keys).
+  static void ProjectGroups(AggBinding* binding);
 
   /// Applies coverage and the demotion knob to a raw grade (thread-safe).
   sma::Grade EffectiveGrade(sma::Grade g, uint64_t b) const;
@@ -140,14 +144,22 @@ class SmaGAggr final : public Operator {
   /// mid-run failure, and the degraded sma_only rung alike.
   util::Status InitImpl();
 
-  /// Phase 2 over morsel `m`: grades each bucket, answers qualifying ones
-  /// from SMA entries, skips disqualifying ones, and folds each maximal
-  /// stretch of ambivalent buckets through one reader range (sma_only mode
-  /// skips them instead).
+  /// Phase 2 over morsel `m`: grades its buckets and answers the
+  /// qualifying ones from SMA entries under one shared latch acquire, skips
+  /// disqualifying ones, then folds each maximal stretch of ambivalent
+  /// buckets through one reader range (sma_only mode skips them instead).
   util::Status ProcessMorsel(const BucketSource& source, uint64_t m,
                              Worker* worker);
-  util::Status ProcessQualifying(GroupTable* groups, BindingCursors* cursors,
-                                 uint64_t b);
+
+  /// Folds the entries of buckets [first, end) whose grade (grades[0,
+  /// end - first)) is qualifying into the worker's accumulators, one range
+  /// read per bound SMA group file. The caller holds the latch.
+  util::Status AnswerQualifying(uint64_t first, uint64_t end,
+                                const sma::Grade* grades,
+                                Worker* worker) const;
+
+  /// Folds the worker's accumulators into its GroupTable.
+  void FlushAnswers(Worker* worker) const;
 
   storage::Table* table_;
   expr::PredicatePtr pred_;
@@ -162,6 +174,11 @@ class SmaGAggr final : public Operator {
   std::vector<AggBinding> bindings_;
   AggBinding count_binding_;
   uint64_t covered_buckets_ = 0;  // min SMA coverage across bindings
+  // The distinct SMAs direct answers read: sources_[0] is count_binding_,
+  // then one per distinct aggregate SMA (avg shares its sum's);
+  // agg_source_[i] indexes aggregate i's source.
+  std::vector<const AggBinding*> sources_;
+  std::vector<size_t> agg_source_;
 
   RowEmitter results_;
   SmaScanStats stats_;

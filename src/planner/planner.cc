@@ -80,13 +80,18 @@ Status Planner::Census(storage::Table* table, const expr::PredicatePtr& pred,
     choice->ambivalent = table->num_buckets();
     return Status::OK();
   }
+  // The executors' grading, morsel by morsel: same grader, same latch
+  // groups, same snapshot demotion, so the census matches theirs.
   exec::SmaScanStats stats;
-  exec::BucketUnit unit;
-  while (true) {
+  auto grader = source.NewGrader();
+  std::vector<sma::Grade> grades(
+      exec::BucketsPerMorsel(table->bucket_pages()));
+  for (uint64_t m = 0; m < source.num_morsels(); ++m) {
     SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "Census"));
-    SMADB_ASSIGN_OR_RETURN(bool has, source.NextGraded(&unit));
-    if (!has) break;
-    stats.Tally(unit.grade);
+    const auto [first, end] = source.Morsel(m);
+    SMADB_RETURN_NOT_OK(
+        source.GradeMorsel(grader.get(), first, end, grades.data()));
+    for (uint64_t b = first; b < end; ++b) stats.Tally(grades[b - first]);
   }
   choice->qualifying = stats.qualifying_buckets;
   choice->disqualifying = stats.disqualifying_buckets;

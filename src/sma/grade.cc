@@ -1,6 +1,6 @@
 #include "sma/grade.h"
 
-#include <cassert>
+#include <algorithm>
 
 namespace smadb::sma {
 
@@ -150,71 +150,82 @@ std::unique_ptr<BucketGrader> BucketGrader::Create(expr::PredicatePtr pred,
 
 namespace {
 
-void BindMinMax(const SmaSet* smas, size_t col, const Sma** min_sma,
-                const Sma** max_sma, std::vector<SmaFile::Cursor>* min_cursors,
-                std::vector<SmaFile::Cursor>* max_cursors) {
-  *min_sma = smas->FindMinMax(AggFunc::kMin, col);
-  *max_sma = smas->FindMinMax(AggFunc::kMax, col);
-  if (*min_sma != nullptr) {
-    for (size_t g = 0; g < (*min_sma)->num_groups(); ++g) {
-      min_cursors->push_back((*min_sma)->group_file(g)->NewCursor());
-    }
+// A min SMA's undefined entries are its largest value and a max SMA's its
+// smallest, so element-wise extremes skip them for free. A missing source
+// uses the 64-bit sentinel, which no widened entry of it can equal.
+void BindExtreme(const SmaSet* smas, AggFunc func, size_t col,
+                 const Sma** sma, std::vector<SmaFile::Cursor>* cursors,
+                 int64_t* undefined) {
+  *sma = smas->FindMinMax(func, col);
+  *undefined = func == AggFunc::kMin ? kUndefinedMin64 : kUndefinedMax64;
+  if (*sma == nullptr) return;
+  *undefined = (*sma)->IdentityEntry();
+  for (size_t g = 0; g < (*sma)->num_groups(); ++g) {
+    cursors->push_back((*sma)->group_file(g)->NewCursor());
   }
-  if (*max_sma != nullptr) {
-    for (size_t g = 0; g < (*max_sma)->num_groups(); ++g) {
-      max_cursors->push_back((*max_sma)->group_file(g)->NewCursor());
-    }
-  }
+}
+
+// Grows `v` to hold at least `n` elements (scratch is never shrunk).
+template <typename T>
+T* Scratch(std::vector<T>* v, size_t n) {
+  if (v->size() < n) v->resize(n);
+  return v->data();
 }
 
 }  // namespace
 
+void BucketGrader::BindCount(Node* node) {
+  const Predicate* pred = node->pred;
+  node->count_sma = smas_->FindCountByValue(pred->column());
+  if (node->count_sma == nullptr) return;
+  for (size_t g = 0; g < node->count_sma->num_groups(); ++g) {
+    node->count_cursors.push_back(node->count_sma->group_file(g)->NewCursor());
+    // The group key is the attribute value x.
+    const util::Value& x = node->count_sma->group_key(g)[0];
+    bool sat;
+    if (pred->kind() == Predicate::Kind::kAtomString) {
+      const bool eq = x.AsString() == pred->string_constant();
+      sat = pred->op() == CmpOp::kEq ? eq : !eq;
+    } else {
+      sat = expr::CompareInt(x.RawInt(), pred->op(), pred->constant());
+    }
+    node->count_sat.push_back(sat ? 1 : 0);
+  }
+}
+
 std::unique_ptr<BucketGrader::Node> BucketGrader::Bind(const Predicate* pred) {
   auto node = std::make_unique<Node>();
   node->pred = pred;
+  const auto bind_extremes = [&](size_t col, ExtremeSource* mn,
+                                 ExtremeSource* mx) {
+    BindExtreme(smas_, AggFunc::kMin, col, &mn->sma, &mn->cursors,
+                &mn->undefined);
+    BindExtreme(smas_, AggFunc::kMax, col, &mx->sma, &mx->cursors,
+                &mx->undefined);
+    return mn->sma != nullptr || mx->sma != nullptr;
+  };
   switch (pred->kind()) {
     case Predicate::Kind::kTrue:
       break;
     case Predicate::Kind::kAtomConst: {
-      BindMinMax(smas_, pred->column(), &node->min_sma, &node->max_sma,
-                 &node->min_cursors, &node->max_cursors);
-      node->count_sma = smas_->FindCountByValue(pred->column());
-      if (node->count_sma != nullptr) {
-        for (size_t g = 0; g < node->count_sma->num_groups(); ++g) {
-          node->count_cursors.push_back(
-              node->count_sma->group_file(g)->NewCursor());
-        }
-      }
-      if (node->min_sma != nullptr || node->max_sma != nullptr ||
-          node->count_sma != nullptr) {
-        has_sma_support_ = true;
-      }
+      const bool extremes = bind_extremes(pred->column(), &node->min,
+                                          &node->max);
+      BindCount(node.get());
+      if (extremes || node->count_sma != nullptr) has_sma_support_ = true;
       break;
     }
     case Predicate::Kind::kAtomTwoCols: {
-      BindMinMax(smas_, pred->column(), &node->min_sma, &node->max_sma,
-                 &node->min_cursors, &node->max_cursors);
-      BindMinMax(smas_, pred->rhs_column(), &node->rhs_min_sma,
-                 &node->rhs_max_sma, &node->rhs_min_cursors,
-                 &node->rhs_max_cursors);
-      if ((node->min_sma != nullptr || node->max_sma != nullptr) &&
-          (node->rhs_min_sma != nullptr || node->rhs_max_sma != nullptr)) {
-        has_sma_support_ = true;
-      }
+      const bool lhs = bind_extremes(pred->column(), &node->min, &node->max);
+      const bool rhs = bind_extremes(pred->rhs_column(), &node->rhs_min,
+                                     &node->rhs_max);
+      if (lhs && rhs) has_sma_support_ = true;
       break;
     }
-    case Predicate::Kind::kAtomString: {
+    case Predicate::Kind::kAtomString:
       // String equality grades through a count-by-value SMA only.
-      node->count_sma = smas_->FindCountByValue(pred->column());
-      if (node->count_sma != nullptr) {
-        for (size_t g = 0; g < node->count_sma->num_groups(); ++g) {
-          node->count_cursors.push_back(
-              node->count_sma->group_file(g)->NewCursor());
-        }
-        has_sma_support_ = true;
-      }
+      BindCount(node.get());
+      if (node->count_sma != nullptr) has_sma_support_ = true;
       break;
-    }
     case Predicate::Kind::kAnd:
     case Predicate::Kind::kOr:
       node->left = Bind(pred->left());
@@ -224,126 +235,148 @@ std::unique_ptr<BucketGrader::Node> BucketGrader::Bind(const Predicate* pred) {
   return node;
 }
 
-Result<std::optional<int64_t>> BucketGrader::Extreme(
-    const Sma* sma, std::vector<SmaFile::Cursor>* cursors, uint64_t b) {
-  std::optional<int64_t> extreme;
-  if (sma == nullptr || b >= sma->num_buckets()) return extreme;
-  for (size_t g = 0; g < cursors->size(); ++g) {
-    SMADB_ASSIGN_OR_RETURN(int64_t e, (*cursors)[g].Get(b));
-    if (sma->IsUndefined(e)) continue;
-    if (!extreme.has_value()) {
-      extreme = e;
-    } else if (sma->spec().func == AggFunc::kMin) {
-      extreme = std::min(*extreme, e);
+Status BucketGrader::ReadExtreme(ExtremeSource* src, bool is_min,
+                                 uint64_t first, uint64_t end, int64_t* out) {
+  const size_t n = static_cast<size_t>(end - first);
+  std::fill(out, out + n, src->undefined);
+  if (src->sma == nullptr) return Status::OK();
+  const uint64_t covered = std::min(end, src->sma->num_buckets());
+  if (covered <= first) return Status::OK();
+  const size_t m = static_cast<size_t>(covered - first);
+  int64_t* entries = Scratch(&entries_, m);
+  for (size_t g = 0; g < src->cursors.size(); ++g) {
+    SMADB_RETURN_NOT_OK(src->cursors[g].Read(first, covered, entries));
+    if (is_min) {
+      for (size_t k = 0; k < m; ++k) out[k] = std::min(out[k], entries[k]);
     } else {
-      extreme = std::max(*extreme, e);
+      for (size_t k = 0; k < m; ++k) out[k] = std::max(out[k], entries[k]);
     }
   }
-  return extreme;
+  return Status::OK();
 }
 
-Result<Grade> BucketGrader::GradeAtom(Node* node, uint64_t b) {
+Status BucketGrader::ApplyCounts(Node* node, uint64_t first, uint64_t end,
+                                 Grade* out) {
+  if (node->count_sma == nullptr) return Status::OK();
+  const uint64_t covered = std::min(end, node->count_sma->num_buckets());
+  if (covered <= first) return Status::OK();
+  const size_t m = static_cast<size_t>(covered - first);
+  // §3.1 count rules, intended semantics: per bucket, is any value present,
+  // does every present value satisfy the atom, does none?
+  uint8_t* any = Scratch(&any_, m);
+  uint8_t* all = Scratch(&all_, m);
+  uint8_t* none = Scratch(&none_, m);
+  std::fill(any, any + m, 0);
+  std::fill(all, all + m, 1);
+  std::fill(none, none + m, 1);
+  int64_t* counts = Scratch(&entries_, m);
+  for (size_t g = 0; g < node->count_cursors.size(); ++g) {
+    SMADB_RETURN_NOT_OK(node->count_cursors[g].Read(first, covered, counts));
+    // A present value clears `none` if it satisfies the atom, else `all`.
+    uint8_t* cleared = node->count_sat[g] ? none : all;
+    for (size_t k = 0; k < m; ++k) {
+      const uint8_t present = counts[k] > 0 ? 1 : 0;
+      any[k] |= present;
+      cleared[k] &= static_cast<uint8_t>(present ^ 1);
+    }
+  }
+  for (size_t k = 0; k < m; ++k) {
+    if (out[k] != Grade::kAmbivalent || !any[k]) continue;
+    if (all[k]) {
+      out[k] = Grade::kQualifies;
+    } else if (none[k]) {
+      out[k] = Grade::kDisqualifies;
+    }
+  }
+  return Status::OK();
+}
+
+Status BucketGrader::GradeAtom(Node* node, uint64_t first, uint64_t end,
+                               Grade* out) {
   const Predicate* pred = node->pred;
+  const size_t n = static_cast<size_t>(end - first);
 
   if (pred->kind() == Predicate::Kind::kAtomString) {
-    // §3.1 count rules applied to the string domain: a bucket qualifies
-    // when every present value satisfies the equality, disqualifies when
-    // none does.
-    if (node->count_sma == nullptr || b >= node->count_sma->num_buckets()) {
-      return Grade::kAmbivalent;
-    }
-    bool any_present = false;
-    bool all_satisfy = true;
-    bool none_satisfy = true;
-    for (size_t g = 0; g < node->count_cursors.size(); ++g) {
-      SMADB_ASSIGN_OR_RETURN(int64_t count, node->count_cursors[g].Get(b));
-      if (count <= 0) continue;
-      any_present = true;
-      const util::Value& x = node->count_sma->group_key(g)[0];
-      const bool eq = x.AsString() == pred->string_constant();
-      const bool sat = pred->op() == expr::CmpOp::kEq ? eq : !eq;
-      all_satisfy &= sat;
-      none_satisfy &= !sat;
-    }
-    if (!any_present) return Grade::kAmbivalent;
-    if (all_satisfy) return Grade::kQualifies;
-    if (none_satisfy) return Grade::kDisqualifies;
-    return Grade::kAmbivalent;
+    // §3.1 count rules applied to the string domain.
+    std::fill(out, out + n, Grade::kAmbivalent);
+    return ApplyCounts(node, first, end, out);
   }
 
-  SMADB_ASSIGN_OR_RETURN(std::optional<int64_t> mn,
-                         Extreme(node->min_sma, &node->min_cursors, b));
-  SMADB_ASSIGN_OR_RETURN(std::optional<int64_t> mx,
-                         Extreme(node->max_sma, &node->max_cursors, b));
+  int64_t* mn = Scratch(&mn_, n);
+  int64_t* mx = Scratch(&mx_, n);
+  SMADB_RETURN_NOT_OK(ReadExtreme(&node->min, /*is_min=*/true, first, end, mn));
+  SMADB_RETURN_NOT_OK(ReadExtreme(&node->max, /*is_min=*/false, first, end,
+                                  mx));
+  const auto known = [](const ExtremeSource& src, int64_t v) {
+    return v == src.undefined ? std::nullopt : std::optional<int64_t>(v);
+  };
 
-  Grade grade = Grade::kAmbivalent;
   if (pred->kind() == Predicate::Kind::kAtomConst) {
-    grade = GradeMinMaxConst(pred->op(), mn, mx, pred->constant());
-
-    // Count-by-value source (§3.1 count rules, intended semantics).
-    if (grade == Grade::kAmbivalent && node->count_sma != nullptr &&
-        b < node->count_sma->num_buckets()) {
-      bool any_present = false;
-      bool all_satisfy = true;
-      bool none_satisfy = true;
-      for (size_t g = 0; g < node->count_cursors.size(); ++g) {
-        SMADB_ASSIGN_OR_RETURN(int64_t count, node->count_cursors[g].Get(b));
-        if (count <= 0) continue;
-        any_present = true;
-        // Group key is the attribute value x.
-        const util::Value& x = node->count_sma->group_key(g)[0];
-        const bool sat = expr::CompareInt(x.RawInt(), pred->op(),
-                                          pred->constant());
-        all_satisfy &= sat;
-        none_satisfy &= !sat;
-      }
-      if (any_present) {
-        if (all_satisfy) {
-          grade = Grade::kQualifies;
-        } else if (none_satisfy) {
-          grade = Grade::kDisqualifies;
-        }
-      }
+    const CmpOp op = pred->op();
+    const int64_t c = pred->constant();
+    for (size_t k = 0; k < n; ++k) {
+      out[k] = GradeMinMaxConst(op, known(node->min, mn[k]),
+                                known(node->max, mx[k]), c);
     }
-  } else {
-    SMADB_ASSIGN_OR_RETURN(
-        std::optional<int64_t> rhs_mn,
-        Extreme(node->rhs_min_sma, &node->rhs_min_cursors, b));
-    SMADB_ASSIGN_OR_RETURN(
-        std::optional<int64_t> rhs_mx,
-        Extreme(node->rhs_max_sma, &node->rhs_max_cursors, b));
-    grade = GradeMinMaxTwoCols(pred->op(), mn, mx, rhs_mn, rhs_mx);
+    // Count-by-value source for what min/max left ambivalent.
+    return ApplyCounts(node, first, end, out);
   }
-  return grade;
+
+  int64_t* rhs_mn = Scratch(&rhs_mn_, n);
+  int64_t* rhs_mx = Scratch(&rhs_mx_, n);
+  SMADB_RETURN_NOT_OK(
+      ReadExtreme(&node->rhs_min, /*is_min=*/true, first, end, rhs_mn));
+  SMADB_RETURN_NOT_OK(
+      ReadExtreme(&node->rhs_max, /*is_min=*/false, first, end, rhs_mx));
+  for (size_t k = 0; k < n; ++k) {
+    out[k] = GradeMinMaxTwoCols(
+        pred->op(), known(node->min, mn[k]), known(node->max, mx[k]),
+        known(node->rhs_min, rhs_mn[k]), known(node->rhs_max, rhs_mx[k]));
+  }
+  return Status::OK();
 }
 
-Result<Grade> BucketGrader::GradeNode(Node* node, uint64_t b) {
+Status BucketGrader::GradeNode(Node* node, uint64_t first, uint64_t end,
+                               Grade* out) {
+  const size_t n = static_cast<size_t>(end - first);
   switch (node->pred->kind()) {
     case Predicate::Kind::kTrue:
-      return Grade::kQualifies;
+      std::fill(out, out + n, Grade::kQualifies);
+      return Status::OK();
     case Predicate::Kind::kAtomConst:
     case Predicate::Kind::kAtomTwoCols:
     case Predicate::Kind::kAtomString:
-      return GradeAtom(node, b);
-    case Predicate::Kind::kAnd: {
-      SMADB_ASSIGN_OR_RETURN(Grade l, GradeNode(node->left.get(), b));
-      // Short-circuit: a disqualifying conjunct settles the bucket.
-      if (l == Grade::kDisqualifies) return Grade::kDisqualifies;
-      SMADB_ASSIGN_OR_RETURN(Grade r, GradeNode(node->right.get(), b));
-      return CombineAnd(l, r);
-    }
+      return GradeAtom(node, first, end, out);
+    case Predicate::Kind::kAnd:
     case Predicate::Kind::kOr: {
-      SMADB_ASSIGN_OR_RETURN(Grade l, GradeNode(node->left.get(), b));
-      if (l == Grade::kQualifies) return Grade::kQualifies;
-      SMADB_ASSIGN_OR_RETURN(Grade r, GradeNode(node->right.get(), b));
-      return CombineOr(l, r);
+      const bool is_and = node->pred->kind() == Predicate::Kind::kAnd;
+      SMADB_RETURN_NOT_OK(GradeNode(node->left.get(), first, end, out));
+      // Short-circuit: a range the left side settles needs no right side.
+      const Grade settles = is_and ? Grade::kDisqualifies : Grade::kQualifies;
+      if (std::all_of(out, out + n, [&](Grade g) { return g == settles; })) {
+        return Status::OK();
+      }
+      Grade* right = Scratch(&node->scratch, n);
+      SMADB_RETURN_NOT_OK(GradeNode(node->right.get(), first, end, right));
+      for (size_t k = 0; k < n; ++k) {
+        out[k] = is_and ? CombineAnd(out[k], right[k])
+                        : CombineOr(out[k], right[k]);
+      }
+      return Status::OK();
     }
   }
-  return Grade::kAmbivalent;
+  return Status::OK();
+}
+
+Status BucketGrader::GradeRange(uint64_t first, uint64_t end, Grade* out) {
+  if (end <= first) return Status::OK();
+  return GradeNode(root_.get(), first, end, out);
 }
 
 Result<Grade> BucketGrader::GradeBucket(uint64_t b) {
-  return GradeNode(root_.get(), b);
+  Grade g = Grade::kAmbivalent;
+  SMADB_RETURN_NOT_OK(GradeRange(b, b + 1, &g));
+  return g;
 }
 
 }  // namespace smadb::sma

@@ -53,13 +53,18 @@ Grade GradeMinMaxTwoCols(expr::CmpOp op, std::optional<int64_t> mn_a,
                          std::optional<int64_t> mn_b,
                          std::optional<int64_t> mx_b);
 
-/// Streams grades for the buckets of a table, one predicate, binding each
-/// atom to whatever SMAs the set offers (min/max — grouped or not — and
-/// count-by-value). Buckets beyond the SMAs' coverage grade ambivalent.
+/// Grades the buckets of a table for one predicate, binding each atom to
+/// whatever SMAs the set offers (min/max — grouped or not — and
+/// count-by-value). Buckets beyond an SMA's coverage get nothing from it
+/// (an atom with no usable source grades ambivalent).
 ///
-/// Grading is designed to run "in sync" with a sequential scan (§2.3):
-/// all SMA-files are read through cursors, so non-decreasing bucket numbers
-/// touch each SMA page exactly once.
+/// Grading works a range of buckets at a time (§2.3's "in sync" pass): each
+/// bound SMA-file's entries for the range are read off its pinned page
+/// through a cursor, grouped min/max SMAs fold to element-wise extremes
+/// that skip undefined entries, the §3.1 atom rules apply element by
+/// element, and AND/OR combine element-wise. Non-decreasing ranges touch
+/// each SMA page once. A grader holds page pins, so it belongs to one
+/// thread.
 class BucketGrader {
  public:
   /// Binds `pred` against `smas`. Never fails on missing SMAs — atoms
@@ -67,7 +72,11 @@ class BucketGrader {
   static std::unique_ptr<BucketGrader> Create(expr::PredicatePtr pred,
                                               const SmaSet* smas);
 
-  /// Grade of bucket `b`. Most efficient when called with non-decreasing b.
+  /// Grades buckets [first, end) into out[0, end - first). Most efficient
+  /// when successive ranges do not move backwards.
+  util::Status GradeRange(uint64_t first, uint64_t end, Grade* out);
+
+  /// Grade of bucket `b`: GradeRange's one-bucket case.
   util::Result<Grade> GradeBucket(uint64_t b);
 
   /// True when at least one atom is backed by a SMA — otherwise every
@@ -75,40 +84,57 @@ class BucketGrader {
   bool has_sma_support() const { return has_sma_support_; }
 
  private:
+  /// A min or max SMA read across its group files; `undefined` is its
+  /// sentinel (also what a range past its coverage reads as).
+  struct ExtremeSource {
+    const Sma* sma = nullptr;
+    std::vector<SmaFile::Cursor> cursors;
+    int64_t undefined = 0;
+  };
+
   struct Node {
     const expr::Predicate* pred = nullptr;
-    // min/max sources for the lhs column (one cursor per group file).
-    const Sma* min_sma = nullptr;
-    const Sma* max_sma = nullptr;
-    std::vector<SmaFile::Cursor> min_cursors;
-    std::vector<SmaFile::Cursor> max_cursors;
-    // min/max sources for the rhs column (two-column atoms).
-    const Sma* rhs_min_sma = nullptr;
-    const Sma* rhs_max_sma = nullptr;
-    std::vector<SmaFile::Cursor> rhs_min_cursors;
-    std::vector<SmaFile::Cursor> rhs_max_cursors;
-    // count-by-value source (count SMA grouped solely by the lhs column).
+    // min/max sources for the lhs column and, for two-column atoms, the rhs.
+    ExtremeSource min, max, rhs_min, rhs_max;
+    // count-by-value source (count SMA grouped solely by the lhs column)
+    // and, per count group, whether its value satisfies the atom.
     const Sma* count_sma = nullptr;
     std::vector<SmaFile::Cursor> count_cursors;
-    // children for and/or.
+    std::vector<uint8_t> count_sat;
+    // children for and/or; `scratch` holds the right child's grades.
     std::unique_ptr<Node> left;
     std::unique_ptr<Node> right;
+    std::vector<Grade> scratch;
   };
 
   BucketGrader(expr::PredicatePtr pred, const SmaSet* smas);
 
   std::unique_ptr<Node> Bind(const expr::Predicate* pred);
-  util::Result<Grade> GradeNode(Node* node, uint64_t b);
-  util::Result<Grade> GradeAtom(Node* node, uint64_t b);
+  void BindCount(Node* node);
+  util::Status GradeNode(Node* node, uint64_t first, uint64_t end,
+                         Grade* out);
+  util::Status GradeAtom(Node* node, uint64_t first, uint64_t end,
+                         Grade* out);
 
-  /// Bucket-level extreme across a min/max SMA's groups via cursors.
-  static util::Result<std::optional<int64_t>> Extreme(
-      const Sma* sma, std::vector<SmaFile::Cursor>* cursors, uint64_t b);
+  /// Element-wise bucket extremes of `src` over [first, end) into
+  /// out[0, end - first); src->undefined where no group is defined.
+  util::Status ReadExtreme(ExtremeSource* src, bool is_min, uint64_t first,
+                           uint64_t end, int64_t* out);
+
+  /// Count-by-value rules over [first, end): refines each ambivalent
+  /// out[k] to qualifies (every present value satisfies the atom) or
+  /// disqualifies (none does).
+  util::Status ApplyCounts(Node* node, uint64_t first, uint64_t end,
+                           Grade* out);
 
   expr::PredicatePtr pred_;
   const SmaSet* smas_;
   std::unique_ptr<Node> root_;
   bool has_sma_support_ = false;
+  // Per-range scratch, reused across calls: extremes of the lhs and rhs
+  // columns, one group file's entries, and count-rule flags.
+  std::vector<int64_t> mn_, mx_, rhs_mn_, rhs_mx_, entries_;
+  std::vector<uint8_t> any_, all_, none_;
 };
 
 }  // namespace smadb::sma

@@ -1,6 +1,8 @@
 #include "sma/sma_file.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "util/string_util.h"
 
@@ -110,6 +112,42 @@ Status SmaFile::Set(uint64_t idx, int64_t value) {
   }
   SMADB_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(file_, PageOfEntry(idx)));
   EncodeAt(guard.MutablePage(), idx, value);
+  return Status::OK();
+}
+
+Status SmaFile::Cursor::Read(uint64_t first, uint64_t end, int64_t* out) {
+  const uint64_t n = file_->num_entries_.load(std::memory_order_acquire);
+  if (end > n) {
+    return Status::OutOfRange(util::Format(
+        "SMA entries up to %llu out of range (%llu entries)",
+        static_cast<unsigned long long>(end),
+        static_cast<unsigned long long>(n)));
+  }
+  const uint32_t per = file_->entries_per_page_;
+  for (uint64_t i = first; i < end;) {
+    const int64_t page = file_->PageOfEntry(i);
+    if (page != cached_page_) {
+      SMADB_ASSIGN_OR_RETURN(guard_, file_->pool_->Fetch(
+                                         file_->file_,
+                                         static_cast<uint32_t>(page)));
+      cached_page_ = page;
+    }
+    const uint64_t stop =
+        std::min<uint64_t>(end, static_cast<uint64_t>(page + 1) * per);
+    const uint8_t* src = guard_.page()->data + (i % per) * file_->entry_width_;
+    int64_t* dst = out + (i - first);
+    const size_t count = static_cast<size_t>(stop - i);
+    if (file_->entry_width_ == 4) {
+      for (size_t k = 0; k < count; ++k) {
+        int32_t v;
+        std::memcpy(&v, src + k * sizeof(int32_t), sizeof(v));
+        dst[k] = v;
+      }
+    } else {
+      std::memcpy(dst, src, count * sizeof(int64_t));
+    }
+    i = stop;
+  }
   return Status::OK();
 }
 

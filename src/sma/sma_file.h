@@ -79,6 +79,12 @@ class SmaFile {
     /// Reads entry `idx`. Amortized zero page faults for non-decreasing idx.
     util::Result<int64_t> Get(uint64_t idx);
 
+    /// Widens entries [first, end) into out[0, end - first), straight off
+    /// the pinned page (or pages, when the range straddles one); the cursor
+    /// keeps the last page pinned. kOutOfRange when `end` is past the
+    /// entries published when the call began.
+    util::Status Read(uint64_t first, uint64_t end, int64_t* out);
+
    private:
     const SmaFile* file_;
     storage::PageGuard guard_;

@@ -2,13 +2,16 @@
 //
 // Concurrency in smadb is bucket-shaped: appends touch exactly the tail
 // bucket, updates/deletes exactly the bucket holding the rid, and scans walk
-// buckets one at a time. A BucketLatchTable maps bucket ids onto a fixed
-// array of shared_mutex shards (bucket % shards), so a writer folding an
-// append into the tail bucket's SMA entries excludes only readers of that
-// bucket — every other bucket keeps streaming.
+// buckets a morsel at a time. A BucketLatchTable maps each *latch group* —
+// the BucketsPerRun(bucket_pages) consecutive buckets that span one read run
+// of kRunPages pages, i.e. one morsel — onto a fixed array of shared_mutex
+// shards (group % shards). A reader takes one shared acquire per group and
+// grades, answers or reads the whole group under it; a writer folding an
+// append into the tail bucket's SMA entries latches that bucket, which
+// excludes readers of its group only — every other group keeps streaming.
 //
 // Deadlock freedom: latches are leaf locks. A thread holds at most ONE
-// bucket latch at a time (readers release bucket b before acquiring b+1;
+// latch at a time (readers release group g before acquiring the next one;
 // writers latch the single bucket their mutation lands in), except for the
 // whole-table paths (Vacuum, SMA Rebuild) which use LockAllExclusive — and
 // that acquires shards in ascending index order, so two whole-table lockers
@@ -17,13 +20,14 @@
 // BufferPool::mu_ -> Wal::mu_ (the pool's pre_writeback barrier is the
 // pool->wal edge; nothing goes the other way).
 //
-// Sharding makes collisions possible (bucket 0 and bucket `shards` share a
+// Sharding makes collisions possible (group 0 and group `shards` share a
 // mutex). That is a throughput hit, never a correctness one: a collision
 // only ever serializes two operations that would have been safe to overlap.
 
 #ifndef SMADB_STORAGE_LATCH_H_
 #define SMADB_STORAGE_LATCH_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -32,6 +36,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "storage/disk.h"
 
 namespace smadb::storage {
 
@@ -45,17 +50,27 @@ struct LatchStats {
   uint64_t wait_ns = 0;
 };
 
+/// Consecutive buckets that span one read run of kRunPages pages (at least
+/// one): the size of a latch group, and of a morsel (exec::BucketsPerMorsel).
+inline uint64_t BucketsPerRun(uint32_t bucket_pages) {
+  return std::max<uint64_t>(1, kRunPages / std::max<uint32_t>(1, bucket_pages));
+}
+
 class BucketLatchTable {
  public:
   // 32 keeps whole-table holds under ThreadSanitizer's per-thread cap of 64
   // simultaneously held locks: LockAllExclusive pins every shard while the
   // caller already holds the engine mutexes above it in the lock order, and
   // TSan's deadlock detector CHECK-aborts past 64. Collision rates at 32
-  // shards are indistinguishable from 64 for bucket-grained traffic.
+  // shards are indistinguishable from 64 for group-grained traffic.
   static constexpr size_t kDefaultShards = 32;
 
-  explicit BucketLatchTable(size_t shards = kDefaultShards)
-      : shards_(shards == 0 ? 1 : shards),
+  /// `group_buckets` consecutive buckets share one latch (BucketsPerRun of
+  /// the table's bucket size).
+  explicit BucketLatchTable(uint64_t group_buckets = 1,
+                            size_t shards = kDefaultShards)
+      : group_buckets_(group_buckets == 0 ? 1 : group_buckets),
+        shards_(shards == 0 ? 1 : shards),
         mutexes_(std::make_unique<std::shared_mutex[]>(
             shards == 0 ? 1 : shards)) {}
 
@@ -68,7 +83,12 @@ class BucketLatchTable {
 
   size_t shards() const { return shards_; }
 
-  /// Movable RAII shared (reader) hold on one bucket's shard.
+  /// Latch group of `bucket`: buckets [g * group_buckets, (g + 1) *
+  /// group_buckets) share one latch.
+  uint64_t GroupOf(uint64_t bucket) const { return bucket / group_buckets_; }
+  uint64_t group_buckets() const { return group_buckets_; }
+
+  /// Movable RAII shared (reader) hold on one group's shard.
   class SharedGuard {
    public:
     SharedGuard() = default;
@@ -84,7 +104,7 @@ class BucketLatchTable {
     std::shared_lock<std::shared_mutex> lock_;
   };
 
-  /// Movable RAII exclusive (writer) hold on one bucket's shard.
+  /// Movable RAII exclusive (writer) hold on one group's shard.
   class ExclusiveGuard {
    public:
     ExclusiveGuard() = default;
@@ -113,8 +133,10 @@ class BucketLatchTable {
     std::vector<std::unique_lock<std::shared_mutex>> locks_;
   };
 
+  /// Shared hold on the latch group of `bucket`: one acquire covers every
+  /// bucket of the group.
   SharedGuard LockShared(uint64_t bucket) {
-    std::shared_mutex& m = mutexes_[bucket % shards_];
+    std::shared_mutex& m = mutexes_[GroupOf(bucket) % shards_];
     std::shared_lock<std::shared_mutex> lock(m, std::try_to_lock);
     if (!lock.owns_lock()) {
       const uint64_t ns = TimedAcquire([&] { lock.lock(); });
@@ -124,8 +146,10 @@ class BucketLatchTable {
     return SharedGuard(std::move(lock));
   }
 
+  /// Exclusive hold for a mutation of `bucket`; excludes readers of the
+  /// bucket's whole latch group.
   ExclusiveGuard LockExclusive(uint64_t bucket) {
-    std::shared_mutex& m = mutexes_[bucket % shards_];
+    std::shared_mutex& m = mutexes_[GroupOf(bucket) % shards_];
     std::unique_lock<std::shared_mutex> lock(m, std::try_to_lock);
     if (!lock.owns_lock()) {
       const uint64_t ns = TimedAcquire([&] { lock.lock(); });
@@ -173,6 +197,7 @@ class BucketLatchTable {
     }
   }
 
+  const uint64_t group_buckets_;
   const size_t shards_;
   std::unique_ptr<std::shared_mutex[]> mutexes_;
   std::atomic<uint64_t> shared_acquires_{0};

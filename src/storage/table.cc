@@ -28,7 +28,8 @@ Table::Table(BufferPool* pool, FileId file, std::string name, Schema schema,
       schema_(std::move(schema)),
       options_(options),
       tuples_per_page_(ComputeCapacity(schema_.tuple_size())),
-      tuple_area_offset_(kPageHeaderSize + (tuples_per_page_ + 7) / 8) {}
+      tuple_area_offset_(kPageHeaderSize + (tuples_per_page_ + 7) / 8),
+      latches_(BucketsPerRun(options.bucket_pages)) {}
 
 Result<std::unique_ptr<Table>> Table::Create(BufferPool* pool,
                                              std::string name, Schema schema,

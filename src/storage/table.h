@@ -123,10 +123,11 @@ class Table {
   /// Scans bound themselves by a snapshot instead of the live counters.
   TableSnapshot CaptureSnapshot() const;
 
-  /// Bucket-granular reader-writer latches for this table. Writers latch
-  /// the single bucket a mutation lands in exclusively while splicing page
-  /// bytes and folding SMA entries; readers latch the bucket they are
-  /// scanning shared. See storage/latch.h for the lock-order contract.
+  /// Reader-writer latches for this table, one per latch group of
+  /// BucketsPerRun(bucket_pages) buckets. Writers latch the bucket a
+  /// mutation lands in exclusively while splicing page bytes and folding
+  /// SMA entries; readers latch the group they are scanning or grading
+  /// shared. See storage/latch.h for the lock-order contract.
   BucketLatchTable* latches() const { return &latches_; }
 
   /// Bucket the next Append will land in. Stable only under the writer

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -149,6 +150,34 @@ TEST_F(ConcurrencyTest, FixedRangeAnswersStayExactUnderAppends) {
   const int64_t want_count = expected.rows[0].AsRef().GetInt64(1);
   ASSERT_EQ(want_count, kSeedRows);
 
+  // Dashboard-shaped windows: grouped sum/avg/count over a week, a month
+  // and a quarter, answered by SMA_GAggr from SMA entries (qualifying
+  // buckets) and decoded rows (ambivalent ones) while the appender
+  // streams into the table's tail.
+  ExpectOk(database.Execute(
+      "define sma cnt select count(*) from t group by grp"));
+  ExpectOk(database.Execute("define sma sk select sum(k) from t group by grp"));
+  ExpectOk(database.Execute("define sma sv select sum(v) from t group by grp"));
+  std::vector<std::string> windows;
+  for (const char* range :
+       {"d >= '1970-01-08' and d < '1970-01-15'",
+        "d >= '1970-02-01' and d < '1970-03-01'",
+        "d >= '1970-03-01' and d < '1970-06-01'",
+        "d >= '1970-06-01' and d < '1971-01-01'"}) {
+    windows.push_back(
+        std::string("select grp, sum(k) as sk, avg(v) as av, count(*) as n "
+                    "from t where ") +
+        range + " group by grp");
+  }
+  std::vector<std::string> want_windows;
+  for (const std::string& w : windows) {
+    auto res = Unwrap(database.Query(w));
+    ASSERT_EQ(res.plan.kind, plan::PlanKind::kSmaGAggr)
+        << w << ": " << res.plan.explanation;
+    ASSERT_FALSE(res.rows.empty()) << w;
+    want_windows.push_back(res.ToString());
+  }
+
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread appender([this] {
@@ -161,7 +190,8 @@ TEST_F(ConcurrencyTest, FixedRangeAnswersStayExactUnderAppends) {
   });
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([this, &stop, &failures, &q, want_sum, want_count] {
+    readers.emplace_back([this, &stop, &failures, &q, &windows,
+                          &want_windows, want_sum, want_count] {
       std::unique_ptr<Session> s = database.CreateSession();
       while (!stop.load(std::memory_order_relaxed)) {
         auto res = s->Query(q);
@@ -171,6 +201,13 @@ TEST_F(ConcurrencyTest, FixedRangeAnswersStayExactUnderAppends) {
           ++failures;
           return;
         }
+        for (size_t w = 0; w < windows.size(); ++w) {
+          auto window = s->Query(windows[w]);
+          if (!window.ok() || window->ToString() != want_windows[w]) {
+            ++failures;
+            return;
+          }
+        }
       }
     });
   }
@@ -178,6 +215,47 @@ TEST_F(ConcurrencyTest, FixedRangeAnswersStayExactUnderAppends) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Latch groups: the buckets of one morsel share one latch.
+
+TEST_F(ConcurrencyTest, WriterExcludesItsLatchGroupOnly) {
+  storage::BucketLatchTable* latches = table->latches();
+  const uint64_t group = latches->group_buckets();
+  ASSERT_EQ(group, storage::BucketsPerRun(table->bucket_pages()));
+  ASSERT_GT(group, 1u);
+  // Reads bucket `b` under its shared latch on another thread; true when
+  // the read finished within `wait`.
+  const auto read_finishes = [&](uint64_t b, std::chrono::milliseconds wait,
+                                 std::thread* reader,
+                                 std::atomic<bool>* done) {
+    *reader = std::thread([latches, b, done] {
+      auto latch = latches->LockShared(b);
+      done->store(true);
+    });
+    const auto deadline = std::chrono::steady_clock::now() + wait;
+    while (!done->load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done->load();
+  };
+
+  auto writer = latches->LockExclusive(1);
+  // Another bucket of the same group waits for the writer...
+  std::thread same_group;
+  std::atomic<bool> same_done{false};
+  EXPECT_FALSE(read_finishes(group - 1, std::chrono::milliseconds(50),
+                             &same_group, &same_done));
+  // ...while the first bucket of the next group does not.
+  std::thread next_group;
+  std::atomic<bool> next_done{false};
+  EXPECT_TRUE(read_finishes(group, std::chrono::seconds(10), &next_group,
+                            &next_done));
+  next_group.join();
+  writer.Release();
+  same_group.join();
+  EXPECT_TRUE(same_done.load());
 }
 
 // ---------------------------------------------------------------------------

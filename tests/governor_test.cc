@@ -348,6 +348,37 @@ TEST_F(GovernorPlanTest, GroupTableBudgetExhaustionNamesGroupTable) {
       << run.status().ToString();
 }
 
+// Partial groups are charged as they grow — per batch in GAggr, per folded
+// morsel in ParallelScanAggr — so a unique-key group-by over a table far
+// larger than its budget fails before the scan has fetched the table.
+TEST_F(GovernorPlanTest, PartialGroupsAreChargedAsTheyGrow) {
+  table = MakeSyntheticTable(&db, 60000, testing::Layout::kClustered,
+                             /*seed=*/11, /*bucket_pages=*/1, "unique");
+  const expr::ExprPtr v = Unwrap(expr::Column(&table->schema(), "v"));
+  query.table = table;
+  query.group_by = {0};
+  query.aggs = {AggSpec::Sum(v, "sum_v"), AggSpec::Count("cnt")};
+  query.pred = Predicate::True();
+  Planner planner(/*smas=*/nullptr);
+  for (const size_t dop : {size_t{1}, size_t{4}}) {
+    auto op = Unwrap(planner.Build(query, PlanKind::kScanAggr, dop));
+    // Room for each worker's column batch (k and v: 2 x 8 KiB), not for
+    // 60000 groups.
+    QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/128 * 1024);
+    op->BindContext(&ctx);
+    const storage::PoolStats before = db.pool.stats();
+    const auto run = RunToCompletion(op.get(), &ctx);
+    const storage::PoolStats after = db.pool.stats();
+    ASSERT_FALSE(run.ok()) << "dop " << dop;
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(run.status().message().find("GroupTable"), std::string::npos)
+        << run.status().ToString();
+    const uint64_t fetches =
+        after.hits + after.misses - before.hits - before.misses;
+    EXPECT_LT(fetches, table->num_pages()) << "dop " << dop;
+  }
+}
+
 TEST_F(GovernorPlanTest, ColumnBatchBudgetExhaustionNamesColumnBatch) {
   Setup(testing::Layout::kClustered, "g6");
   query.pred = Predicate::True();

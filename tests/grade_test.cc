@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "exec/bucket_source.h"
 #include "sma/grade.h"
 #include "tests/test_util.h"
 
@@ -196,6 +200,49 @@ struct GraderTest : ::testing::Test {
   TestDb db;
 };
 
+/// Grades `t` for `pred` in ranges through one grader — one bucket at a
+/// time, BucketsPerMorsel buckets at a time, ranges that straddle every
+/// SMA page edge (1024 four-byte or 512 eight-byte entries per page),
+/// ranges that end at or straddle the coverage edge `covered`, and the
+/// whole table — and expects every grade to equal the per-bucket grader's.
+void ExpectRangesMatchBuckets(storage::Table* t, const PredicatePtr& pred,
+                              const SmaSet* smas,
+                              uint64_t covered = UINT64_MAX) {
+  const uint64_t n = t->num_buckets();
+  auto per_bucket = BucketGrader::Create(pred, smas);
+  std::vector<Grade> want(n);
+  for (uint64_t b = 0; b < n; ++b) {
+    want[b] = Unwrap(per_bucket->GradeBucket(b));
+  }
+  auto grader = BucketGrader::Create(pred, smas);
+  const auto check = [&](uint64_t first, uint64_t end) {
+    end = std::min(end, n);
+    if (first >= end) return;
+    std::vector<Grade> got(end - first);
+    ExpectOk(grader->GradeRange(first, end, got.data()));
+    for (uint64_t b = first; b < end; ++b) {
+      EXPECT_EQ(got[b - first], want[b])
+          << pred->ToString() << ": bucket " << b << " of range [" << first
+          << ", " << end << ")";
+    }
+  };
+  const uint64_t per = exec::BucketsPerMorsel(t->bucket_pages());
+  for (const uint64_t step : {uint64_t{1}, per}) {
+    for (uint64_t first = 0; first < n; first += step) {
+      check(first, first + step);
+    }
+  }
+  for (uint64_t edge = 512; edge < n; edge += 512) {
+    check(edge - 1, edge + 1);
+    check(edge - 5, edge + 7);
+  }
+  if (covered < n) {
+    check(covered - std::min(covered, per), covered);
+    check(covered - std::min(covered, uint64_t{2}), covered + 3);
+  }
+  check(0, n);
+}
+
 TEST_F(GraderTest, StreamedGradesAreSoundOnAllLayouts) {
   for (auto layout : {testing::Layout::kClustered, testing::Layout::kNoisy,
                       testing::Layout::kRandom}) {
@@ -217,13 +264,16 @@ TEST_F(GraderTest, StreamedGradesAreSoundOnAllLayouts) {
       for (uint32_t b = 0; b < t->num_buckets(); ++b) {
         ExpectGradeSound(t, b, *pred, Unwrap(grader->GradeBucket(b)));
       }
+      ExpectRangesMatchBuckets(t, pred, &smas);
     }
   }
 }
 
 TEST_F(GraderTest, ClusteredLayoutActuallyPrunes) {
+  // Over 1024 buckets, so the date SMAs (four-byte entries) span two pages.
   storage::Table* t =
-      MakeSyntheticTable(&db, 5000, testing::Layout::kClustered);
+      MakeSyntheticTable(&db, 180000, testing::Layout::kClustered);
+  ASSERT_GT(t->num_buckets(), 1024u);
   SmaSet smas(t);
   AddMinMaxSmas(t, &smas, "d");
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
@@ -246,6 +296,20 @@ TEST_F(GraderTest, ClusteredLayoutActuallyPrunes) {
   EXPECT_GT(q, 0u);
   EXPECT_GT(d, 0u);
   EXPECT_LE(a, 2u);  // clustered: at most the boundary bucket is ambivalent
+  ExpectRangesMatchBuckets(t, pred, &smas);
+  // A window whose ends fall on both SMA pages.
+  const int32_t edge_day = static_cast<int32_t>(
+      Unwrap((*smas.Find("min_d"))->group_file(0)->Get(1024)));
+  ExpectRangesMatchBuckets(
+      t,
+      Predicate::And(
+          Unwrap(Predicate::AtomConst(&t->schema(), "d", CmpOp::kGe,
+                                      Value::MakeDate(util::Date(
+                                          edge_day - 400)))),
+          Unwrap(Predicate::AtomConst(&t->schema(), "d", CmpOp::kLt,
+                                      Value::MakeDate(util::Date(
+                                          edge_day + 400))))),
+      &smas);
 }
 
 TEST_F(GraderTest, WithoutSmasEverythingAmbivalent) {
@@ -259,6 +323,7 @@ TEST_F(GraderTest, WithoutSmasEverythingAmbivalent) {
   for (uint32_t b = 0; b < t->num_buckets(); ++b) {
     EXPECT_EQ(Unwrap(grader->GradeBucket(b)), Grade::kAmbivalent);
   }
+  ExpectRangesMatchBuckets(t, pred, &smas);
 }
 
 TEST_F(GraderTest, TruePredicateAlwaysQualifies) {
@@ -269,6 +334,7 @@ TEST_F(GraderTest, TruePredicateAlwaysQualifies) {
   for (uint32_t b = 0; b < t->num_buckets(); ++b) {
     EXPECT_EQ(Unwrap(grader->GradeBucket(b)), Grade::kQualifies);
   }
+  ExpectRangesMatchBuckets(t, Predicate::True(), &smas);
 }
 
 TEST_F(GraderTest, GroupedMinMaxAlsoPrunes) {
@@ -291,6 +357,7 @@ TEST_F(GraderTest, GroupedMinMaxAlsoPrunes) {
     pruned += g != Grade::kAmbivalent;
   }
   EXPECT_GT(pruned, 0u);
+  ExpectRangesMatchBuckets(t, pred, &smas);
 }
 
 TEST_F(GraderTest, CountByValueGrading) {
@@ -315,6 +382,12 @@ TEST_F(GraderTest, CountByValueGrading) {
   // Most buckets have no tuple with d == 3 -> disqualified via counts.
   EXPECT_GT(disq, t->num_buckets() / 2);
   (void)qual;
+  ExpectRangesMatchBuckets(t, eq, &smas);
+  ExpectRangesMatchBuckets(
+      t,
+      Unwrap(Predicate::AtomConst(&t->schema(), "d", CmpOp::kLe,
+                                  Value::MakeDate(util::Date(100)))),
+      &smas);
 }
 
 TEST_F(GraderTest, BooleanPredicatesSound) {
@@ -338,6 +411,7 @@ TEST_F(GraderTest, BooleanPredicatesSound) {
     for (uint32_t b = 0; b < t->num_buckets(); ++b) {
       ExpectGradeSound(t, b, *pred, Unwrap(grader->GradeBucket(b)));
     }
+    ExpectRangesMatchBuckets(t, pred, &smas);
   }
 }
 
@@ -348,11 +422,14 @@ TEST_F(GraderTest, TwoColumnAtomSound) {
   storage::Table* t = Unwrap(db.catalog.CreateTable("two", s, {}));
   util::Rng rng(5);
   storage::TupleBuffer buf(&s);
-  for (int i = 0; i < 3000; ++i) {
-    buf.SetInt64(0, i / 4);                 // a grows 0..749 with position
+  // Over 512 buckets, so the int64 SMAs (eight-byte entries) span two
+  // pages; a crosses b's band at the start.
+  for (int i = 0; i < 140000; ++i) {
+    buf.SetInt64(0, i / 4);                 // a grows with position
     buf.SetInt64(1, rng.Uniform(400, 420)); // b stays in a narrow band
     ExpectOk(t->Append(buf));
   }
+  ASSERT_GT(t->num_buckets(), 512u);
   SmaSet smas(t);
   AddMinMaxSmas(t, &smas, "a");
   AddMinMaxSmas(t, &smas, "b");
@@ -371,6 +448,7 @@ TEST_F(GraderTest, TwoColumnAtomSound) {
     if (op == CmpOp::kLe || op == CmpOp::kGt) {
       EXPECT_GT(settled, 0u);  // a grows past b's range: prunable
     }
+    ExpectRangesMatchBuckets(t, pred, &smas);
   }
 }
 
@@ -413,6 +491,8 @@ TEST_F(GraderTest, StringAtomsGradeThroughCountByValue) {
   for (uint32_t b = 0; b < t->num_buckets(); ++b) {
     ExpectGradeSound(t, b, *ne, Unwrap(grader_ne->GradeBucket(b)));
   }
+  ExpectRangesMatchBuckets(t, eq, &smas);
+  ExpectRangesMatchBuckets(t, ne, &smas);
 
   // Without a count-by-value SMA there is no support.
   SmaSet empty(t);
@@ -442,6 +522,12 @@ TEST_F(GraderTest, StaleSmaCoverageGradesAmbivalent) {
   for (uint32_t b = old_buckets; b < t->num_buckets(); ++b) {
     EXPECT_EQ(Unwrap(grader->GradeBucket(b)), Grade::kAmbivalent);
   }
+  ExpectRangesMatchBuckets(t, pred, &smas, old_buckets);
+  ExpectRangesMatchBuckets(
+      t,
+      Unwrap(Predicate::AtomConst(&t->schema(), "d", CmpOp::kLe,
+                                  Value::MakeDate(util::Date(1000)))),
+      &smas, old_buckets);
 }
 
 }  // namespace
