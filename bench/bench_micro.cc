@@ -1,10 +1,15 @@
-// Micro-benchmarks (google-benchmark): grade() throughput, SMA-file cursor
-// scans, predicate evaluation — the primitives the operators are built on.
+// Micro-benchmarks (google-benchmark): grade() throughput bucket by bucket
+// and a morsel at a time, SMA-file cursor scans, predicate evaluation — the
+// primitives the operators are built on.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 
+#include <algorithm>
+#include <vector>
+
+#include "exec/bucket_source.h"
 #include "expr/predicate.h"
 #include "sma/builder.h"
 #include "sma/grade.h"
@@ -63,6 +68,29 @@ void BM_GradeBucketStream(benchmark::State& state) {
                           static_cast<int64_t>(env->lineitem->num_buckets()));
 }
 BENCHMARK(BM_GradeBucketStream);
+
+// The same census graded a morsel at a time, as the operators grade it.
+void BM_GradeRangeStream(benchmark::State& state) {
+  MicroEnv* env = Env();
+  const uint64_t buckets = env->lineitem->num_buckets();
+  const uint64_t per = exec::BucketsPerMorsel(env->lineitem->bucket_pages());
+  std::vector<sma::Grade> grades(per);
+  for (auto _ : state) {
+    auto grader = sma::BucketGrader::Create(env->pred, env->smas.get());
+    uint64_t counts[3] = {0, 0, 0};
+    for (uint64_t first = 0; first < buckets; first += per) {
+      const uint64_t end = std::min(buckets, first + per);
+      (void)grader->GradeRange(first, end, grades.data());
+      for (uint64_t k = 0; k < end - first; ++k) {
+        ++counts[static_cast<int>(grades[k])];
+      }
+    }
+    benchmark::DoNotOptimize(counts);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(buckets));
+}
+BENCHMARK(BM_GradeRangeStream);
 
 void BM_SmaFileCursorScan(benchmark::State& state) {
   MicroEnv* env = Env();

@@ -287,9 +287,11 @@ void Database::InitMetrics() {
       "smadb_sessions_active", "Client sessions currently open",
       [this] { return static_cast<int64_t>(sessions_active()); });
   // Latch counters summed over every table: how often readers and the
-  // writer actually collided on a bucket.
+  // writer actually collided on a latch group.
   registry_->RegisterCallback(
-      "smadb_latch_shared_acquires", "Shared bucket-latch acquires", [this] {
+      "smadb_latch_shared_acquires",
+      "Shared latch-group acquires (one per morsel graded or group read)",
+      [this] {
         int64_t n = 0;
         for (Table* t : catalog_->Tables()) {
           n += static_cast<int64_t>(t->latches()->stats().shared_acquires);

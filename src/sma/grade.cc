@@ -165,6 +165,20 @@ void BindExtreme(const SmaSet* smas, AggFunc func, size_t col,
   }
 }
 
+// GradeMinMaxConst over a range of bucket extremes, for one operator known
+// at compile time (the rule's switch folds away); an extreme equal to its
+// source's `undefined` sentinel is unknown.
+template <CmpOp kOp>
+void GradeConstRange(const int64_t* mn, int64_t mn_undefined,
+                     const int64_t* mx, int64_t mx_undefined, int64_t c,
+                     size_t n, Grade* out) {
+  for (size_t k = 0; k < n; ++k) {
+    out[k] = GradeMinMaxConst(
+        kOp, mn[k] == mn_undefined ? std::nullopt : std::optional(mn[k]),
+        mx[k] == mx_undefined ? std::nullopt : std::optional(mx[k]), c);
+  }
+}
+
 // Grows `v` to hold at least `n` elements (scratch is never shrunk).
 template <typename T>
 T* Scratch(std::vector<T>* v, size_t n) {
@@ -238,9 +252,13 @@ std::unique_ptr<BucketGrader::Node> BucketGrader::Bind(const Predicate* pred) {
 Status BucketGrader::ReadExtreme(ExtremeSource* src, bool is_min,
                                  uint64_t first, uint64_t end, int64_t* out) {
   const size_t n = static_cast<size_t>(end - first);
+  const uint64_t covered =
+      src->sma == nullptr ? first : std::min(end, src->sma->num_buckets());
+  if (covered == end && src->cursors.size() == 1) {
+    // Ungrouped and covered: the entries are the extremes.
+    return src->cursors[0].Read(first, end, out);
+  }
   std::fill(out, out + n, src->undefined);
-  if (src->sma == nullptr) return Status::OK();
-  const uint64_t covered = std::min(end, src->sma->num_buckets());
   if (covered <= first) return Status::OK();
   const size_t m = static_cast<size_t>(covered - first);
   int64_t* entries = Scratch(&entries_, m);
@@ -307,21 +325,43 @@ Status BucketGrader::GradeAtom(Node* node, uint64_t first, uint64_t end,
   SMADB_RETURN_NOT_OK(ReadExtreme(&node->min, /*is_min=*/true, first, end, mn));
   SMADB_RETURN_NOT_OK(ReadExtreme(&node->max, /*is_min=*/false, first, end,
                                   mx));
-  const auto known = [](const ExtremeSource& src, int64_t v) {
-    return v == src.undefined ? std::nullopt : std::optional<int64_t>(v);
-  };
-
   if (pred->kind() == Predicate::Kind::kAtomConst) {
-    const CmpOp op = pred->op();
+    const int64_t mn_undefined = node->min.undefined;
+    const int64_t mx_undefined = node->max.undefined;
     const int64_t c = pred->constant();
-    for (size_t k = 0; k < n; ++k) {
-      out[k] = GradeMinMaxConst(op, known(node->min, mn[k]),
-                                known(node->max, mx[k]), c);
+    switch (pred->op()) {
+      case CmpOp::kEq:
+        GradeConstRange<CmpOp::kEq>(mn, mn_undefined, mx, mx_undefined, c, n,
+                                    out);
+        break;
+      case CmpOp::kNe:
+        GradeConstRange<CmpOp::kNe>(mn, mn_undefined, mx, mx_undefined, c, n,
+                                    out);
+        break;
+      case CmpOp::kLt:
+        GradeConstRange<CmpOp::kLt>(mn, mn_undefined, mx, mx_undefined, c, n,
+                                    out);
+        break;
+      case CmpOp::kLe:
+        GradeConstRange<CmpOp::kLe>(mn, mn_undefined, mx, mx_undefined, c, n,
+                                    out);
+        break;
+      case CmpOp::kGt:
+        GradeConstRange<CmpOp::kGt>(mn, mn_undefined, mx, mx_undefined, c, n,
+                                    out);
+        break;
+      case CmpOp::kGe:
+        GradeConstRange<CmpOp::kGe>(mn, mn_undefined, mx, mx_undefined, c, n,
+                                    out);
+        break;
     }
     // Count-by-value source for what min/max left ambivalent.
     return ApplyCounts(node, first, end, out);
   }
 
+  const auto known = [](const ExtremeSource& src, int64_t v) {
+    return v == src.undefined ? std::nullopt : std::optional<int64_t>(v);
+  };
   int64_t* rhs_mn = Scratch(&rhs_mn_, n);
   int64_t* rhs_mx = Scratch(&rhs_mx_, n);
   SMADB_RETURN_NOT_OK(
