@@ -228,6 +228,19 @@ void BatchAggregator::FlushInto(GroupTable* table) {
   approx_bytes_ = 0;
 }
 
+util::Status BucketFolder::FoldMorsel(const std::vector<Stretch>& stretches) {
+  if (stretches.size() > 1) {
+    for (const Stretch& s : stretches) {
+      SMADB_RETURN_NOT_OK(reader.PinAhead(s.first, s.end));
+    }
+  }
+  for (const Stretch& s : stretches) {
+    SMADB_RETURN_NOT_OK(Fold(s.first, s.end, s.pred));
+  }
+  reader.ReleaseAhead();
+  return util::Status::OK();
+}
+
 util::Status BucketFolder::Fold(uint64_t first, uint64_t end,
                                 const expr::Predicate* pred) {
   SMADB_RETURN_NOT_OK(reader.OpenBuckets(first, end));

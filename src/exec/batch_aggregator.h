@@ -111,6 +111,20 @@ struct BucketFolder {
   util::Status Fold(uint64_t first, uint64_t end,
                     const expr::Predicate* pred);
 
+  /// A stretch of consecutive buckets of one morsel, with Fold's `pred`.
+  struct Stretch {
+    uint64_t first;
+    uint64_t end;
+    const expr::Predicate* pred;
+  };
+
+  /// Folds the stretches of one morsel, in ascending order, like Fold.
+  /// With more than one, all are pinned first (BucketReader::PinAhead —
+  /// together at most one run, since a morsel spans one), so the morsel's
+  /// page reads reach the disk back to back rather than one stretch per
+  /// decode, where other readers' requests would fall in between.
+  util::Status FoldMorsel(const std::vector<Stretch>& stretches);
+
   BucketReader reader;
   Batch batch;
   BatchAggregator aggregator;

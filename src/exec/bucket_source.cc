@@ -80,6 +80,19 @@ Status BucketReader::Open(uint32_t first_page, uint32_t end_page) {
   return Status::OK();
 }
 
+Status BucketReader::PinAhead(uint64_t first_bucket, uint64_t end_bucket) {
+  const uint32_t first =
+      table_->BucketPageRange(static_cast<uint32_t>(first_bucket)).first;
+  uint32_t end =
+      table_->BucketPageRange(static_cast<uint32_t>(end_bucket - 1)).second;
+  if (has_snapshot_) end = std::min(end, snapshot_.pages);
+  if (first >= end) return Status::OK();
+  SMADB_ASSIGN_OR_RETURN(storage::PageRun run,
+                         table_->PinPages(first, end - first));
+  ahead_.push_back(std::move(run));
+  return Status::OK();
+}
+
 Status BucketReader::PinPage() {
   const uint64_t bucket = table_->BucketOfPage(page_);
   const uint64_t group = table_->latches()->GroupOf(bucket);

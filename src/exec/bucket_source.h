@@ -229,6 +229,15 @@ class BucketReader {
     latch_.Release();
   }
 
+  /// Pins the pages of buckets [first, end) (snapshot-clamped, at most one
+  /// run) without decoding them, so their misses are read now; a later
+  /// Open of the range finds them resident. A morsel loop pins all of a
+  /// morsel's stretches this way before folding any, so the morsel's reads
+  /// reach the disk back to back instead of one stretch per decode. The
+  /// pins are held until ReleaseAhead.
+  util::Status PinAhead(uint64_t first_bucket, uint64_t end_bucket);
+  void ReleaseAhead() { ahead_.clear(); }
+
   /// Pages fetched through this reader since construction (cumulative
   /// across Open() calls) — the per-operator pages-read figure the query
   /// profile reports (DESIGN.md §11). Counts fetches, whether they hit
@@ -243,6 +252,7 @@ class BucketReader {
 
   storage::Table* table_;
   storage::PageRun run_;
+  std::vector<storage::PageRun> ahead_;  // PinAhead's runs
   storage::BucketLatchTable::SharedGuard latch_;
   storage::TableSnapshot snapshot_;
   uint64_t pages_opened_ = 0;

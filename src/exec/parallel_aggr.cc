@@ -53,6 +53,7 @@ Status ParallelScanAggr::InitImpl() {
   struct WorkerState {
     std::unique_ptr<sma::BucketGrader> grader;
     std::vector<Grade> grades;  // the claimed morsel's
+    std::vector<BucketFolder::Stretch> stretches;  // its fetched ones
     BucketFolder folder;
     GroupTable groups;
     SmaScanStats stats;
@@ -103,25 +104,28 @@ Status ParallelScanAggr::InitImpl() {
         // reader range, so its pages are read a run at a time. The grade
         // maps onto the selection vector: a stretch of qualifying buckets
         // keeps the dense all-rows selection with no predicate evaluation.
-        uint64_t stretch = first;  // first bucket not folded yet
+        ws.stretches.clear();
+        uint64_t stretch = first;  // first bucket of the open stretch
         bool all_qualify = true;
-        const auto fold = [&](uint64_t stop) -> Status {
-          if (stretch == stop) return Status::OK();
-          return ws.folder.Fold(stretch, stop,
-                                all_qualify ? nullptr : pred_.get());
+        const auto close = [&](uint64_t stop) {
+          if (stretch < stop) {
+            ws.stretches.push_back(
+                {stretch, stop, all_qualify ? nullptr : pred_.get()});
+          }
+          stretch = stop + 1;
+          all_qualify = true;
         };
         for (uint64_t b = first; b < end; ++b) {
           const Grade g = ws.grades[b - first];
           ws.stats.Tally(g);
-          if (g != Grade::kDisqualifies) {
+          if (g == Grade::kDisqualifies) {
+            close(b);
+          } else {
             all_qualify &= g == Grade::kQualifies;
-            continue;
           }
-          SMADB_RETURN_NOT_OK(fold(b));
-          stretch = b + 1;
-          all_qualify = true;
         }
-        SMADB_RETURN_NOT_OK(fold(end));
+        close(end);
+        SMADB_RETURN_NOT_OK(ws.folder.FoldMorsel(ws.stretches));
         // Partial groups are charged as they grow, not only at the merge.
         return ChargeGrowth(ws.folder.aggregator.approx_bytes(), &ws.charged,
                             "GroupTable");

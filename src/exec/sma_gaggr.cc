@@ -165,6 +165,7 @@ struct SmaGAggr::Worker {
   std::vector<std::vector<sma::SmaFile::Cursor>> cursors;
   std::vector<std::vector<int64_t>> acc;
   std::vector<int64_t> entries;  // one group file's entries for a morsel
+  std::vector<BucketFolder::Stretch> stretches;  // the morsel's ambivalent
   GroupTable groups;
   SmaScanStats stats;
   // Decodes the ambivalent stretches; null in sma_only mode.
@@ -274,6 +275,8 @@ Status SmaGAggr::ProcessMorsel(const BucketSource& source, uint64_t m,
   // Each maximal stretch of ambivalent buckets is decoded through one
   // reader range; the reader clamps to the execution's snapshot and
   // latches the groups it reads itself.
+  std::vector<BucketFolder::Stretch>& stretches = worker->stretches;
+  stretches.clear();
   for (uint64_t b = first; b < end;) {
     if (grades[b - first] != Grade::kAmbivalent) {
       ++b;
@@ -281,9 +284,10 @@ Status SmaGAggr::ProcessMorsel(const BucketSource& source, uint64_t m,
     }
     uint64_t stop = b + 1;
     while (stop < end && grades[stop - first] == Grade::kAmbivalent) ++stop;
-    SMADB_RETURN_NOT_OK(worker->folder->Fold(b, stop, pred_.get()));
+    stretches.push_back({b, stop, pred_.get()});
     b = stop;
   }
+  SMADB_RETURN_NOT_OK(worker->folder->FoldMorsel(stretches));
   return ChargeGrowth(worker->folder->aggregator.approx_bytes(),
                       &worker->charged, "GroupTable");
 }
