@@ -23,8 +23,10 @@
 #include "db/database.h"
 #include "exec/batch.h"
 #include "exec/bucket_source.h"
+#include "exec/gaggr.h"
 #include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
+#include "exec/sma_scan.h"
 #include "planner/planner.h"
 #include "tests/test_util.h"
 #include "tpch/loader.h"
@@ -383,6 +385,14 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
         const Query& q = queries[qi];
         const std::vector<std::string> want =
             testing::ReferenceAggregate(t, *preds[p], q.group_by, q.aggs);
+        // GAggr over SMA_Scan: the serial grading stream.
+        auto sma_scan =
+            std::make_unique<exec::SmaScan>(t, preds[p], fx.smas.get());
+        const exec::SmaScan* scan_ptr = sma_scan.get();
+        auto over_scan = Unwrap(
+            exec::GAggr::Make(std::move(sma_scan), q.group_by, q.aggs));
+        EXPECT_EQ(Sorted(DrainRows(over_scan.get())), want);
+        EXPECT_TRUE(SameCensus(scan_ptr->stats(), census));
         for (const size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
           SCOPED_TRACE(::testing::Message() << "dop " << dop);
           exec::SmaGAggrOptions opts;
