@@ -103,8 +103,17 @@ Status BucketReader::PinPage() {
   if (latched_group_ != group) latch_.Release();
   if (!run_.Contains(page_)) {
     run_.Release();
-    SMADB_ASSIGN_OR_RETURN(
-        run_, table_->PinPages(page_, page_end_ - page_));
+    // A run PinAhead pinned for this page is adopted, not pinned again.
+    const auto ahead = std::find_if(
+        ahead_.begin(), ahead_.end(),
+        [&](const storage::PageRun& r) { return r.Contains(page_); });
+    if (ahead != ahead_.end()) {
+      run_ = std::move(*ahead);
+      ahead_.erase(ahead);
+    } else {
+      SMADB_ASSIGN_OR_RETURN(run_,
+                             table_->PinPages(page_, page_end_ - page_));
+    }
   }
   if (!latch_.held()) {
     latch_ = table_->latches()->LockShared(bucket);

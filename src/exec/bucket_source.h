@@ -231,10 +231,11 @@ class BucketReader {
 
   /// Pins the pages of buckets [first, end) (snapshot-clamped, at most one
   /// run) without decoding them, so their misses are read now; a later
-  /// Open of the range finds them resident. A morsel loop pins all of a
-  /// morsel's stretches this way before folding any, so the morsel's reads
-  /// reach the disk back to back instead of one stretch per decode. The
-  /// pins are held until ReleaseAhead.
+  /// Open of the range adopts the pinned run instead of pinning it again.
+  /// A morsel loop pins all of a morsel's stretches this way before
+  /// folding any, so the morsel's reads reach the disk back to back
+  /// instead of one stretch per decode. Runs not adopted stay pinned until
+  /// ReleaseAhead.
   util::Status PinAhead(uint64_t first_bucket, uint64_t end_bucket);
   void ReleaseAhead() { ahead_.clear(); }
 
