@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -167,6 +168,21 @@ SweepResult RunSweep(uint16_t port, int clients, int per_client,
   return r;
 }
 
+/// Waits, for at most two seconds, until the server has reaped every
+/// connection of the previous stage, and exits 1 if it has not. A client's
+/// close reaches the server's I/O thread asynchronously: without the wait
+/// a stage that connects at once can find the last stage's connections
+/// still counted against max_connections, and be shed with `ERR busy`.
+void WaitForNoConnections(const net::Server& server) {
+  for (int ms = 0; ms < 2000; ++ms) {
+    if (server.connections_active() == 0) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::fprintf(stderr, "%zu connections still open after 2 s\n",
+               server.connections_active());
+  std::exit(1);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -213,6 +229,7 @@ int main(int argc, char** argv) {
   const SweepResult c1 = RunSweep(server.port(), 1, per_client_1, sql);
   std::printf("c=1:  p50 %.3f ms   p99 %.3f ms   %.0f req/s\n", c1.p50_ms,
               c1.p99_ms, c1.requests_per_s);
+  WaitForNoConnections(server);
   const SweepResult c8 = RunSweep(server.port(), 8, per_client_8, sql);
   std::printf("c=8:  p50 %.3f ms   p99 %.3f ms   %.0f req/s\n", c8.p50_ms,
               c8.p99_ms, c8.requests_per_s);
@@ -221,6 +238,7 @@ int main(int argc, char** argv) {
   // Every client connects at once and tries one query. Exactly the ones
   // over the cap must be shed with a typed `ERR busy` — fail fast, never
   // hang — while the admitted ones are served normally.
+  WaitForNoConnections(server);
   std::atomic<int> served{0};
   std::atomic<int> shed{0};
   std::atomic<int> anomalies{0};

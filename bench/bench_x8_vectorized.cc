@@ -4,9 +4,10 @@
 // how fast smadb's one execution protocol — column batches, selection
 // vectors, fused aggregate kernels — processes the paper's own workload.
 //
-//   1. Query 1 over a 100%-ambivalent scan (GAggr over TableScan, dop 1,
-//      warm): every tuple is fetched, filtered and folded, so this is the
-//      pure per-tuple cost of decode, predicate and aggregate kernels.
+//   1. Query 1 over a 100%-ambivalent scan (GAggr over TableScan, which
+//      runs as ParallelScanAggr at dop 1, warm): every tuple is fetched,
+//      filtered and folded, so this is the pure per-tuple cost of decode,
+//      predicate and aggregate kernels.
 //   2. Fig. 5-style ambivalence sweep: SMA_GAggr with forced ambivalent
 //      fractions x = 0, 0.25, 0.5, 1 (dop 1, warm). Qualifying buckets are
 //      answered from SMA entries; only the forced-ambivalent share is

@@ -171,7 +171,7 @@ Result<ParsedQuery> ParseQuery(const Schema* schema, std::string_view sql) {
   ++pos;
   if (tokens[pos].kind == TokKind::kComma) {
     return Status::NotSupported(
-        "joins are not supported in the SQL facade; use the exec operators");
+        "joins are not supported: a query reads one table");
   }
 
   // --- where ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Shared grouping-aggregation machinery for GAggr and SMA_GAggr.
+// Shared grouping-aggregation machinery for ParallelScanAggr (GAggr over a
+// scan) and SMA_GAggr.
 //
 // Aggregate state is exact: sums/min/max of the integral family accumulate
 // in int64 (decimals as cents); averages are finalized as sum/count in the

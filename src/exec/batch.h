@@ -17,7 +17,8 @@
 //   * Batch contents stay valid until the next NextBatch/Init on the same
 //     operator.
 //   * The consumer configures the projection; it must include every column
-//     the producer itself reads (AddRequiredBatchColumns reports those).
+//     the producer itself reads (a scan's predicate columns, which
+//     Predicate::AddReferencedColumns reports).
 
 #ifndef SMADB_EXEC_BATCH_H_
 #define SMADB_EXEC_BATCH_H_
@@ -48,7 +49,6 @@ struct Batch {
     sel.SelectNone();
   }
 
-  bool configured() const { return cols.configured(); }
   size_t capacity() const { return cols.capacity(); }
   size_t num_rows() const { return cols.num_rows(); }
 

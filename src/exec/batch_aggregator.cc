@@ -245,6 +245,7 @@ util::Status BucketFolder::Fold(uint64_t first, uint64_t end,
                                 const expr::Predicate* pred) {
   SMADB_RETURN_NOT_OK(reader.OpenBuckets(first, end));
   while (true) {
+    SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "BucketFolder"));
     batch.Clear();
     SMADB_ASSIGN_OR_RETURN(bool has, reader.NextBatch(&batch.cols));
     if (!has) return util::Status::OK();

@@ -1,8 +1,8 @@
 // BatchAggregator: fused grouping-aggregation kernels over column batches —
-// how GAggr, SMA_GAggr (ambivalent buckets) and ParallelScanAggr fold
-// tuples. Per batch it runs two passes: (1) one pass over the selection
-// vector resolving each row's group id from fixed-width raw key bytes (with
-// a last-key cache that exploits the paper's time-of-creation clustering —
+// how SMA_GAggr (ambivalent buckets) and ParallelScanAggr fold tuples. Per
+// batch it runs two passes: (1) one pass over the selection vector
+// resolving each row's group id from fixed-width raw key bytes (with a
+// last-key cache that exploits the paper's time-of-creation clustering —
 // consecutive tuples usually share a group), then (2) one tight accumulate
 // loop per aggregate over pre-evaluated argument vectors: array arithmetic
 // instead of a Value/serialize/std::map lookup and an expression-tree walk
@@ -25,12 +25,13 @@
 #include "exec/batch.h"
 #include "exec/bucket_source.h"
 #include "storage/schema.h"
+#include "util/query_context.h"
 
 namespace smadb::exec {
 
 class BatchAggregator {
  public:
-  /// `input` is the child/batch schema; `group_by` and `aggs` must outlive
+  /// `input` is the batch schema; `group_by` and `aggs` must outlive
   /// the aggregator (they belong to the owning operator).
   BatchAggregator(const storage::Schema* input,
                   const std::vector<size_t>* group_by,
@@ -48,9 +49,9 @@ class BatchAggregator {
   void FlushInto(GroupTable* table);
 
   /// Estimated heap footprint of the partial groups, maintained as groups
-  /// appear. Operators charge its growth against the query budget batch by
-  /// batch, so a high-cardinality group-by fails before it has built every
-  /// group.
+  /// appear. Operators charge its growth against the query budget morsel
+  /// by morsel, so a high-cardinality group-by fails before it has built
+  /// every group.
   size_t approx_bytes() const { return approx_bytes_; }
 
  private:
@@ -96,18 +97,19 @@ class BatchAggregator {
 /// BatchAggregator — the fetch work of SMA_GAggr's ambivalent buckets and of
 /// ParallelScanAggr's morsels. One per worker (the reader pins pages); the
 /// owning operator configures `batch` with the aggregator's columns plus
-/// the predicate's, and charges it.
+/// the predicate's, charges it, and binds `ctx`.
 struct BucketFolder {
   BucketFolder(storage::Table* table, const std::vector<size_t>* group_by,
                const std::vector<AggSpec>* aggs)
       : reader(table), aggregator(&table->schema(), group_by, aggs) {}
 
   /// Decodes buckets [first, end) batch by batch, through one reader range,
-  /// into `aggregator`. `pred` refines each batch's selection; null when
-  /// every bucket of the stretch qualifies, whose dense all-rows selection
-  /// needs no predicate evaluation (§3.1). A stretch that mixes qualifying
-  /// and ambivalent buckets passes `pred`, which every tuple of a
-  /// qualifying bucket satisfies.
+  /// into `aggregator`, with a governor checkpoint before each batch.
+  /// `pred` refines each batch's selection; null when every bucket of the
+  /// stretch qualifies, whose dense all-rows selection needs no predicate
+  /// evaluation (§3.1). A stretch that mixes qualifying and ambivalent
+  /// buckets passes `pred`, which every tuple of a qualifying bucket
+  /// satisfies.
   util::Status Fold(uint64_t first, uint64_t end,
                     const expr::Predicate* pred);
 
@@ -128,6 +130,9 @@ struct BucketFolder {
   BucketReader reader;
   Batch batch;
   BatchAggregator aggregator;
+  /// The query's governor (null = ungoverned), checked once per batch so a
+  /// cancel or deadline lands within a batch at every dop.
+  const util::QueryContext* ctx = nullptr;
 };
 
 }  // namespace smadb::exec

@@ -1,8 +1,10 @@
 // Physical-algebra operator interface: the iterator concept of Graefe [7]
 // the paper's SMA_Scan / SMA_GAggr plug into (Init / NextBatch / implicit
-// close via destructor). Operators exchange column batches, never single
-// tuples; plan::RunToCompletion is the one place where batches turn into
-// result rows — see DESIGN.md §9.
+// close via destructor). Every plan is a single operator over one table:
+// the scans, SmaGAggr, and ParallelScanAggr, which fuses GAggr with its
+// scan. Operators produce column batches, never single tuples;
+// plan::RunToCompletion is the one place where batches turn into result
+// rows — see DESIGN.md §9.
 
 #ifndef SMADB_EXEC_OPERATOR_H_
 #define SMADB_EXEC_OPERATOR_H_
@@ -38,31 +40,18 @@ class Operator {
   /// valid until the following NextBatch()/Init().
   virtual util::Result<bool> NextBatch(Batch* out) = 0;
 
-  /// Sets `mask[c]` for every column of output_schema() this operator reads
-  /// while producing batches (e.g. a scan's predicate columns). Consumers
-  /// union this into the projection they Configure batches with, so
-  /// projection pushdown never starves the producer. Default: none.
-  virtual void AddRequiredBatchColumns(std::vector<bool>* mask) const {
-    (void)mask;
-  }
-
   /// Binds the query's runtime governor (cancellation + deadline + memory
-  /// budget, DESIGN.md §10). Operators with children must propagate the
-  /// bind down the tree. Null (the default state) runs ungoverned; bind
-  /// before Init().
-  ///
-  /// Overrides also register the operator's profile node (DESIGN.md §11):
-  /// hold the ProfileScope from BindProfile across the children's
-  /// BindContext calls so their nodes nest beneath this one.
+  /// budget, DESIGN.md §10). Null (the default state) runs ungoverned;
+  /// bind before Init(). Overrides also register the operator's profile
+  /// node (DESIGN.md §11) through BindProfile.
   virtual void BindContext(util::QueryContext* ctx) { ctx_ = ctx; }
 
  protected:
-  /// Registers this operator in the bound query's profile (no-op when the
-  /// query is unprofiled) and returns the scope that makes it the parent
-  /// of nodes registered while the scope lives. Call after setting ctx_.
-  obs::ProfileScope BindProfile(const char* name) {
-    return obs::ProfileScope(ctx_ != nullptr ? ctx_->profile() : nullptr,
-                             name, &prof_);
+  /// Registers this operator's node in the bound query's profile; prof_
+  /// stays null when the query is unprofiled. Call after setting ctx_.
+  void BindProfile(const char* name) {
+    obs::QueryProfile* profile = ctx_ != nullptr ? ctx_->profile() : nullptr;
+    prof_ = profile != nullptr ? profile->NewNode(name) : nullptr;
   }
 
   /// Null-safe cooperative checkpoint; operators call this at bucket/batch
@@ -102,7 +91,7 @@ class Operator {
 };
 
 /// Serves a pipeline breaker's materialized result rows batch by batch —
-/// the one emitter GAggr, SMA_GAggr, ParallelScanAggr and Sort share.
+/// the one emitter SMA_GAggr and ParallelScanAggr share.
 struct RowEmitter {
   std::vector<storage::TupleBuffer> rows;
   size_t next = 0;

@@ -76,6 +76,7 @@ Status ParallelScanAggr::InitImpl() {
     // Every worker reads the same consistent append prefix the source
     // captured; pages appended mid-run stay invisible.
     ws.folder.reader.set_snapshot(source.snapshot());
+    ws.folder.ctx = ctx_;
     std::vector<bool> mask = ws.folder.aggregator.RequiredColumns();
     pred_->AddReferencedColumns(&mask);
     SMADB_RETURN_NOT_OK(
@@ -156,6 +157,8 @@ Status ParallelScanAggr::InitImpl() {
           ChargeMemory(groups.approx_bytes() - before, "GroupTable.merge"));
     }
   }
+  // The merged table is the group state's high-water mark: `peak=`.
+  if (prof_ != nullptr) prof_->NotePeakBytes(groups.approx_bytes());
   return groups.Emit(&schema_, &results_.rows);
 }
 

@@ -1,7 +1,10 @@
 // ParallelScanAggr: morsel-parallel scan + grouping-aggregation.
 //
-// Fuses GAggr over TableScan / SMA_Scan into one operator whose unit of
-// work is the morsel: a run of consecutive buckets (§2.1: physically
+// Runs both scan plans of an aggregation query, GAggr over TableScan and
+// GAggr over SMA_Scan, at every degree of parallelism (dop 1 runs the
+// morsel loop inline on the caller). It fuses the scan and the grouping
+// aggregation (Dayal's GAggr [4]) into one operator whose unit of work is
+// the morsel: a run of consecutive buckets (§2.1: physically
 // consecutive pages) spanning one read run. Workers claim morsels through
 // ParallelFor, grade every bucket against the SMAs (when present), fetch
 // each stretch of qualifying/ambivalent buckets through a private
@@ -12,8 +15,8 @@
 // predicate evaluation), and aggregate through the fused BatchAggregator
 // kernels. The merge is exact —
 // sum/count/min/max compose associatively and commutatively, averages are
-// finalized from the merged sum and count — so the result equals the
-// serial GAggr∘Scan pipeline for every degree of parallelism.
+// finalized from the merged sum and count — so the result is the same for
+// every degree of parallelism.
 
 #ifndef SMADB_EXEC_PARALLEL_AGGR_H_
 #define SMADB_EXEC_PARALLEL_AGGR_H_
@@ -32,9 +35,11 @@ namespace smadb::exec {
 class ParallelScanAggr final : public Operator {
  public:
   /// Groups `table` on `group_by` under `pred` and computes `aggs`. `smas`
-  /// may be null: the operator then degenerates to a parallel full scan
-  /// (every bucket ambivalent), which is the parallel form of
-  /// GAggr∘TableScan; with SMAs it parallelizes GAggr∘SMA_Scan.
+  /// may be null: the operator then reads every bucket (each grades
+  /// ambivalent), which is GAggr∘TableScan; with SMAs it runs
+  /// GAggr∘SMA_Scan. Fails when `aggs` is empty, a group-by column is
+  /// out of range or an aggregate's argument is not integral-family
+  /// (AggResultSchema).
   static util::Result<std::unique_ptr<ParallelScanAggr>> Make(
       storage::Table* table, expr::PredicatePtr pred,
       std::vector<size_t> group_by, std::vector<AggSpec> aggs,
@@ -49,9 +54,8 @@ class ParallelScanAggr final : public Operator {
     return results_.Emit(out, prof_);
   }
 
-  /// Merged bucket census across all workers (equals the serial census).
+  /// Merged bucket census across all workers (the same at every dop).
   const SmaScanStats& stats() const { return stats_; }
-  size_t num_groups() const { return results_.rows.size(); }
   size_t degree_of_parallelism() const { return dop_; }
 
   void BindContext(util::QueryContext* ctx) override {

@@ -355,6 +355,7 @@ Status SmaGAggr::InitImpl() {
     worker.folder =
         std::make_unique<BucketFolder>(table_, &group_by_, &aggs_);
     worker.folder->reader.set_snapshot(source.snapshot());
+    worker.folder->ctx = ctx_;
     std::vector<bool> mask = worker.folder->aggregator.RequiredColumns();
     pred_->AddReferencedColumns(&mask);
     SMADB_RETURN_NOT_OK(ConfigureBatch(&worker.folder->batch,

@@ -95,7 +95,6 @@ class SmaGAggr final : public Operator {
   }
 
   const SmaScanStats& stats() const { return stats_; }
-  size_t num_groups() const { return results_.rows.size(); }
 
   /// Ambivalent buckets left uninspected by sma_only mode (0 otherwise).
   uint64_t buckets_skipped() const {

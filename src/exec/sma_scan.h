@@ -37,10 +37,6 @@ class SmaScan final : public Operator {
   /// ambivalent buckets get one vectorized EvalBatch pass.
   util::Result<bool> NextBatch(Batch* out) override;
 
-  void AddRequiredBatchColumns(std::vector<bool>* mask) const override {
-    source_.pred()->AddReferencedColumns(mask);
-  }
-
   const SmaScanStats& stats() const { return stats_; }
 
   void BindContext(util::QueryContext* ctx) override {

@@ -29,10 +29,6 @@ class TableScan final : public Operator {
   /// selection vector.
   util::Result<bool> NextBatch(Batch* out) override;
 
-  void AddRequiredBatchColumns(std::vector<bool>* mask) const override {
-    pred_->AddReferencedColumns(mask);
-  }
-
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);
     BindProfile("TableScan");

@@ -1,7 +1,5 @@
 #include "expr/expr.h"
 
-#include <cassert>
-
 #include "util/string_util.h"
 
 namespace smadb::expr {
@@ -186,11 +184,6 @@ Status CheckIntegral(const Expr& e, const char* what) {
 Result<ExprPtr> Column(const Schema* schema, std::string_view name) {
   SMADB_ASSIGN_OR_RETURN(size_t idx, schema->FieldIndex(name));
   return ExprPtr(std::make_shared<ColumnExpr>(schema, idx));
-}
-
-ExprPtr ColumnAt(const Schema* schema, size_t index) {
-  assert(index < schema->num_fields());
-  return std::make_shared<ColumnExpr>(schema, index);
 }
 
 ExprPtr Literal(Value v) { return std::make_shared<LiteralExpr>(std::move(v)); }

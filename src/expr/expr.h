@@ -61,8 +61,6 @@ enum class ArithOp { kAdd, kSub, kMul };
 /// Column reference. Fails at construction time for unknown names.
 util::Result<ExprPtr> Column(const storage::Schema* schema,
                              std::string_view name);
-/// Column reference by ordinal.
-ExprPtr ColumnAt(const storage::Schema* schema, size_t index);
 
 /// Integral-family literal (int/date/decimal, passed as a Value).
 ExprPtr Literal(util::Value v);

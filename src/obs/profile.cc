@@ -24,13 +24,7 @@ std::string OperatorProfile::detail() const {
 OperatorProfile* QueryProfile::NewNode(std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
   nodes_.emplace_back(std::move(name));
-  OperatorProfile* node = &nodes_.back();
-  if (current_parent_ != nullptr) {
-    current_parent_->children_.push_back(node);
-  } else {
-    roots_.push_back(node);
-  }
-  return node;
+  return &nodes_.back();
 }
 
 void QueryProfile::AddPhaseNs(std::string_view phase, uint64_t ns) {
@@ -75,10 +69,10 @@ std::vector<std::string> QueryProfile::events() const {
   return events_;
 }
 
-uint64_t QueryProfile::RootRows() const {
+uint64_t QueryProfile::RowsProduced() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t rows = 0;
-  for (const OperatorProfile* root : roots_) rows += root->rows();
+  for (const OperatorProfile& node : nodes_) rows += node.rows();
   return rows;
 }
 
@@ -86,10 +80,8 @@ namespace {
 
 double Ms(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
-void RenderNode(const OperatorProfile* node, size_t depth,
-                std::vector<std::string>* out) {
-  std::string line(2 * depth + 2, ' ');
-  line += node->name();
+std::string RenderNode(const OperatorProfile* node) {
+  std::string line = "  " + node->name();
   line += util::Format("  wall=%.3fms rows=%llu", Ms(node->wall_ns()),
                        static_cast<unsigned long long>(node->rows()));
   if (node->batches() > 0) {
@@ -118,10 +110,7 @@ void RenderNode(const OperatorProfile* node, size_t depth,
   if (node->failed()) line += " FAILED";
   const std::string detail = node->detail();
   if (!detail.empty()) line += " [" + detail + "]";
-  out->push_back(std::move(line));
-  for (const OperatorProfile* child : node->children()) {
-    RenderNode(child, depth + 1, out);
-  }
+  return line;
 }
 
 }  // namespace
@@ -153,34 +142,12 @@ std::vector<std::string> QueryProfile::Render() const {
       static_cast<unsigned long long>(pool_misses_),
       static_cast<unsigned long long>(pages_read_)));
   out.push_back("operators:");
-  for (const OperatorProfile* root : roots_) {
-    RenderNode(root, 0, &out);
-  }
+  for (const OperatorProfile& node : nodes_) out.push_back(RenderNode(&node));
   if (!events_.empty()) {
     out.push_back("events:");
     for (const std::string& e : events_) out.push_back("  - " + e);
   }
   return out;
-}
-
-ProfileScope::ProfileScope(QueryProfile* profile, const char* name,
-                           OperatorProfile** out)
-    : profile_(profile) {
-  if (profile_ == nullptr) {
-    *out = nullptr;
-    return;
-  }
-  OperatorProfile* node = profile_->NewNode(name);
-  *out = node;
-  std::lock_guard<std::mutex> lock(profile_->mu_);
-  saved_parent_ = profile_->current_parent_;
-  profile_->current_parent_ = node;
-}
-
-ProfileScope::~ProfileScope() {
-  if (profile_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(profile_->mu_);
-  profile_->current_parent_ = saved_parent_;
 }
 
 }  // namespace smadb::obs

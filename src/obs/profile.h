@@ -1,22 +1,16 @@
-// Per-query execution profile (DESIGN.md §11): a tree of OperatorProfile
-// nodes mirroring the operator tree, filled in during the run and rendered
-// as the `explain analyze` report.
+// Per-query execution profile (DESIGN.md §11): one OperatorProfile node per
+// operator run, filled in during the run and rendered as the `explain
+// analyze` report. Every plan is a single operator, so a query registers
+// one node per attempt.
 //
 // Lifecycle: Database creates a QueryProfile for `explain analyze`
-// statements and hangs it off the QueryContext. Operators register a node
-// at BindContext time via ProfileScope (serial — binding walks the tree
-// top-down, so a simple current-parent pointer gives correct nesting) and
-// feed it during execution via relaxed atomics (parallel morsel workers
-// write concurrently). A null profile costs one pointer test per feed site;
-// profiling is strictly opt-in.
+// statements and hangs it off the QueryContext. Operators register their
+// node at BindContext time and feed it during execution via relaxed
+// atomics (parallel morsel workers write concurrently). A null profile
+// costs one pointer test per feed site; profiling is strictly opt-in.
 //
-// Wall-time semantics are *inclusive*: a pipeline breaker's Init consumes
-// its children, so the parent's wall time contains the children's. This
-// matches the pull model — exclusive times would need per-edge clocks for
-// no diagnostic gain.
-//
-// The degradation ladder builds a fresh operator tree per rung; each
-// attempt registers fresh nodes (failed attempts stay in the report, marked
+// The degradation ladder builds a fresh operator per rung; each attempt
+// registers a fresh node (failed attempts stay in the report, marked
 // failed), so per-worker SmaScanStats merge into exactly one node exactly
 // once per attempt.
 
@@ -38,7 +32,7 @@ namespace smadb::obs {
 class QueryProfile;
 
 /// One operator's runtime tallies. Feed methods are thread-safe (relaxed
-/// atomics); structure (children) is built serially at bind time.
+/// atomics).
 class OperatorProfile {
  public:
   explicit OperatorProfile(std::string name) : name_(std::move(name)) {}
@@ -101,11 +95,8 @@ class OperatorProfile {
   }
   bool failed() const { return failed_.load(std::memory_order_relaxed); }
   std::string detail() const;
-  const std::vector<OperatorProfile*>& children() const { return children_; }
 
  private:
-  friend class QueryProfile;
-
   const std::string name_;
   std::atomic<uint64_t> rows_{0};
   std::atomic<uint64_t> batches_{0};
@@ -119,10 +110,9 @@ class OperatorProfile {
   std::atomic<bool> failed_{false};
   mutable std::mutex mu_;  // guards detail_
   std::string detail_;
-  std::vector<OperatorProfile*> children_;  // bind-time only
 };
 
-/// The whole query's profile: operator tree + lifecycle phase timings +
+/// The whole query's profile: operator nodes + lifecycle phase timings +
 /// notable events (degradation, cancellation) + query-level storage deltas.
 class QueryProfile {
  public:
@@ -131,7 +121,7 @@ class QueryProfile {
   QueryProfile(const QueryProfile&) = delete;
   QueryProfile& operator=(const QueryProfile&) = delete;
 
-  /// Creates a node under the current parent (bind-time; see ProfileScope).
+  /// Registers a node for one operator run (bind time).
   OperatorProfile* NewNode(std::string name);
 
   /// Adds elapsed time to a named lifecycle phase (admission/parse/plan/
@@ -148,11 +138,13 @@ class QueryProfile {
 
   uint64_t query_id() const { return query_id_; }
   uint64_t trace_id() const { return trace_id_; }
-  const std::vector<OperatorProfile*>& roots() const { return roots_; }
-  /// Rows produced so far by the root operators — safe to call from another
-  /// thread mid-run (locks the structure mutex, reads relaxed atomics).
+  /// The registered nodes in registration order. Read once the run is
+  /// over; mid-run readers use RowsProduced.
+  const std::deque<OperatorProfile>& operators() const { return nodes_; }
+  /// Rows produced so far by the query's operators — safe to call from
+  /// another thread mid-run (locks the node mutex, reads relaxed atomics).
   /// This is the "rows so far" column of `show queries`.
-  uint64_t RootRows() const;
+  uint64_t RowsProduced() const;
   uint64_t pool_hits() const { return pool_hits_; }
   uint64_t pool_misses() const { return pool_misses_; }
   uint64_t pages_read() const { return pages_read_; }
@@ -172,35 +164,16 @@ class QueryProfile {
   }
 
  private:
-  friend class ProfileScope;
-
   const uint64_t query_id_;
   const uint64_t trace_id_;
-  mutable std::mutex mu_;  // guards nodes_/roots_/phases_/events_/summary_
+  mutable std::mutex mu_;  // guards nodes_/phases_/events_/summary_
   std::deque<OperatorProfile> nodes_;  // stable addresses
-  std::vector<OperatorProfile*> roots_;
-  OperatorProfile* current_parent_ = nullptr;
   std::vector<std::pair<std::string, uint64_t>> phases_;
   std::vector<std::string> events_;
   std::string summary_;
   uint64_t pool_hits_ = 0;
   uint64_t pool_misses_ = 0;
   uint64_t pages_read_ = 0;
-};
-
-/// Bind-time RAII: registers a node for one operator and makes it the
-/// parent of nodes registered while the scope lives, so children bound
-/// inside the scope nest beneath it. Null profile → no-op, *out = nullptr.
-class ProfileScope {
- public:
-  ProfileScope(QueryProfile* profile, const char* name, OperatorProfile** out);
-  ~ProfileScope();
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  QueryProfile* profile_;
-  OperatorProfile* saved_parent_ = nullptr;
 };
 
 /// Adds the scope's elapsed wall time to a node (null-safe, ~two clock

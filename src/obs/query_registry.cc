@@ -62,7 +62,7 @@ std::vector<QueryInfo> QueryRegistry::Snapshot() const {
     info.elapsed_us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(now - e.start)
             .count());
-    if (e.profile != nullptr) info.rows = e.profile->RootRows();
+    if (e.profile != nullptr) info.rows = e.profile->RowsProduced();
     if (e.cancel != nullptr) info.cancel_requested = e.cancel->ShouldStop();
     out.push_back(std::move(info));
   }

@@ -8,7 +8,6 @@
 
 namespace smadb::plan {
 
-using exec::GAggr;
 using exec::Operator;
 using exec::ParallelScanAggr;
 using exec::SmaGAggr;
@@ -265,33 +264,17 @@ Result<std::unique_ptr<Operator>> Planner::Build(const AggQuery& query,
                          smas_, options));
       return std::unique_ptr<Operator>(std::move(op));
     }
-    case PlanKind::kSmaScanAggr: {
-      if (dop > 1) {
-        SMADB_ASSIGN_OR_RETURN(
-            std::unique_ptr<ParallelScanAggr> op,
-            ParallelScanAggr::Make(query.table, query.pred, query.group_by,
-                                   query.aggs, smas_, dop));
-        return std::unique_ptr<Operator>(std::move(op));
-      }
-      auto scan = std::make_unique<SmaScan>(query.table, query.pred, smas_);
-      SMADB_ASSIGN_OR_RETURN(
-          std::unique_ptr<GAggr> aggr,
-          GAggr::Make(std::move(scan), query.group_by, query.aggs));
-      return std::unique_ptr<Operator>(std::move(aggr));
-    }
+    case PlanKind::kSmaScanAggr:
     case PlanKind::kScanAggr: {
-      if (dop > 1) {
-        SMADB_ASSIGN_OR_RETURN(
-            std::unique_ptr<ParallelScanAggr> op,
-            ParallelScanAggr::Make(query.table, query.pred, query.group_by,
-                                   query.aggs, /*smas=*/nullptr, dop));
-        return std::unique_ptr<Operator>(std::move(op));
-      }
-      auto scan = std::make_unique<TableScan>(query.table, query.pred);
+      // GAggr over SMA_Scan / TableScan, fused: without SMAs every bucket
+      // grades ambivalent, which is the full scan.
+      const sma::SmaSet* smas =
+          kind == PlanKind::kSmaScanAggr ? smas_ : nullptr;
       SMADB_ASSIGN_OR_RETURN(
-          std::unique_ptr<GAggr> aggr,
-          GAggr::Make(std::move(scan), query.group_by, query.aggs));
-      return std::unique_ptr<Operator>(std::move(aggr));
+          std::unique_ptr<ParallelScanAggr> op,
+          ParallelScanAggr::Make(query.table, query.pred, query.group_by,
+                                 query.aggs, smas, dop));
+      return std::unique_ptr<Operator>(std::move(op));
     }
     default:
       return Status::InvalidArgument(

@@ -13,6 +13,8 @@
 //   GAggr ∘ SMA_Scan     — selection pruning only; fetches qualifying +
 //                          ambivalent buckets.
 //   GAggr ∘ TableScan    — the fallback the paper measures against.
+// Each plan is one operator: SmaGAggr, or ParallelScanAggr for both
+// GAggr forms (the scan and the aggregation fused, a morsel at a time).
 //
 // Degradation: SMA plans are only eligible while every SMA of the table is
 // trusted and epoch-fresh (SmaSet::TrustIssue). A corrupt, stale, or
@@ -29,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/gaggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
 #include "exec/table_scan.h"
@@ -127,10 +128,10 @@ class Planner {
       const SelectQuery& query,
       const util::QueryContext* ctx = nullptr) const;
 
-  /// Instantiates the operator tree for a choice. `dop` > 1 swaps in
-  /// ParallelScanAggr for the scan plans and runs SMA_GAggr's morsel loop
-  /// on that many workers; the default keeps the serial scan operators and
-  /// every existing call site.
+  /// Instantiates the one operator that runs a choice, with `dop` workers:
+  /// SmaGAggr for kSmaGAggr, and ParallelScanAggr for both scan plans
+  /// (kSmaScanAggr grades buckets against the SMAs, kScanAggr reads every
+  /// bucket). dop 1 runs the same morsel loop inline on the caller.
   util::Result<std::unique_ptr<exec::Operator>> Build(const AggQuery& query,
                                                       PlanKind kind,
                                                       size_t dop = 1) const;

@@ -124,8 +124,8 @@ Result<ParsedSmaDefinition> ParseSmaDefinition(const Schema* schema,
   def.table = cur.Take().text;
   if (cur.Peek().kind == TokKind::kComma) {
     return Status::NotSupported(
-        "joins are not allowed in SMA definitions (§2.1; see semijoin.h "
-        "for the §4 generalization)");
+        "joins are not allowed in SMA definitions: a SMA summarizes one "
+        "table (§2.1)");
   }
 
   // [group by col (, col)*]

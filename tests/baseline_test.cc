@@ -8,9 +8,8 @@
 #include "baseline/bptree.h"
 #include "baseline/datacube.h"
 #include "baseline/projection_index.h"
-#include "exec/gaggr.h"
-#include "exec/table_scan.h"
 #include "tests/test_util.h"
+#include "util/string_util.h"
 
 namespace smadb::baseline {
 namespace {
@@ -221,19 +220,18 @@ struct DataCubeTest : ::testing::Test {
 
 TEST_F(DataCubeTest, CellAggregatesMatchGAggr) {
   auto cube = Unwrap(DataCube::Build(table, {3, 4}, aggs));
-  // Reference via GAggr on the same grouping.
-  auto scan = std::make_unique<exec::TableScan>(table,
-                                                expr::Predicate::True());
-  auto ref = Unwrap(exec::GAggr::Make(std::move(scan), {3, 4}, aggs));
-  const plan::QueryResult result = Unwrap(plan::RunToCompletion(ref.get()));
-  for (const storage::TupleBuffer& buf : result.rows) {
-    const storage::TupleRef row = buf.AsRef();
-    const auto got = Unwrap(cube->CellAggregates(
-        {row.GetValue(0), row.GetValue(1)}));
-    EXPECT_EQ(got[0].AsDecimal().cents(), row.GetDecimal(2).cents());
-    EXPECT_EQ(got[1].AsInt64(), row.GetInt64(3));
+  // Each group of the brute-force GAggr reference on the same grouping,
+  // serialized "grp|tag|sum|count|", is one cell with the same aggregates.
+  const std::vector<std::string> groups = testing::ReferenceAggregate(
+      table, *expr::Predicate::True(), {3, 4}, aggs);
+  for (const std::string& group : groups) {
+    const std::vector<std::string> fields = util::Split(group, '|');
+    const std::vector<Value> dims = {Value::String(fields[0]),
+                                     Value::String(fields[1])};
+    const auto got = Unwrap(cube->CellAggregates(dims));
+    EXPECT_EQ(testing::RowString({dims[0], dims[1], got[0], got[1]}), group);
   }
-  EXPECT_EQ(cube->num_cells(), result.rows.size());
+  EXPECT_EQ(cube->num_cells(), groups.size());
 }
 
 TEST_F(DataCubeTest, MissingCellIsNotFound) {

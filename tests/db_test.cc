@@ -89,7 +89,10 @@ TEST_F(SqlTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery(&schema, "select k from t").ok());  // no aggregate
   EXPECT_FALSE(ParseQuery(&schema, "select count(k) from t").ok());
   EXPECT_FALSE(ParseQuery(&schema, "select sum() from t").ok());
-  EXPECT_FALSE(ParseQuery(&schema, "select * from t, s").ok());
+  const util::Status join = ParseQuery(&schema, "select * from t, s").status();
+  EXPECT_EQ(join.code(), util::StatusCode::kNotSupported);
+  EXPECT_EQ(join.message(),
+            "joins are not supported: a query reads one table");
   EXPECT_FALSE(ParseQuery(&schema, "select * from t extra").ok());
   EXPECT_FALSE(
       ParseQuery(&schema, "select sum(v) from t group by zz").ok());

@@ -1,15 +1,15 @@
-// Tests for the physical operators: TableScan, SMA_Scan (Fig. 6), GAggr,
-// SMA_GAggr (Fig. 7). The central properties: SMA_Scan ≡ TableScan and
-// SMA_GAggr ≡ GAggr on every layout and predicate.
+// Tests for the physical operators: TableScan, SMA_Scan (Fig. 6), GAggr
+// over a scan (ParallelScanAggr, here at dop 1) and SMA_GAggr (Fig. 7). The
+// central properties: SMA_Scan ≡ TableScan, and SMA_GAggr ≡ the brute-force
+// reference aggregate (tests/test_util.h) on every layout and predicate.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "exec/gaggr.h"
+#include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
-#include "exec/sort.h"
 #include "exec/table_scan.h"
 #include "tests/test_util.h"
 
@@ -25,6 +25,8 @@ using testing::AddMinMaxSmas;
 using testing::DrainRows;
 using testing::ExpectOk;
 using testing::MakeSyntheticTable;
+using testing::ReferenceAggregate;
+using testing::Sorted;
 using testing::TestDb;
 using testing::Unwrap;
 using util::Value;
@@ -133,7 +135,17 @@ TEST_F(ExecTest, SmaScanOnEmptyTable) {
   EXPECT_TRUE(DrainRows(&scan).empty());
 }
 
-// ----------------------------------------------------------------- GAggr --
+// ------------------------------------------------------------------ GAggr --
+
+// GAggr∘TableScan at dop 1, as the planner builds it for a serial plan:
+// ParallelScanAggr without SMAs, its morsel loop run inline.
+std::unique_ptr<ParallelScanAggr> ScanAggr(storage::Table* t,
+                                           std::vector<size_t> group_by,
+                                           std::vector<AggSpec> aggs) {
+  return Unwrap(ParallelScanAggr::Make(t, Predicate::True(),
+                                       std::move(group_by), std::move(aggs),
+                                       /*smas=*/nullptr, /*dop=*/1));
+}
 
 TEST_F(ExecTest, GAggrMatchesBruteForce) {
   storage::Table* t =
@@ -144,8 +156,7 @@ TEST_F(ExecTest, GAggrMatchesBruteForce) {
                                AggSpec::Avg(v, "avg_v"),
                                AggSpec::Min(v, "min_v"),
                                AggSpec::Max(v, "max_v")};
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
-  auto aggr = Unwrap(GAggr::Make(std::move(scan), {3}, aggs));
+  auto aggr = ScanAggr(t, {3}, aggs);
 
   // Brute force.
   struct Ref {
@@ -185,9 +196,7 @@ TEST_F(ExecTest, GAggrMatchesBruteForce) {
 TEST_F(ExecTest, GAggrGlobalAggregation) {
   storage::Table* t =
       MakeSyntheticTable(&db, 777, testing::Layout::kRandom);
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
-  auto aggr =
-      Unwrap(GAggr::Make(std::move(scan), {}, {AggSpec::Count("n")}));
+  auto aggr = ScanAggr(t, {}, {AggSpec::Count("n")});
   const plan::QueryResult result = Unwrap(plan::RunToCompletion(aggr.get()));
   ASSERT_EQ(result.rows.size(), 1u);
   EXPECT_EQ(result.rows[0].AsRef().GetInt64(0), 777);
@@ -196,9 +205,7 @@ TEST_F(ExecTest, GAggrGlobalAggregation) {
 TEST_F(ExecTest, GAggrOutputSortedByGroupKey) {
   storage::Table* t =
       MakeSyntheticTable(&db, 900, testing::Layout::kRandom);
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
-  auto aggr =
-      Unwrap(GAggr::Make(std::move(scan), {3}, {AggSpec::Count("n")}));
+  auto aggr = ScanAggr(t, {3}, {AggSpec::Count("n")});
   const auto rows = DrainRows(aggr.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
@@ -207,14 +214,21 @@ TEST_F(ExecTest, GAggrOutputSortedByGroupKey) {
 TEST_F(ExecTest, GAggrValidation) {
   storage::Table* t =
       MakeSyntheticTable(&db, 10, testing::Layout::kRandom);
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
+  const auto make = [&](std::vector<size_t> group_by,
+                        std::vector<AggSpec> aggs) {
+    return ParallelScanAggr::Make(t, Predicate::True(), std::move(group_by),
+                                  std::move(aggs), /*smas=*/nullptr, 1)
+        .status()
+        .code();
+  };
   // No aggregates.
-  EXPECT_FALSE(GAggr::Make(std::move(scan), {3}, {}).ok());
+  EXPECT_EQ(make({3}, {}), util::StatusCode::kInvalidArgument);
   // Aggregate over a string column.
-  auto scan2 = std::make_unique<TableScan>(t, Predicate::True());
   const expr::ExprPtr tag = Unwrap(expr::Column(&t->schema(), "tag"));
-  EXPECT_FALSE(
-      GAggr::Make(std::move(scan2), {}, {AggSpec::Sum(tag, "s")}).ok());
+  EXPECT_EQ(make({}, {AggSpec::Sum(tag, "s")}),
+            util::StatusCode::kNotSupported);
+  // Group-by column past the schema.
+  EXPECT_EQ(make({9}, {AggSpec::Count("n")}), util::StatusCode::kOutOfRange);
 }
 
 // -------------------------------------------------------------- SmaGAggr --
@@ -258,12 +272,11 @@ TEST_F(ExecTest, SmaGAggrEquivalentToGAggrAllLayoutsAndOps) {
           &setup.table->schema(), "d", op,
           Value::MakeDate(util::Date(c))));
 
-      auto scan = std::make_unique<TableScan>(setup.table, pred);
-      auto ref =
-          Unwrap(GAggr::Make(std::move(scan), setup.group_by, setup.aggs));
       auto smag = Unwrap(SmaGAggr::Make(setup.table, pred, setup.group_by,
                                         setup.aggs, setup.smas.get()));
-      EXPECT_EQ(DrainRows(ref.get()), DrainRows(smag.get()))
+      EXPECT_EQ(ReferenceAggregate(setup.table, *pred, setup.group_by,
+                                   setup.aggs),
+                Sorted(DrainRows(smag.get())))
           << "layout " << static_cast<int>(layout) << " op "
           << static_cast<int>(op) << " c=" << c;
     }
@@ -331,9 +344,8 @@ TEST_F(ExecTest, SmaGAggrFinerGroupingRefinesQuery) {
   std::vector<AggSpec> aggs = {AggSpec::Sum(v, "sum_v"),
                                AggSpec::Count("cnt")};
   auto smag = Unwrap(SmaGAggr::Make(t, pred, {3}, aggs, &smas));
-  auto scan = std::make_unique<TableScan>(t, pred);
-  auto ref = Unwrap(GAggr::Make(std::move(scan), {3}, aggs));
-  EXPECT_EQ(DrainRows(ref.get()), DrainRows(smag.get()));
+  EXPECT_EQ(ReferenceAggregate(t, *pred, {3}, aggs),
+            Sorted(DrainRows(smag.get())));
 }
 
 TEST_F(ExecTest, SmaGAggrDropsGroupsWithNoQualifyingTuples) {
@@ -358,71 +370,6 @@ TEST_F(ExecTest, SmaGAggrDropsGroupsWithNoQualifyingTuples) {
     EXPECT_EQ(row.find("Z|"), std::string::npos)
         << "group Z has no qualifying tuples but appeared: " << row;
   }
-}
-
-// ------------------------------------------------------------------ Sort --
-
-TEST_F(ExecTest, SortOrdersAscendingAndDescending) {
-  storage::Table* t =
-      MakeSyntheticTable(&db, 500, testing::Layout::kRandom, 3, 1, "sorted");
-  auto asc = Unwrap(Sort::Make(
-      std::make_unique<TableScan>(t, Predicate::True()),
-      {SortKey{1, false}}));
-  const plan::QueryResult ascending = Unwrap(plan::RunToCompletion(asc.get()));
-  int32_t prev = INT32_MIN;
-  for (const storage::TupleBuffer& row : ascending.rows) {
-    const int32_t d = static_cast<int32_t>(row.AsRef().GetRawInt(1));
-    EXPECT_GE(d, prev);
-    prev = d;
-  }
-  EXPECT_EQ(ascending.rows.size(), 500u);
-
-  auto desc = Unwrap(Sort::Make(
-      std::make_unique<TableScan>(t, Predicate::True()),
-      {SortKey{1, true}}));
-  prev = INT32_MAX;
-  for (const storage::TupleBuffer& row :
-       Unwrap(plan::RunToCompletion(desc.get())).rows) {
-    const int32_t d = static_cast<int32_t>(row.AsRef().GetRawInt(1));
-    EXPECT_LE(d, prev);
-    prev = d;
-  }
-}
-
-TEST_F(ExecTest, SortSecondaryKeyAndLimit) {
-  storage::Table* t = MakeSyntheticTable(&db, 300, testing::Layout::kRandom,
-                                         5, 1, "sorted2");
-  auto sorted = Unwrap(Sort::Make(
-      std::make_unique<TableScan>(t, Predicate::True()),
-      {SortKey{3, false}, SortKey{0, true}}, /*limit=*/20));
-  const plan::QueryResult result =
-      Unwrap(plan::RunToCompletion(sorted.get()));
-  std::string prev_grp;
-  int64_t prev_k = INT64_MAX;
-  for (const storage::TupleBuffer& buf : result.rows) {
-    const TupleRef row = buf.AsRef();
-    const std::string grp(row.GetString(3));
-    const int64_t k = row.GetInt64(0);
-    if (!prev_grp.empty()) {
-      EXPECT_GE(grp, prev_grp);
-      if (grp == prev_grp) {
-        EXPECT_LE(k, prev_k);
-      }
-    }
-    prev_grp = grp;
-    prev_k = k;
-  }
-  EXPECT_EQ(result.rows.size(), 20u);
-}
-
-TEST_F(ExecTest, SortValidation) {
-  storage::Table* t = MakeSyntheticTable(&db, 10, testing::Layout::kRandom,
-                                         9, 1, "sorted3");
-  EXPECT_FALSE(
-      Sort::Make(std::make_unique<TableScan>(t, Predicate::True()), {}).ok());
-  EXPECT_FALSE(Sort::Make(std::make_unique<TableScan>(t, Predicate::True()),
-                          {SortKey{99, false}})
-                   .ok());
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Tests for the §4 extensions: hierarchical (two-level) SMAs and semi-join
-// SMA reduction.
+// Tests for the §4 extension that smadb keeps: hierarchical (two-level)
+// SMAs.
 
 #include <gtest/gtest.h>
 
 #include "sma/builder.h"
 #include "sma/hierarchical.h"
-#include "sma/semijoin.h"
 #include "tests/test_util.h"
 
 namespace smadb::sma {
@@ -97,138 +96,6 @@ TEST_F(HierarchicalTest, EmptyTable) {
   uint64_t pages = 0;
   ExpectOk(h->GradeAll(CmpOp::kLe, 5, &grades, &pages));
   EXPECT_TRUE(grades.empty());
-}
-
-// --------------------------------------------------------------- SemiJoin --
-
-struct SemiJoinTest : ::testing::Test {
-  SemiJoinTest() : db(16384) {}
-
-  // R: clustered synthetic table with min/max on d.
-  // S: second table whose d values span [s_lo, s_hi].
-  void Setup(int32_t s_lo, int32_t s_hi) {
-    r = MakeSyntheticTable(&db, 4000, testing::Layout::kClustered, 3, 1, "r");
-    r_smas = std::make_unique<SmaSet>(r);
-    AddMinMaxSmas(r, r_smas.get(), "d");
-
-    s = Unwrap(db.catalog.CreateTable("s", testing::SyntheticSchema(), {}));
-    util::Rng rng(5);
-    storage::TupleBuffer t(&s->schema());
-    for (int i = 0; i < 300; ++i) {
-      t.SetInt64(0, i);
-      t.SetDate(1, util::Date(static_cast<int32_t>(
-                       rng.Uniform(s_lo, s_hi))));
-      t.SetDecimal(2, util::Decimal(i));
-      t.SetString(3, "A");
-      t.SetString(4, "MAIL");
-      ExpectOk(s->Append(t));
-    }
-  }
-
-  // Brute-force: does tuple value a have a partner in S under op?
-  bool Matches(int64_t a, CmpOp op) {
-    bool any = false;
-    for (uint32_t b = 0; b < s->num_buckets(); ++b) {
-      EXPECT_TRUE(
-          s->ForEachTupleInBucket(b, [&](const storage::TupleRef& tup,
-                                         storage::Rid) {
-             any |= expr::CompareInt(a, op, tup.GetRawInt(1));
-           }).ok());
-    }
-    return any;
-  }
-
-  void VerifyReduction(const SemiJoinReduction& red, CmpOp op) {
-    for (uint32_t b = 0; b < r->num_buckets(); ++b) {
-      bool bucket_any = false, bucket_all = true;
-      ExpectOk(r->ForEachTupleInBucket(
-          b, [&](const storage::TupleRef& tup, storage::Rid) {
-            const bool m = Matches(tup.GetRawInt(1), op);
-            bucket_any |= m;
-            bucket_all &= m;
-          }));
-      if (!red.candidates.Get(b)) {
-        EXPECT_FALSE(bucket_any)
-            << "pruned bucket " << b << " contains a matching tuple";
-      }
-      if (red.all_match.Get(b)) {
-        EXPECT_TRUE(bucket_all)
-            << "bucket " << b << " marked all-match but is not";
-      }
-    }
-  }
-
-  TestDb db;
-  storage::Table* r = nullptr;
-  storage::Table* s = nullptr;
-  std::unique_ptr<SmaSet> r_smas;
-};
-
-TEST_F(SemiJoinTest, ColumnMinMaxViaScanAndViaSma) {
-  Setup(100, 200);
-  auto scanned = Unwrap(ColumnMinMax(s, 1, nullptr));
-  ASSERT_TRUE(scanned.first.has_value());
-  EXPECT_GE(*scanned.first, 100);
-  EXPECT_LE(*scanned.second, 200);
-
-  SmaSet s_smas(s);
-  AddMinMaxSmas(s, &s_smas, "d");
-  auto via_sma = Unwrap(ColumnMinMax(s, 1, &s_smas));
-  EXPECT_EQ(via_sma.first, scanned.first);
-  EXPECT_EQ(via_sma.second, scanned.second);
-}
-
-TEST_F(SemiJoinTest, ReductionSoundForAllOps) {
-  // S in a narrow middle window; R spans [0, 500].
-  Setup(200, 260);
-  for (CmpOp op : {CmpOp::kLe, CmpOp::kLt, CmpOp::kGe, CmpOp::kGt, CmpOp::kEq,
-                   CmpOp::kNe}) {
-    auto red =
-        Unwrap(ReduceSemiJoin(r_smas.get(), 1, op, s, 1, nullptr));
-    VerifyReduction(red, op);
-  }
-}
-
-TEST_F(SemiJoinTest, ActuallyPrunesForRangeOps) {
-  Setup(200, 260);
-  auto red = Unwrap(ReduceSemiJoin(r_smas.get(), 1, CmpOp::kLe, s, 1,
-                                   nullptr));
-  // R tuples with d > 260 can never satisfy d <= S.d.
-  EXPECT_LT(red.candidates.Count(), r->num_buckets());
-  EXPECT_GT(red.all_match.Count(), 0u);
-}
-
-TEST_F(SemiJoinTest, EqualityPruning) {
-  Setup(200, 260);
-  auto red =
-      Unwrap(ReduceSemiJoin(r_smas.get(), 1, CmpOp::kEq, s, 1, nullptr));
-  // Buckets entirely below 200 or above 260 are pruned.
-  EXPECT_LT(red.candidates.Count(), r->num_buckets() / 2);
-  VerifyReduction(red, CmpOp::kEq);
-}
-
-TEST_F(SemiJoinTest, EmptySPrunesEverything) {
-  Setup(200, 260);
-  storage::Table* empty = Unwrap(
-      db.catalog.CreateTable("s_empty", testing::SyntheticSchema(), {}));
-  auto red = Unwrap(
-      ReduceSemiJoin(r_smas.get(), 1, CmpOp::kLe, empty, 1, nullptr));
-  EXPECT_EQ(red.candidates.Count(), 0u);
-}
-
-TEST_F(SemiJoinTest, NoRSmasMeansNoPruning) {
-  Setup(200, 260);
-  SmaSet no_smas(r);
-  auto red = Unwrap(ReduceSemiJoin(&no_smas, 1, CmpOp::kLe, s, 1, nullptr));
-  EXPECT_EQ(red.candidates.Count(), r->num_buckets());
-}
-
-TEST_F(SemiJoinTest, NeWithMultiValuedSQualifiesEverything) {
-  Setup(200, 260);  // S has many distinct values
-  auto red =
-      Unwrap(ReduceSemiJoin(r_smas.get(), 1, CmpOp::kNe, s, 1, nullptr));
-  EXPECT_EQ(red.candidates.Count(), r->num_buckets());
-  EXPECT_EQ(red.all_match.Count(), r->num_buckets());
 }
 
 }  // namespace

@@ -16,8 +16,6 @@
 #include "db/admission.h"
 #include "db/database.h"
 #include "db/session.h"
-#include "exec/join.h"
-#include "exec/sort.h"
 #include "planner/planner.h"
 #include "tests/test_util.h"
 #include "util/fault.h"
@@ -294,28 +292,6 @@ TEST_F(GovernorPlanTest, ExpiredDeadlineFailsSelectionPlans) {
   EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST_F(GovernorPlanTest, ExpiredDeadlineFailsSortAndJoin) {
-  Setup(testing::Layout::kClustered, "g3");
-  {
-    auto scan = std::make_unique<exec::TableScan>(table, Predicate::True());
-    auto sort = Unwrap(exec::Sort::Make(std::move(scan), {{0, false}}));
-    QueryContext ctx;
-    Expire(&ctx);
-    sort->BindContext(&ctx);
-    EXPECT_EQ(sort->Init().code(), StatusCode::kDeadlineExceeded);
-  }
-  {
-    auto left = std::make_unique<exec::TableScan>(table, Predicate::True());
-    auto right = std::make_unique<exec::TableScan>(table, Predicate::True());
-    auto join = Unwrap(
-        exec::HashJoin::Make(std::move(left), 0, std::move(right), 0));
-    QueryContext ctx;
-    Expire(&ctx);
-    join->BindContext(&ctx);
-    EXPECT_EQ(join->Init().code(), StatusCode::kDeadlineExceeded);
-  }
-}
-
 TEST_F(GovernorPlanTest, UserCancelSurfacesAsCancelled) {
   Setup(testing::Layout::kClustered, "g4");
   query.pred = DatePred(CmpOp::kLe, 40);
@@ -348,9 +324,9 @@ TEST_F(GovernorPlanTest, GroupTableBudgetExhaustionNamesGroupTable) {
       << run.status().ToString();
 }
 
-// Partial groups are charged as they grow — per batch in GAggr, per folded
-// morsel in ParallelScanAggr — so a unique-key group-by over a table far
-// larger than its budget fails before the scan has fetched the table.
+// Partial groups are charged as they grow — per folded morsel in
+// ParallelScanAggr, at every dop — so a unique-key group-by over a table
+// far larger than its budget fails before the scan has fetched the table.
 TEST_F(GovernorPlanTest, PartialGroupsAreChargedAsTheyGrow) {
   table = MakeSyntheticTable(&db, 60000, testing::Layout::kClustered,
                              /*seed=*/11, /*bucket_pages=*/1, "unique");

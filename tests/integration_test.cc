@@ -3,15 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
-
 #include "planner/planner.h"
 #include "sma/maintenance.h"
 #include "tests/test_util.h"
 #include "tpch/loader.h"
 #include "workloads/q1.h"
-#include "workloads/q3.h"
 
 namespace smadb {
 namespace {
@@ -140,88 +136,6 @@ TEST_F(Q1Integration, MaintainedInsertsKeepQ1Consistent) {
   const AggQuery q1 = Unwrap(workloads::MakeQ1Query(t, 90));
   const std::string scan = Run(&smas, q1, PlanKind::kScanAggr);
   EXPECT_EQ(scan, Run(&smas, q1, PlanKind::kSmaGAggr));
-}
-
-TEST_F(Q1Integration, Q3JoinPipelineAgreesWithAndWithoutSmas) {
-  tpch::Dbgen gen({0.004, 42});
-  std::vector<tpch::OrderRow> orows;
-  std::vector<tpch::LineItemRow> lrows;
-  gen.GenOrdersAndLineItems(&orows, &lrows);
-  tpch::LoadOptions load;
-  load.mode = tpch::ClusterMode::kDiagonal;
-  storage::Table* orders = Unwrap(tpch::LoadOrders(&db.catalog, orows, load));
-  storage::Table* lineitem =
-      Unwrap(tpch::LoadLineItem(&db.catalog, lrows, load));
-  storage::Table* customer =
-      Unwrap(tpch::LoadCustomers(&db.catalog, gen.GenCustomers()));
-
-  sma::SmaSet orders_smas(orders);
-  sma::SmaSet lineitem_smas(lineitem);
-  ExpectOk(workloads::BuildQ3Smas(orders, &orders_smas, lineitem,
-                                  &lineitem_smas));
-
-  auto drain = [](exec::Operator* op) {
-    std::string out;
-    for (const std::string& row : testing::DrainRows(op)) out += row + '\n';
-    return out;
-  };
-
-  workloads::Q3Tables with{customer, orders, lineitem, &orders_smas,
-                           &lineitem_smas};
-  workloads::Q3Tables without{customer, orders, lineitem, nullptr, nullptr};
-  auto plan_with = Unwrap(workloads::MakeQ3Plan(with));
-  auto plan_without = Unwrap(workloads::MakeQ3Plan(without));
-  const std::string a = drain(plan_with.get());
-  EXPECT_EQ(a, drain(plan_without.get()));
-  EXPECT_FALSE(a.empty());
-
-  // A different segment / cutoff also agrees.
-  auto plan_auto = Unwrap(
-      workloads::MakeQ3Plan(with, "MACHINERY", "1996-06-01", 5));
-  auto plan_auto_ref = Unwrap(
-      workloads::MakeQ3Plan(without, "MACHINERY", "1996-06-01", 5));
-  EXPECT_EQ(drain(plan_auto.get()), drain(plan_auto_ref.get()));
-}
-
-TEST_F(Q1Integration, Q4ExistsSemiJoinMatchesBruteForce) {
-  tpch::Dbgen gen({0.004, 42});
-  std::vector<tpch::OrderRow> orows;
-  std::vector<tpch::LineItemRow> lrows;
-  gen.GenOrdersAndLineItems(&orows, &lrows);
-  tpch::LoadOptions load;
-  load.mode = tpch::ClusterMode::kDiagonal;
-  storage::Table* orders = Unwrap(tpch::LoadOrders(&db.catalog, orows, load));
-  storage::Table* lineitem =
-      Unwrap(tpch::LoadLineItem(&db.catalog, lrows, load));
-  sma::SmaSet orders_smas(orders);
-  sma::SmaSet lineitem_smas(lineitem);
-  ExpectOk(workloads::BuildQ3Smas(orders, &orders_smas, lineitem,
-                                  &lineitem_smas));
-
-  auto plan = Unwrap(
-      workloads::MakeQ4Plan(orders, lineitem, &orders_smas, "1993-07-01"));
-  std::map<std::string, int64_t> got;
-  for (const storage::TupleBuffer& row :
-       Unwrap(RunToCompletion(plan.get())).rows) {
-    got[std::string(row.AsRef().GetString(0))] = row.AsRef().GetInt64(1);
-  }
-
-  // Brute force.
-  const util::Date lo = util::Date::FromYmd(1993, 7, 1);
-  const util::Date hi = lo.AddDays(91);
-  std::set<int64_t> late_orders;  // orderkeys with commit < receipt
-  for (const auto& li : lrows) {
-    if (li.commitdate < li.receiptdate) late_orders.insert(li.orderkey);
-  }
-  std::map<std::string, int64_t> want;
-  for (const auto& o : orows) {
-    if (o.orderdate >= lo && o.orderdate < hi &&
-        late_orders.count(o.orderkey) > 0) {
-      ++want[o.orderpriority];
-    }
-  }
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(got.size(), 5u);  // all five priorities occur at this scale
 }
 
 TEST_F(Q1Integration, ColdVsWarmPageReads) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -180,19 +181,13 @@ Census GroundTruth(storage::Table* table, const PredicatePtr& pred,
   return c;
 }
 
-const obs::OperatorProfile* FindCensusNode(const obs::OperatorProfile* node) {
-  if (node->qualifying() + node->disqualifying() + node->ambivalent() > 0) {
-    return node;
-  }
-  for (const obs::OperatorProfile* child : node->children()) {
-    if (const auto* hit = FindCensusNode(child)) return hit;
-  }
-  return nullptr;
+bool HasCensus(const obs::OperatorProfile& node) {
+  return node.qualifying() + node.disqualifying() + node.ambivalent() > 0;
 }
 
 const obs::OperatorProfile* FindCensusNode(const obs::QueryProfile& profile) {
-  for (const obs::OperatorProfile* root : profile.roots()) {
-    if (const auto* hit = FindCensusNode(root)) return hit;
+  for (const obs::OperatorProfile& node : profile.operators()) {
+    if (HasCensus(node)) return &node;
   }
   return nullptr;
 }
@@ -311,23 +306,54 @@ TEST_F(ProfileCensusTest, DegradedRerunCountsEachAttemptOnce) {
     // Exactly one failed attempt and one successful one, each with its own
     // node; the successful node's census equals ground truth exactly.
     size_t failed_nodes = 0, exact_nodes = 0;
-    for (const obs::OperatorProfile* root : profile.roots()) {
-      if (const obs::OperatorProfile* node = FindCensusNode(root)) {
-        const Census got{node->qualifying(), node->disqualifying(),
-                         node->ambivalent()};
+    for (const obs::OperatorProfile& node : profile.operators()) {
+      if (HasCensus(node)) {
+        const Census got{node.qualifying(), node.disqualifying(),
+                         node.ambivalent()};
         EXPECT_LE(got.q + got.d + got.a, table->num_buckets())
-            << node->name() << " over-counted";
-        if (node->failed()) {
+            << node.name() << " over-counted";
+        if (node.failed()) {
           ++failed_nodes;
         } else if (got == want) {
           ++exact_nodes;
         }
-      } else if (root->failed()) {
+      } else if (node.failed()) {
         ++failed_nodes;  // died before tallying any bucket
       }
     }
     EXPECT_GE(failed_nodes, 1u);
     EXPECT_EQ(exact_nodes, 1u);
+  }
+}
+
+// A grouped scan plan is one ParallelScanAggr node at every dop, and its
+// `explain analyze` line reports the merged group state as `peak=`.
+TEST_F(ProfileCensusTest, GroupedScanPlanReportsPeakGroupBytes) {
+  Setup("pc3");
+  query.pred = Predicate::True();
+  Planner planner(smas.get());
+  for (const size_t dop : {size_t{1}, size_t{4}}) {
+    for (const PlanKind kind : {PlanKind::kScanAggr, PlanKind::kSmaScanAggr}) {
+      SCOPED_TRACE(::testing::Message() << plan::PlanKindToString(kind)
+                                        << " dop=" << dop);
+      auto op = Unwrap(planner.Build(query, kind, dop));
+      obs::QueryProfile profile;
+      QueryContext ctx;
+      ctx.set_profile(&profile);
+      op->BindContext(&ctx);
+      Unwrap(RunToCompletion(op.get(), &ctx));
+      ASSERT_EQ(profile.operators().size(), 1u);
+      EXPECT_GT(profile.operators().front().peak_bytes(), 0u);
+      const std::vector<std::string> report = profile.Render();
+      const auto line = std::find_if(
+          report.begin(), report.end(), [](const std::string& l) {
+            return l.find("ParallelScanAggr") != std::string::npos;
+          });
+      ASSERT_NE(line, report.end());
+      EXPECT_NE(line->find(" peak="), std::string::npos) << *line;
+      EXPECT_NE(line->find(util::Format("dop=%zu", dop)), std::string::npos)
+          << *line;
+    }
   }
 }
 

@@ -23,7 +23,6 @@
 #include "db/database.h"
 #include "exec/batch.h"
 #include "exec/bucket_source.h"
-#include "exec/gaggr.h"
 #include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
@@ -380,19 +379,15 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
       SCOPED_TRACE(::testing::Message() << "pred " << preds[p]->ToString());
       const SmaScanStats census = testing::ReferenceCensus(t, *preds[p]);
       totals.Merge(census);
+      // SMA_Scan, drained on its own: the serial grading stream.
+      exec::SmaScan sma_scan(t, preds[p], fx.smas.get());
+      DrainRows(&sma_scan);
+      EXPECT_TRUE(SameCensus(sma_scan.stats(), census));
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         SCOPED_TRACE(::testing::Message() << "query " << qi);
         const Query& q = queries[qi];
         const std::vector<std::string> want =
             testing::ReferenceAggregate(t, *preds[p], q.group_by, q.aggs);
-        // GAggr over SMA_Scan: the serial grading stream.
-        auto sma_scan =
-            std::make_unique<exec::SmaScan>(t, preds[p], fx.smas.get());
-        const exec::SmaScan* scan_ptr = sma_scan.get();
-        auto over_scan = Unwrap(
-            exec::GAggr::Make(std::move(sma_scan), q.group_by, q.aggs));
-        EXPECT_EQ(Sorted(DrainRows(over_scan.get())), want);
-        EXPECT_TRUE(SameCensus(scan_ptr->stats(), census));
         for (const size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
           SCOPED_TRACE(::testing::Message() << "dop " << dop);
           exec::SmaGAggrOptions opts;
@@ -422,22 +417,28 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
   }
 }
 
+// Every plan kind is one operator at every dop, dop 1 included: both scan
+// plans are ParallelScanAggr, and all return the reference's rows.
 TEST(DopEquivalenceTest, PlannerBuildMatchesAcrossKindsAndDop) {
   LineItemFixture fx;
   plan::Planner planner(fx.smas.get());
   plan::AggQuery query = Unwrap(workloads::MakeQ1Query(fx.table));
-
-  auto reference =
-      Unwrap(planner.Build(query, plan::PlanKind::kScanAggr, /*dop=*/1));
-  const std::vector<std::string> want = Sorted(DrainRows(reference.get()));
+  const std::vector<std::string> want = testing::ReferenceAggregate(
+      fx.table, *query.pred, query.group_by, query.aggs);
 
   for (plan::PlanKind kind :
        {plan::PlanKind::kScanAggr, plan::PlanKind::kSmaScanAggr,
         plan::PlanKind::kSmaGAggr}) {
-    for (size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << plan::PlanKindToString(kind) << " dop " << dop);
       auto op = Unwrap(planner.Build(query, kind, dop));
-      EXPECT_EQ(Sorted(DrainRows(op.get())), want)
-          << plan::PlanKindToString(kind) << " dop " << dop;
+      if (kind != plan::PlanKind::kSmaGAggr) {
+        const auto* scan_aggr = dynamic_cast<ParallelScanAggr*>(op.get());
+        ASSERT_NE(scan_aggr, nullptr);
+        EXPECT_EQ(scan_aggr->degree_of_parallelism(), dop);
+      }
+      EXPECT_EQ(Sorted(DrainRows(op.get())), want);
     }
   }
 }

@@ -231,11 +231,13 @@ TEST_F(ParserTest, MultilineDefinitionLikeThePaper) {
 
 TEST_F(ParserTest, RejectsPaperRestrictions) {
   // Joins: "we allow only for a single entry within the from clause".
-  EXPECT_EQ(ParseSmaDefinition(&schema,
-                               "define sma x select min(d) from t, s")
-                .status()
-                .code(),
-            util::StatusCode::kNotSupported);
+  const util::Status join =
+      ParseSmaDefinition(&schema, "define sma x select min(d) from t, s")
+          .status();
+  EXPECT_EQ(join.code(), util::StatusCode::kNotSupported);
+  EXPECT_EQ(join.message(),
+            "joins are not allowed in SMA definitions: a SMA summarizes one "
+            "table (§2.1)");
   // Multiple select entries: "the select clause may contain only a single
   // entry".
   EXPECT_EQ(ParseSmaDefinition(&schema,

@@ -5,7 +5,8 @@
 //                           qualifying buckets contain only matches and
 //                           disqualifying buckets none.
 //   * scan equivalence    — SMA_Scan returns exactly TableScan's tuples.
-//   * aggregate equality  — SMA_GAggr equals GAggr bit-for-bit.
+//   * aggregate equality  — SMA_GAggr equals the brute-force reference
+//                           aggregate (tests/test_util.h) bit-for-bit.
 //   * maintenance         — maintained SMAs equal freshly rebuilt ones
 //                           under randomized mutation mixes.
 
@@ -14,7 +15,6 @@
 #include <map>
 #include <tuple>
 
-#include "exec/gaggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
 #include "exec/table_scan.h"
@@ -35,6 +35,8 @@ using testing::DrainRows;
 using testing::ExpectOk;
 using testing::Layout;
 using testing::MakeSyntheticTable;
+using testing::ReferenceAggregate;
+using testing::Sorted;
 using testing::TestDb;
 using testing::Unwrap;
 using util::Value;
@@ -169,10 +171,10 @@ TEST_P(SmaGAggrEquivalenceP, MatchesGAggrExactly) {
   for (int32_t c : {-10, 60, 125, 300}) {
     const PredicatePtr pred = Unwrap(Predicate::AtomConst(
         &t->schema(), "d", op, Value::MakeDate(util::Date(c))));
-    auto scan = std::make_unique<exec::TableScan>(t, pred);
-    auto ref = Unwrap(exec::GAggr::Make(std::move(scan), {3}, aggs));
     auto smag = Unwrap(exec::SmaGAggr::Make(t, pred, {3}, aggs, &smas));
-    EXPECT_EQ(DrainRows(ref.get()), DrainRows(smag.get())) << "c=" << c;
+    EXPECT_EQ(ReferenceAggregate(t, *pred, {3}, aggs),
+              Sorted(DrainRows(smag.get())))
+        << "c=" << c;
   }
 }
 

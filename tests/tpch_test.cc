@@ -6,15 +6,10 @@
 
 #include <algorithm>
 
-#include <unistd.h>
-
-#include <cstdio>
-
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/loader.h"
 #include "tpch/schemas.h"
-#include "tpch/tbl_io.h"
 #include "tpch/text.h"
 #include "util/string_util.h"
 
@@ -387,112 +382,6 @@ TEST(LoaderTest, RoundTripThroughStorage) {
         }));
   }
   EXPECT_EQ(i, lis.size());
-}
-
-// ----------------------------------------------------------------- tbl_io --
-
-struct TblIoTest : ::testing::Test {
-  TblIoTest() {
-    std::snprintf(path, sizeof(path), "/tmp/smadb_tbl_test_%d.tbl",
-                  static_cast<int>(::getpid()));
-  }
-  ~TblIoTest() override { std::remove(path); }
-
-  char path[64];
-};
-
-TEST_F(TblIoTest, ParseAndFormatLine) {
-  const storage::Schema schema = testing::SyntheticSchema();
-  storage::TupleBuffer buf(&schema);
-  ASSERT_TRUE(
-      ParseTblLine(schema, "42|1995-06-17|-3.07|A|MAIL|", &buf).ok());
-  EXPECT_EQ(buf.AsRef().GetInt64(0), 42);
-  EXPECT_EQ(buf.AsRef().GetDate(1).ToString(), "1995-06-17");
-  EXPECT_EQ(buf.AsRef().GetDecimal(2).cents(), -307);
-  EXPECT_EQ(buf.AsRef().GetString(3), "A");
-  EXPECT_EQ(FormatTblLine(buf.AsRef()), "42|1995-06-17|-3.07|A|MAIL|");
-}
-
-TEST_F(TblIoTest, ParseErrors) {
-  const storage::Schema schema = testing::SyntheticSchema();
-  storage::TupleBuffer buf(&schema);
-  // Missing field.
-  EXPECT_FALSE(ParseTblLine(schema, "42|1995-06-17|-3.07|A|", &buf).ok());
-  // Trailing junk.
-  EXPECT_FALSE(
-      ParseTblLine(schema, "42|1995-06-17|-3.07|A|MAIL|x", &buf).ok());
-  // Bad number / date / oversized string.
-  EXPECT_FALSE(
-      ParseTblLine(schema, "4x|1995-06-17|-3.07|A|MAIL|", &buf).ok());
-  EXPECT_FALSE(
-      ParseTblLine(schema, "42|1995-13-17|-3.07|A|MAIL|", &buf).ok());
-  EXPECT_FALSE(
-      ParseTblLine(schema, "42|1995-06-17|-3.071|A|MAIL|", &buf).ok());
-  EXPECT_FALSE(
-      ParseTblLine(schema, "42|1995-06-17|-3.07|AB|MAIL|", &buf).ok());
-  EXPECT_FALSE(
-      ParseTblLine(schema, "42|1995-06-17|-3.07|A|TOOLONG|", &buf).ok());
-}
-
-TEST_F(TblIoTest, DecimalEdgeCases) {
-  const storage::Schema schema = testing::SyntheticSchema();
-  storage::TupleBuffer buf(&schema);
-  ASSERT_TRUE(ParseTblLine(schema, "1|1970-01-01|-0.45|A|X|", &buf).ok());
-  EXPECT_EQ(buf.AsRef().GetDecimal(2).cents(), -45);
-  ASSERT_TRUE(ParseTblLine(schema, "1|1970-01-01|7.5|A|X|", &buf).ok());
-  EXPECT_EQ(buf.AsRef().GetDecimal(2).cents(), 750);
-  ASSERT_TRUE(ParseTblLine(schema, "1|1970-01-01|12|A|X|", &buf).ok());
-  EXPECT_EQ(buf.AsRef().GetDecimal(2).cents(), 1200);
-}
-
-TEST_F(TblIoTest, LineItemRoundTripsThroughFile) {
-  TestDb db(16384);
-  tpch::LoadOptions load;
-  storage::Table* original = Unwrap(GenerateAndLoadLineItem(
-      &db.catalog, {0.001, 5}, load, nullptr, "li_orig"));
-  ExpectOk(WriteTbl(original, path));
-  storage::Table* reloaded = Unwrap(
-      LoadTbl(&db.catalog, "li_reload", LineItemSchema(), path));
-  ASSERT_EQ(reloaded->num_tuples(), original->num_tuples());
-  // Byte-identical tuples in identical order.
-  std::vector<std::string> a, b;
-  for (uint32_t bkt = 0; bkt < original->num_buckets(); ++bkt) {
-    ExpectOk(original->ForEachTupleInBucket(
-        bkt, [&](const storage::TupleRef& t, storage::Rid) {
-          a.push_back(FormatTblLine(t));
-        }));
-  }
-  for (uint32_t bkt = 0; bkt < reloaded->num_buckets(); ++bkt) {
-    ExpectOk(reloaded->ForEachTupleInBucket(
-        bkt, [&](const storage::TupleRef& t, storage::Rid) {
-          b.push_back(FormatTblLine(t));
-        }));
-  }
-  EXPECT_EQ(a, b);
-}
-
-TEST_F(TblIoTest, LoadErrorsCarryLineNumbers) {
-  {
-    std::FILE* f = std::fopen(path, "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("1|1970-01-01|0.50|A|MAIL|\n", f);
-    std::fputs("oops|1970-01-01|0.50|A|MAIL|\n", f);
-    std::fclose(f);
-  }
-  TestDb db;
-  auto result = LoadTbl(&db.catalog, "bad", testing::SyntheticSchema(), path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find(":2:"), std::string::npos)
-      << result.status().ToString();
-}
-
-TEST_F(TblIoTest, MissingFileIsIOError) {
-  TestDb db;
-  EXPECT_EQ(LoadTbl(&db.catalog, "x", testing::SyntheticSchema(),
-                    "/nonexistent/no.tbl")
-                .status()
-                .code(),
-            util::StatusCode::kIOError);
 }
 
 }  // namespace

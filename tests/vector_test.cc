@@ -8,11 +8,12 @@
 //     tuples of the brute-force, tuple-at-a-time reference in
 //     tests/test_util.h, across predicates × layouts × consumer batch
 //     capacities × bucket sizes.
-//   * Aggregation ≡ the row path — GAggr∘TableScan, GAggr∘SmaScan,
-//     SmaGAggr and ParallelScanAggr produce the reference's groups (and,
-//     for range predicates, its bucket census) across predicates × layouts
-//     × bucket sizes × DOPs, on tables that end on a short morsel, served
-//     through the shared RowEmitter at several consumer batch capacities.
+//   * Aggregation ≡ the row path — ParallelScanAggr with and without SMAs
+//     (GAggr∘SmaScan, GAggr∘TableScan) and SmaGAggr produce the
+//     reference's groups (and, for range predicates, its bucket census)
+//     across predicates × layouts × bucket sizes × DOPs, on tables that end
+//     on a short morsel, served through the shared RowEmitter at several
+//     consumer batch capacities.
 //   * Fault injection — runs return the fault-free rows exactly or a typed
 //     error, and mid-run demotion reruns from base data.
 
@@ -20,7 +21,6 @@
 
 #include "db/database.h"
 #include "db/session.h"
-#include "exec/gaggr.h"
 #include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
@@ -285,8 +285,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // A pipeline breaker serves its materialized rows as batches of whatever
-// capacity the consumer configured (here 7 rows), through the shared
-// RowEmitter that GAggr, SmaGAggr, ParallelScanAggr and Sort all use.
+// capacity the consumer configured (here 7 rows), through the RowEmitter
+// that SmaGAggr and ParallelScanAggr share.
 TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
   TestDb db(16384);
   storage::Table* t = MakeSyntheticTable(&db, 1500, Layout::kNoisy, 31);
@@ -295,15 +295,15 @@ TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
                                      AggSpec::Count("cnt")};
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(100))));
-  auto op = Unwrap(exec::GAggr::Make(
-      std::make_unique<exec::TableScan>(t, pred), {0}, aggs));
+  auto op = Unwrap(exec::ParallelScanAggr::Make(t, pred, {0}, aggs,
+                                                /*smas=*/nullptr, 1));
   const std::vector<std::string> rows = DrainBatches(op.get(), 7);
   EXPECT_GT(rows.size(), 7u);  // several batches, the last one partial
   EXPECT_EQ(Sorted(rows), ReferenceAggregate(t, *pred, {0}, aggs));
 }
 
-// Projection pushdown: a consumer-built mask unioned with the producer's
-// requirements decodes only those columns, and the decoded values match.
+// Projection pushdown: a consumer-built mask unioned with the predicate's
+// columns decodes only those columns, and the decoded values match.
 TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   TestDb db(16384);
   storage::Table* t = MakeSyntheticTable(&db, 500, Layout::kClustered, 41);
@@ -312,7 +312,7 @@ TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   exec::TableScan scan(t, pred);
   std::vector<bool> mask(t->schema().num_fields(), false);
   mask[0] = true;  // consumer reads k
-  scan.AddRequiredBatchColumns(&mask);
+  pred->AddReferencedColumns(&mask);
   EXPECT_TRUE(mask[1]);  // the predicate's column d joined the projection
 
   ExpectOk(scan.Init());
@@ -386,13 +386,7 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
       // PredicateSweep puts True and the ranges on d first.
       const bool exact_census = p < 4;
       const exec::SmaScanStats census = ReferenceCensus(t, *pred);
-      auto over_scan = Unwrap(exec::GAggr::Make(
-          std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
-      EXPECT_EQ(Sorted(DrainBatches(over_scan.get(), capacity)), want);
-      auto over_sma_scan = Unwrap(exec::GAggr::Make(
-          std::make_unique<exec::SmaScan>(t, pred, &smas), {3}, aggs));
-      EXPECT_EQ(Sorted(DrainBatches(over_sma_scan.get(), capacity)), want);
-      // With SMAs it parallelizes GAggr∘SmaScan, without GAggr∘TableScan.
+      // With SMAs it runs GAggr∘SmaScan, without GAggr∘TableScan.
       const sma::SmaSet* const parallel_smas[] = {&smas, nullptr};
       for (const sma::SmaSet* set : parallel_smas) {
         auto parallel = Unwrap(
