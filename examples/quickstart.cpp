@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "exec/sma_scan.h"
-#include "exec/table_scan.h"
 #include "expr/predicate.h"
 #include "planner/planner.h"
 #include "sma/builder.h"
@@ -94,7 +93,7 @@ int main() {
   disk.ResetStats();
   uint64_t count_scan = 0;
   {
-    exec::TableScan scan(shipments, pred);
+    exec::SmaScan scan(shipments, pred, /*smas=*/nullptr);
     count_scan = Check(plan::RunToCompletion(&scan)).rows.size();
   }
   Check(pool.DropAll());

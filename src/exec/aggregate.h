@@ -1,5 +1,5 @@
-// Shared grouping-aggregation machinery for ParallelScanAggr (GAggr over a
-// scan) and SMA_GAggr.
+// Grouping-aggregation machinery for SmaGAggr, which runs every aggregate
+// plan: SMA_GAggr and GAggr over a scan.
 //
 // Aggregate state is exact: sums/min/max of the integral family accumulate
 // in int64 (decimals as cents); averages are finalized as sum/count in the

@@ -1,14 +1,16 @@
 // exec::Batch: the unit of batch-at-a-time data flow (DESIGN.md §9).
 //
 // A Batch pairs a storage::ColumnBatch (decoded column vectors of up to
-// `capacity` tuples, never spanning buckets when produced by the scan
-// operators) with a storage::SelVector naming the rows that survived
-// predicate evaluation so far. The SMA grade verdict (§3.1) maps onto the
-// selection vector directly:
+// `capacity` tuples, never spanning two stretches of fetched buckets when
+// produced by a StretchReader) with a storage::SelVector naming the rows
+// that survived predicate evaluation so far. The SMA grade verdict (§3.1)
+// maps onto the selection vector directly:
 //
-//   kQualifies    -> SelectAll, predicate never evaluated
+//   kQualifies    -> SelectAll, predicate never evaluated (a stretch of
+//                    qualifying buckets)
 //   kDisqualifies -> bucket skipped, no batch produced
-//   kAmbivalent   -> SelectAll, then Predicate::EvalBatch refines
+//   kAmbivalent   -> SelectAll, then Predicate::EvalBatch refines (any
+//                    stretch holding an ambivalent bucket)
 //
 // Conventions (see Operator::NextBatch):
 //   * A returned batch may have an empty selection; consumers skip it and

@@ -228,31 +228,4 @@ void BatchAggregator::FlushInto(GroupTable* table) {
   approx_bytes_ = 0;
 }
 
-util::Status BucketFolder::FoldMorsel(const std::vector<Stretch>& stretches) {
-  if (stretches.size() > 1) {
-    for (const Stretch& s : stretches) {
-      SMADB_RETURN_NOT_OK(reader.PinAhead(s.first, s.end));
-    }
-  }
-  for (const Stretch& s : stretches) {
-    SMADB_RETURN_NOT_OK(Fold(s.first, s.end, s.pred));
-  }
-  reader.ReleaseAhead();
-  return util::Status::OK();
-}
-
-util::Status BucketFolder::Fold(uint64_t first, uint64_t end,
-                                const expr::Predicate* pred) {
-  SMADB_RETURN_NOT_OK(reader.OpenBuckets(first, end));
-  while (true) {
-    SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "BucketFolder"));
-    batch.Clear();
-    SMADB_ASSIGN_OR_RETURN(bool has, reader.NextBatch(&batch.cols));
-    if (!has) return util::Status::OK();
-    batch.SelectAll();
-    if (pred != nullptr) pred->EvalBatch(batch.cols, &batch.sel);
-    aggregator.AddBatch(batch);
-  }
-}
-
 }  // namespace smadb::exec

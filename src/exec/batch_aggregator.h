@@ -1,12 +1,11 @@
 // BatchAggregator: fused grouping-aggregation kernels over column batches —
-// how SMA_GAggr (ambivalent buckets) and ParallelScanAggr fold tuples. Per
-// batch it runs two passes: (1) one pass over the selection vector
-// resolving each row's group id from fixed-width raw key bytes (with a
-// last-key cache that exploits the paper's time-of-creation clustering —
-// consecutive tuples usually share a group), then (2) one tight accumulate
-// loop per aggregate over pre-evaluated argument vectors: array arithmetic
-// instead of a Value/serialize/std::map lookup and an expression-tree walk
-// per row.
+// how SmaGAggr folds the tuples of every bucket it fetches. Per batch it
+// runs two passes: (1) one pass over the selection vector resolving each
+// row's group id from fixed-width raw key bytes (with a last-key cache that
+// exploits the paper's time-of-creation clustering — consecutive tuples
+// usually share a group), then (2) one tight accumulate loop per aggregate
+// over pre-evaluated argument vectors: array arithmetic instead of a
+// Value/serialize/std::map lookup and an expression-tree walk per row.
 //
 // Exactness: sums/min/max accumulate in int64 (decimals as cents), and
 // FlushInto folds the partials through GroupState::AddBucketCount/
@@ -23,9 +22,7 @@
 
 #include "exec/aggregate.h"
 #include "exec/batch.h"
-#include "exec/bucket_source.h"
 #include "storage/schema.h"
-#include "util/query_context.h"
 
 namespace smadb::exec {
 
@@ -91,48 +88,6 @@ class BatchAggregator {
   std::string key_scratch_;
   std::vector<uint32_t> row_gids_;
   std::vector<int64_t> vals_;
-};
-
-/// Folds stretches of consecutive buckets of one table into a
-/// BatchAggregator — the fetch work of SMA_GAggr's ambivalent buckets and of
-/// ParallelScanAggr's morsels. One per worker (the reader pins pages); the
-/// owning operator configures `batch` with the aggregator's columns plus
-/// the predicate's, charges it, and binds `ctx`.
-struct BucketFolder {
-  BucketFolder(storage::Table* table, const std::vector<size_t>* group_by,
-               const std::vector<AggSpec>* aggs)
-      : reader(table), aggregator(&table->schema(), group_by, aggs) {}
-
-  /// Decodes buckets [first, end) batch by batch, through one reader range,
-  /// into `aggregator`, with a governor checkpoint before each batch.
-  /// `pred` refines each batch's selection; null when every bucket of the
-  /// stretch qualifies, whose dense all-rows selection needs no predicate
-  /// evaluation (§3.1). A stretch that mixes qualifying and ambivalent
-  /// buckets passes `pred`, which every tuple of a qualifying bucket
-  /// satisfies.
-  util::Status Fold(uint64_t first, uint64_t end,
-                    const expr::Predicate* pred);
-
-  /// A stretch of consecutive buckets of one morsel, with Fold's `pred`.
-  struct Stretch {
-    uint64_t first;
-    uint64_t end;
-    const expr::Predicate* pred;
-  };
-
-  /// Folds the stretches of one morsel, in ascending order, like Fold.
-  /// With more than one, all are pinned first (BucketReader::PinAhead —
-  /// together at most one run, since a morsel spans one), so the morsel's
-  /// page reads reach the disk back to back rather than one stretch per
-  /// decode, where other readers' requests would fall in between.
-  util::Status FoldMorsel(const std::vector<Stretch>& stretches);
-
-  BucketReader reader;
-  Batch batch;
-  BatchAggregator aggregator;
-  /// The query's governor (null = ungoverned), checked once per batch so a
-  /// cancel or deadline lands within a batch at every dop.
-  const util::QueryContext* ctx = nullptr;
 };
 
 }  // namespace smadb::exec

@@ -9,27 +9,6 @@ namespace smadb::exec {
 using util::Result;
 using util::Status;
 
-BucketSource::BucketSource(storage::Table* table, expr::PredicatePtr pred,
-                           const sma::SmaSet* smas)
-    : table_(table), pred_(std::move(pred)), smas_(smas) {
-  Reset();
-}
-
-void BucketSource::Reset() {
-  if (smas_ != nullptr) {
-    grader_ = sma::BucketGrader::Create(pred_, smas_);
-    has_sma_support_ = grader_->has_sma_support();
-  } else {
-    grader_.reset();
-    has_sma_support_ = false;
-  }
-  // A re-executed operator sees a fresh consistent prefix.
-  snapshot_ = table_->CaptureSnapshot();
-  serial_next_ = 0;
-  graded_first_ = 0;
-  graded_end_ = 0;
-}
-
 Status BucketSource::GradeMorsel(
     sma::BucketGrader* grader, uint64_t first, uint64_t end, sma::Grade* out,
     storage::BucketLatchTable::SharedGuard* hold) const {
@@ -48,24 +27,11 @@ Status BucketSource::GradeMorsel(
   } else {
     latch.Release();
   }
-  for (size_t k = 0; k < n; ++k) out[k] = ApplySnapshot(first + k, out[k]);
-  return Status::OK();
-}
-
-Result<bool> BucketSource::NextGraded(BucketUnit* out) {
-  if (serial_next_ >= num_buckets()) return false;
-  if (serial_next_ >= graded_end_) {
-    const uint64_t per = BucketsPerMorsel(table_->bucket_pages());
-    graded_first_ = serial_next_;
-    graded_end_ = std::min<uint64_t>((serial_next_ / per + 1) * per,
-                                     num_buckets());
-    graded_.resize(static_cast<size_t>(graded_end_ - graded_first_));
-    SMADB_RETURN_NOT_OK(GradeMorsel(grader_.get(), graded_first_,
-                                    graded_end_, graded_.data()));
+  if (snapshot_.demote_boundary && first <= snapshot_.boundary_bucket &&
+      snapshot_.boundary_bucket < end) {
+    out[snapshot_.boundary_bucket - first] = sma::Grade::kAmbivalent;
   }
-  out->bucket = serial_next_++;
-  out->grade = graded_[static_cast<size_t>(out->bucket - graded_first_)];
-  return true;
+  return Status::OK();
 }
 
 Status BucketReader::Open(uint32_t first_page, uint32_t end_page) {
@@ -144,6 +110,63 @@ Result<bool> BucketReader::NextBatch(storage::ColumnBatch* cols) {
         cols->AppendFromPage(*table_, *run_.page(page_), slot_, page_count_);
   }
   return cols->num_rows() > before;
+}
+
+Status StretchReader::Start(uint64_t first, uint64_t end,
+                            const sma::Grade* grades, bool fetch_qualifying,
+                            const expr::Predicate* pred) {
+  const auto fetched = [&](uint64_t b) {
+    const sma::Grade g = grades[b - first];
+    return g == sma::Grade::kAmbivalent ||
+           (fetch_qualifying && g == sma::Grade::kQualifies);
+  };
+  stretches_.clear();
+  next_ = 0;
+  open_ = false;
+  for (uint64_t b = first; b < end;) {
+    if (!fetched(b)) {
+      ++b;
+      continue;
+    }
+    bool all_qualify = true;
+    uint64_t stop = b;
+    for (; stop < end && fetched(stop); ++stop) {
+      all_qualify &= grades[stop - first] == sma::Grade::kQualifies;
+    }
+    stretches_.push_back({b, stop, all_qualify ? nullptr : pred});
+    b = stop;
+  }
+  if (stretches_.size() > 1) {
+    for (const Stretch& s : stretches_) {
+      SMADB_RETURN_NOT_OK(reader_.PinAhead(s.first, s.end));
+    }
+  }
+  return Status::OK();
+}
+
+Result<bool> StretchReader::Next(Batch* out) {
+  while (true) {
+    if (!open_) {
+      if (next_ == stretches_.size()) {
+        reader_.ReleaseAhead();
+        return false;
+      }
+      const Stretch& s = stretches_[next_++];
+      SMADB_RETURN_NOT_OK(reader_.OpenBuckets(s.first, s.end));
+      pred_ = s.pred;
+      open_ = true;
+    }
+    SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx_, "StretchReader"));
+    out->Clear();
+    SMADB_ASSIGN_OR_RETURN(bool has, reader_.NextBatch(&out->cols));
+    if (!has) {
+      open_ = false;
+      continue;
+    }
+    out->SelectAll();
+    if (pred_ != nullptr) pred_->EvalBatch(out->cols, &out->sel);
+    return true;
+  }
 }
 
 }  // namespace smadb::exec

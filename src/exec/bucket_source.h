@@ -1,16 +1,20 @@
-// BucketSource / BucketReader: the bucket-granular work-unit layer.
+// BucketSource / StretchReader / BucketReader: the graded-stretch walk
+// every plan makes.
 //
-// Every SMA access path walks the same structure — the table's physically
-// consecutive buckets (§2.1), graded per predicate (§3.1), then read a run
-// of pages at a time. This file centralizes that walk, which used to be
-// duplicated across TableScan, SmaScan, and SMA_GAggr, and defines the
-// morsel of parallel execution: a run of consecutive buckets spanning one
-// read run (storage::kRunPages pages), which is also one latch group of the
-// table's storage::BucketLatchTable. Workers claim morsels through
-// ParallelFor and grade each one with GradeMorsel — one range read per
-// bound SMA-file through the worker's own cursor-backed BucketGrader, under
-// one shared latch acquire (graders hold page pins and are therefore
-// per-thread; the Sma structures they read are immutable and shared).
+// Every plan walks the same structure: the table's physically consecutive
+// buckets (§2.1), graded per predicate (§3.1) a morsel at a time, whose
+// fetched buckets are read a run of pages at a time. The plans differ only
+// in what a qualifying bucket costs: SMA_Scan (§3.2) reads it without
+// evaluating the predicate, SMA_GAggr (§3.3) answers it from aggregate-SMA
+// entries, and without SMAs every bucket grades ambivalent (the plain
+// scan). A morsel is a run of consecutive buckets spanning one read run
+// (storage::kRunPages pages), which is also one latch group of the table's
+// storage::BucketLatchTable. Workers claim morsels through ParallelFor and
+// grade each one with GradeMorsel — one range read per bound SMA-file
+// through the worker's own cursor-backed BucketGrader, under one shared
+// latch acquire (graders hold page pins and are therefore per-thread; the
+// Sma structures they read are immutable and shared) — then read its
+// fetched buckets through a StretchReader.
 
 #ifndef SMADB_EXEC_BUCKET_SOURCE_H_
 #define SMADB_EXEC_BUCKET_SOURCE_H_
@@ -20,10 +24,12 @@
 #include <utility>
 #include <vector>
 
+#include "exec/batch.h"
 #include "expr/predicate.h"
 #include "sma/grade.h"
 #include "storage/column_batch.h"
 #include "storage/table.h"
+#include "util/query_context.h"
 
 namespace smadb::exec {
 
@@ -80,16 +86,9 @@ inline uint64_t MorselCount(uint64_t buckets, uint32_t bucket_pages) {
   return (buckets + per - 1) / per;
 }
 
-/// One graded work unit.
-struct BucketUnit {
-  uint64_t bucket = 0;
-  sma::Grade grade = sma::Grade::kAmbivalent;
-};
-
-/// Enumerates the buckets of a table for one predicate, grading them a
-/// morsel at a time against the SMAs. Serial consumers pull `NextGraded`
-/// from one thread (it grades one morsel ahead); morsel workers take
-/// `Morsel`s from ParallelFor and grade them with per-worker graders.
+/// Enumerates the buckets of a table for one predicate as morsels and
+/// grades them a morsel at a time against the SMAs (GradeMorsel); workers
+/// take `Morsel`s from ParallelFor and grade them with per-worker graders.
 ///
 /// Construction captures a TableSnapshot: the walk covers exactly the
 /// buckets of that consistent append prefix, and the one bucket a
@@ -101,28 +100,14 @@ class BucketSource {
  public:
   /// `smas` may be null — every bucket then grades ambivalent.
   BucketSource(storage::Table* table, expr::PredicatePtr pred,
-               const sma::SmaSet* smas);
+               const sma::SmaSet* smas)
+      : table_(table),
+        pred_(std::move(pred)),
+        smas_(smas),
+        snapshot_(table->CaptureSnapshot()) {}
 
-  storage::Table* table() const { return table_; }
-  const expr::PredicatePtr& pred() const { return pred_; }
   const storage::TableSnapshot& snapshot() const { return snapshot_; }
   uint64_t num_buckets() const { return snapshot_.buckets; }
-
-  /// True when at least one predicate atom is backed by a SMA — otherwise
-  /// every bucket grades ambivalent and grading is pure overhead.
-  bool has_sma_support() const { return has_sma_support_; }
-
-  /// Rewinds the serial cursor and recaptures the snapshot.
-  void Reset();
-
-  // --- serial path (single consumer) ---------------------------------------
-
-  /// Produces the next bucket with its grade; false at the end. Grades a
-  /// morsel at a time through GradeMorsel and hands its buckets out one by
-  /// one.
-  util::Result<bool> NextGraded(BucketUnit* out);
-
-  // --- morsels (any number of workers) -------------------------------------
 
   uint64_t num_morsels() const {
     return MorselCount(num_buckets(), table_->bucket_pages());
@@ -144,20 +129,11 @@ class BucketSource {
     return sma::BucketGrader::Create(pred_, smas_);
   }
 
-  /// Demotes the snapshot-boundary bucket to ambivalent; identity for every
-  /// other bucket. Idempotent — operators may re-apply freely.
-  sma::Grade ApplySnapshot(uint64_t bucket, sma::Grade g) const {
-    if (snapshot_.demote_boundary && bucket == snapshot_.boundary_bucket) {
-      return sma::Grade::kAmbivalent;
-    }
-    return g;
-  }
-
   /// Grades buckets [first, end) — at most one morsel, hence one latch
   /// group — into out[0, end - first) with `grader` (null = every bucket
   /// ambivalent) under one shared acquire of the group's latch, then
-  /// applies the snapshot demotion bucket by bucket. The one grading entry
-  /// point every consumer — planner census, serial or worker — goes
+  /// demotes the snapshot-boundary bucket to ambivalent. The one grading
+  /// entry point every consumer — planner census, scan or worker — goes
   /// through, so all censuses agree at every dop.
   ///
   /// With `hold` non-null the latch is handed to the caller instead of
@@ -172,18 +148,11 @@ class BucketSource {
   storage::Table* table_;
   expr::PredicatePtr pred_;
   const sma::SmaSet* smas_;
-  std::unique_ptr<sma::BucketGrader> grader_;  // serial path
   storage::TableSnapshot snapshot_;
-  bool has_sma_support_ = false;
-  uint64_t serial_next_ = 0;
-  // Serial path: grades of the buffered morsel [graded_first_, graded_end_).
-  std::vector<sma::Grade> graded_;
-  uint64_t graded_first_ = 0;
-  uint64_t graded_end_ = 0;
 };
 
 /// Streams the live tuples of a consecutive page range — the page/slot walk
-/// shared by every scan and by the bucket folders. The range is pinned a
+/// under every StretchReader. The range is pinned a
 /// run of up to storage::kRunPages pages at a time (BufferPool::PinRun: one
 /// pool mutex hold, one disk request per stretch of misses), and the run
 /// is released before the next one is pinned, so a reader holds at most
@@ -207,8 +176,8 @@ class BucketReader {
     has_snapshot_ = true;
   }
 
-  /// Positions on pages [first, end). May be called repeatedly (SmaScan
-  /// opens one bucket at a time).
+  /// Positions on pages [first, end). May be called repeatedly (a
+  /// StretchReader opens one range per stretch).
   util::Status Open(uint32_t first_page, uint32_t end_page);
 
   /// Positions on the pages of buckets [first, end).
@@ -232,10 +201,7 @@ class BucketReader {
   /// Pins the pages of buckets [first, end) (snapshot-clamped, at most one
   /// run) without decoding them, so their misses are read now; a later
   /// Open of the range adopts the pinned run instead of pinning it again.
-  /// A morsel loop pins all of a morsel's stretches this way before
-  /// folding any, so the morsel's reads reach the disk back to back
-  /// instead of one stretch per decode. Runs not adopted stay pinned until
-  /// ReleaseAhead.
+  /// Runs not adopted stay pinned until ReleaseAhead.
   util::Status PinAhead(uint64_t first_bucket, uint64_t end_bucket);
   void ReleaseAhead() { ahead_.clear(); }
 
@@ -263,6 +229,62 @@ class BucketReader {
   uint16_t slot_ = 0;
   uint16_t page_count_ = 0;
   bool has_snapshot_ = false;
+  bool open_ = false;
+};
+
+/// Reads the fetched buckets of one morsel at a time: the one read path of
+/// every plan. Start turns a morsel's grades into stretches, each a maximal
+/// run of consecutive fetched buckets, and with more than one pins them all
+/// ahead (BucketReader::PinAhead — together at most one run, since a morsel
+/// spans one), so the morsel's page reads reach the disk back to back
+/// rather than one stretch per decode, where other readers' requests would
+/// fall in between. Next then decodes each stretch through one reader
+/// range, a batch at a time, and refines the batch's selection with the
+/// predicate unless every bucket of the stretch qualifies: a qualifying
+/// bucket keeps the dense all-rows selection (§3.2, no predicate
+/// evaluation). One per worker (the reader pins pages).
+class StretchReader {
+ public:
+  /// Reads `table` within `snapshot`; `ctx` (null = ungoverned) is the
+  /// query's governor, checked once per batch so a cancel or deadline
+  /// lands within a batch at every dop.
+  StretchReader(storage::Table* table, const storage::TableSnapshot& snapshot,
+                const util::QueryContext* ctx)
+      : reader_(table), ctx_(ctx) {
+    reader_.set_snapshot(snapshot);
+  }
+
+  /// Starts on the fetched buckets of [first, end), at most one morsel,
+  /// graded grades[0, end - first). Disqualifying buckets are never
+  /// fetched; qualifying ones only with `fetch_qualifying` (SMA_GAggr
+  /// answers them from SMA entries instead). A stretch holding an
+  /// ambivalent bucket is filtered with `pred`, which every tuple of a
+  /// qualifying bucket satisfies.
+  util::Status Start(uint64_t first, uint64_t end, const sma::Grade* grades,
+                     bool fetch_qualifying, const expr::Predicate* pred);
+
+  /// Decodes the started morsel's next batch into `out`, whose projection
+  /// must cover the predicate's columns, and refines its selection; false
+  /// once every stretch is drained. A batch never spans two stretches.
+  util::Result<bool> Next(Batch* out);
+
+  /// Pages fetched since construction (BucketReader::pages_opened).
+  uint64_t pages_opened() const { return reader_.pages_opened(); }
+
+ private:
+  /// Buckets [first, end), with the predicate refining their batches (null
+  /// when all of them qualify).
+  struct Stretch {
+    uint64_t first;
+    uint64_t end;
+    const expr::Predicate* pred;
+  };
+
+  BucketReader reader_;
+  const util::QueryContext* ctx_;
+  std::vector<Stretch> stretches_;  // the started morsel's
+  size_t next_ = 0;                 // next stretch to open
+  const expr::Predicate* pred_ = nullptr;  // the open stretch's
   bool open_ = false;
 };
 

@@ -1,8 +1,8 @@
 // Physical-algebra operator interface: the iterator concept of Graefe [7]
 // the paper's SMA_Scan / SMA_GAggr plug into (Init / NextBatch / implicit
 // close via destructor). Every plan is a single operator over one table:
-// the scans, SmaGAggr, and ParallelScanAggr, which fuses GAggr with its
-// scan. Operators produce column batches, never single tuples;
+// SmaScan for selections and SmaGAggr for aggregations, each with and
+// without SMAs. Operators produce column batches, never single tuples;
 // plan::RunToCompletion is the one place where batches turn into result
 // rows — see DESIGN.md §9.
 
@@ -91,7 +91,7 @@ class Operator {
 };
 
 /// Serves a pipeline breaker's materialized result rows batch by batch —
-/// the one emitter SMA_GAggr and ParallelScanAggr share.
+/// SmaGAggr's emitter.
 struct RowEmitter {
   std::vector<storage::TupleBuffer> rows;
   size_t next = 0;

@@ -140,6 +140,19 @@ Result<std::unique_ptr<SmaGAggr>> SmaGAggr::Make(
   return op;
 }
 
+Result<std::unique_ptr<SmaGAggr>> SmaGAggr::MakeScan(
+    storage::Table* table, expr::PredicatePtr pred,
+    std::vector<size_t> group_by, std::vector<AggSpec> aggs,
+    const sma::SmaSet* smas, size_t degree_of_parallelism) {
+  SMADB_ASSIGN_OR_RETURN(storage::Schema schema,
+                         AggResultSchema(table->schema(), group_by, aggs));
+  SmaGAggrOptions options;
+  options.degree_of_parallelism = degree_of_parallelism;
+  return std::unique_ptr<SmaGAggr>(
+      new SmaGAggr(table, std::move(pred), std::move(group_by),
+                   std::move(aggs), smas, std::move(schema), options));
+}
+
 Grade SmaGAggr::EffectiveGrade(Grade g, uint64_t b) const {
   // A qualifying bucket beyond aggregate-SMA coverage must be inspected.
   if (g == Grade::kQualifies && b >= covered_buckets_) {
@@ -165,13 +178,18 @@ struct SmaGAggr::Worker {
   std::vector<std::vector<sma::SmaFile::Cursor>> cursors;
   std::vector<std::vector<int64_t>> acc;
   std::vector<int64_t> entries;  // one group file's entries for a morsel
-  std::vector<BucketFolder::Stretch> stretches;  // the morsel's ambivalent
+  // The fetched buckets are read into `batch` and folded by `aggregator`;
+  // sma_only mode fetches none and configures no batch.
+  StretchReader reader;
+  Batch batch;
+  BatchAggregator aggregator;
   GroupTable groups;
   SmaScanStats stats;
-  // Decodes the ambivalent stretches; null in sma_only mode.
-  std::unique_ptr<BucketFolder> folder;
   size_t charged = 0;  // group-state bytes already charged
-  explicit Worker(const std::vector<AggSpec>* aggs) : groups(aggs) {}
+  Worker(const SmaGAggr& op, const BucketSource& source)
+      : reader(op.table_, source.snapshot(), op.ctx_),
+        aggregator(&op.table_->schema(), &op.group_by_, &op.aggs_),
+        groups(&op.aggs_) {}
 };
 
 Status SmaGAggr::AnswerQualifying(uint64_t first, uint64_t end,
@@ -235,18 +253,19 @@ Status SmaGAggr::ProcessMorsel(const BucketSource& source, uint64_t m,
                                Worker* worker) {
   const auto [first, end] = source.Morsel(m);
   // Morsel-granular cooperative checkpoint (every morsel, every worker).
-  SMADB_RETURN_NOT_OK(CheckRuntime("SmaGAggr"));
+  SMADB_RETURN_NOT_OK(CheckRuntime(name()));
   // GradeMorsel = one shared latch acquire for the morsel + boundary-bucket
-  // demotion, so the census is identical at every dop. The latch stays
-  // held for the direct answers: they read aggregate values straight out
+  // demotion, so the census is identical at every dop. SMA_GAggr keeps the
+  // latch for the direct answers: they read aggregate values straight out
   // of the SMA entries, so it must exclude a concurrent maintainer folding
   // a fresh append into those entries mid-read. (Grading only needs
   // superset soundness; direct answers need the exact snapshot value — the
   // boundary bucket was demoted to ambivalent for that reason.)
   Grade* grades = worker->grades.data();
   storage::BucketLatchTable::SharedGuard latch;
-  SMADB_RETURN_NOT_OK(
-      source.GradeMorsel(worker->grader.get(), first, end, grades, &latch));
+  SMADB_RETURN_NOT_OK(source.GradeMorsel(worker->grader.get(), first, end,
+                                         grades,
+                                         answers() ? &latch : nullptr));
   uint64_t q_first = end;  // span of the qualifying buckets
   uint64_t q_end = first;
   uint64_t ambivalent = 0;
@@ -260,7 +279,7 @@ Status SmaGAggr::ProcessMorsel(const BucketSource& source, uint64_t m,
     }
     ambivalent += g == Grade::kAmbivalent;
   }
-  if (q_first < q_end) {
+  if (answers() && q_first < q_end) {
     SMADB_RETURN_NOT_OK(
         AnswerQualifying(q_first, q_end, grades + (q_first - first), worker));
   }
@@ -272,24 +291,18 @@ Status SmaGAggr::ProcessMorsel(const BucketSource& source, uint64_t m,
     buckets_skipped_.fetch_add(ambivalent, std::memory_order_relaxed);
     return Status::OK();
   }
-  // Each maximal stretch of ambivalent buckets is decoded through one
-  // reader range; the reader clamps to the execution's snapshot and
-  // latches the groups it reads itself.
-  std::vector<BucketFolder::Stretch>& stretches = worker->stretches;
-  stretches.clear();
-  for (uint64_t b = first; b < end;) {
-    if (grades[b - first] != Grade::kAmbivalent) {
-      ++b;
-      continue;
-    }
-    uint64_t stop = b + 1;
-    while (stop < end && grades[stop - first] == Grade::kAmbivalent) ++stop;
-    stretches.push_back({b, stop, pred_.get()});
-    b = stop;
+  // The reader clamps to the execution's snapshot and latches the groups it
+  // reads itself.
+  SMADB_RETURN_NOT_OK(worker->reader.Start(
+      first, end, grades, /*fetch_qualifying=*/!answers(), pred_.get()));
+  while (true) {
+    SMADB_ASSIGN_OR_RETURN(bool has, worker->reader.Next(&worker->batch));
+    if (!has) break;
+    worker->aggregator.AddBatch(worker->batch);
   }
-  SMADB_RETURN_NOT_OK(worker->folder->FoldMorsel(stretches));
-  return ChargeGrowth(worker->folder->aggregator.approx_bytes(),
-                      &worker->charged, "GroupTable");
+  // Partial groups are charged as they grow, not only at the merge.
+  return ChargeGrowth(worker->aggregator.approx_bytes(), &worker->charged,
+                      "GroupTable");
 }
 
 Status SmaGAggr::Init() {
@@ -303,10 +316,10 @@ Status SmaGAggr::Init() {
     prof_->AddBuckets(stats_.qualifying_buckets, stats_.disqualifying_buckets,
                       stats_.ambivalent_buckets);
     prof_->AddBucketsSkipped(buckets_skipped());
-    prof_->SetDetail(util::Format(
-        "groups=%zu dop=%zu%s", results_.rows.size(),
-        std::max<size_t>(1, options_.degree_of_parallelism),
-        options_.sma_only ? " sma_only" : ""));
+    prof_->SetDetail(util::Format("groups=%zu dop=%zu%s",
+                                  results_.rows.size(),
+                                  degree_of_parallelism(),
+                                  options_.sma_only ? " sma_only" : ""));
     if (!s.ok()) prof_->MarkFailed(s.ToString());
   }
   return s;
@@ -318,26 +331,25 @@ Status SmaGAggr::InitImpl() {
   buckets_skipped_.store(0, std::memory_order_relaxed);
 
   BucketSource source(table_, pred_, smas_);
-  const size_t dop =
-      std::max<size_t>(1, options_.degree_of_parallelism);
+  const size_t dop = degree_of_parallelism();
   // Groups a maintainer created before the source captured its snapshot
   // may hold entries in buckets the snapshot covers; later ones only in
   // the (demoted) boundary bucket or beyond it.
-  ProjectGroups(&count_binding_);
+  if (answers()) ProjectGroups(&count_binding_);
   for (AggBinding& binding : bindings_) {
     if (binding.sma != nullptr) ProjectGroups(&binding);
   }
 
-  // Per-worker grader, cursors, accumulators, census, group table and
-  // folder; exact merge afterwards. Ambivalent readers clamp to the
-  // source's consistent append prefix; qualifying buckets answer from SMA
-  // entries under the morsel's shared latch. SMA-only mode skips ambivalent
-  // buckets, so it has no batch.
+  // Per-worker grader, cursors, accumulators, reader, census and group
+  // table; exact merge afterwards. Readers clamp to the source's
+  // consistent append prefix; qualifying buckets answer from SMA entries
+  // under the morsel's shared latch. SMA-only mode fetches no bucket, so
+  // it has no batch.
   const uint64_t per = BucketsPerMorsel(table_->bucket_pages());
   std::vector<Worker> workers;
   workers.reserve(dop);
   for (size_t w = 0; w < dop; ++w) {
-    workers.emplace_back(&aggs_);
+    workers.emplace_back(*this, source);
     Worker& worker = workers.back();
     worker.grader = source.NewGrader();
     worker.grades.resize(per);
@@ -352,14 +364,10 @@ Status SmaGAggr::InitImpl() {
                               src->sma->IdentityEntry());
     }
     if (options_.sma_only) continue;
-    worker.folder =
-        std::make_unique<BucketFolder>(table_, &group_by_, &aggs_);
-    worker.folder->reader.set_snapshot(source.snapshot());
-    worker.folder->ctx = ctx_;
-    std::vector<bool> mask = worker.folder->aggregator.RequiredColumns();
+    std::vector<bool> mask = worker.aggregator.RequiredColumns();
     pred_->AddReferencedColumns(&mask);
-    SMADB_RETURN_NOT_OK(ConfigureBatch(&worker.folder->batch,
-                                       &table_->schema(), std::move(mask)));
+    SMADB_RETURN_NOT_OK(
+        ConfigureBatch(&worker.batch, &table_->schema(), std::move(mask)));
   }
   // The cancel token flows into the claim loop: once it trips, no further
   // morsel is scheduled and the pool drains before we touch worker state.
@@ -376,17 +384,13 @@ Status SmaGAggr::InitImpl() {
   // degraded-ladder rerun never re-counts a failed run's buckets.
   for (Worker& worker : workers) {
     stats_.Merge(worker.stats);
-    if (prof_ != nullptr && worker.folder != nullptr) {
-      prof_->AddPagesRead(worker.folder->reader.pages_opened());
-    }
+    if (prof_ != nullptr) prof_->AddPagesRead(worker.reader.pages_opened());
   }
   SMADB_RETURN_NOT_OK(par);
   GroupTable groups(&aggs_);
   for (Worker& worker : workers) {
-    FlushAnswers(&worker);
-    if (worker.folder != nullptr) {
-      worker.folder->aggregator.FlushInto(&worker.groups);
-    }
+    if (answers()) FlushAnswers(&worker);
+    worker.aggregator.FlushInto(&worker.groups);
     SMADB_RETURN_NOT_OK(ChargeGrowth(worker.groups.approx_bytes(),
                                      &worker.charged, "GroupTable"));
     const size_t before = groups.approx_bytes();
@@ -398,6 +402,8 @@ Status SmaGAggr::InitImpl() {
                                        "GroupTable.merge"));
     }
   }
+  // The merged table is the group state's high-water mark: `peak=`.
+  if (prof_ != nullptr) prof_->NotePeakBytes(groups.approx_bytes());
 
   // Phase 3 (average finalization) happens inside Emit/Finalize.
   return groups.Emit(&schema_, &results_.rows);

@@ -1,12 +1,16 @@
-// SMA_GAggr (paper §3.3, Fig. 7): grouping-aggregation computed from SMAs.
+// SmaGAggr: every grouping-aggregation plan, as one operator.
 //
-// Selection SMAs partition the buckets; for qualifying buckets the queried
-// aggregates are advanced straight from the aggregate SMA entries, only
-// ambivalent buckets are fetched (decoded into column batches, filtered
-// with EvalBatch and folded by the BatchAggregator kernels), and averages
-// are finalized as sum/count in the last phase. The operator scans
-// the relation and all SMA-files "in parallel" (one synchronized sequential
-// pass).
+// SMA_GAggr (paper §3.3, Fig. 7) computes the grouping-aggregation from
+// SMAs: selection SMAs partition the buckets; for qualifying buckets the
+// queried aggregates are advanced straight from the aggregate SMA entries,
+// only ambivalent buckets are fetched (decoded into column batches,
+// filtered with EvalBatch and folded by the BatchAggregator kernels), and
+// averages are finalized as sum/count in the last phase. The operator
+// scans the relation and all SMA-files "in parallel" (one synchronized
+// sequential pass). GAggr over SMA_Scan (§3.2) and over a plain scan make
+// the same walk, except that a qualifying bucket is fetched — without
+// predicate evaluation — instead of answered; MakeScan builds that form,
+// which has no bindings and, without SMAs, grades every bucket ambivalent.
 //
 // Matching rules: an aggregate SMA serves a query aggregate when function
 // and argument expression match and the SMA's grouping *refines* the
@@ -16,26 +20,29 @@
 // grouping is always required: it carries group cardinalities (for count
 // and avg results) and decides which groups have qualifying tuples at all.
 //
-// One morsel loop serves every degree of parallelism: a morsel is a run of
-// consecutive buckets spanning one read run (one latch group), and workers
-// claim morsels through ParallelFor (dop 1 runs the loop inline on the
-// caller — the paper's one synchronized pass). Under one shared latch
-// acquire per morsel a worker grades the morsel's buckets from SMA-file
-// entry ranges and answers its qualifying buckets from those same ranges:
-// each bound SMA group file's entries for the morsel are read off the
-// pinned page and the qualifying ones folded into flat per-worker
+// One morsel loop serves every plan and degree of parallelism: a morsel is
+// a run of consecutive buckets spanning one read run (one latch group), and
+// workers claim morsels through ParallelFor (dop 1 runs the loop inline on
+// the caller — the paper's one synchronized pass). A worker grades the
+// morsel's buckets under one shared latch acquire. SMA_GAggr keeps that
+// latch to answer the qualifying buckets from the same SMA-file entry
+// ranges: each bound SMA group file's entries for the morsel are read off
+// the pinned page and the qualifying ones folded into flat per-worker
 // accumulators indexed [SMA][SMA group] (count and sum add, min/max keep
-// the extreme and skip undefined entries). After releasing the latch it
-// folds each stretch of consecutive ambivalent buckets through one reader
-// range. Each worker flushes its accumulators into its GroupTable once,
-// projecting SMA groups onto query groups, and the partial tables are
-// merged at the end — exact, because sum/count/min/max (and avg as
-// sum+count) compose associatively and commutatively.
+// the extreme and skip undefined entries). After releasing the latch the
+// worker reads the morsel's fetched buckets through its StretchReader and
+// folds them into its BatchAggregator. Each worker flushes its accumulators
+// and partial groups into its GroupTable once, projecting SMA groups onto
+// query groups, and the partial tables are merged at the end — exact,
+// because sum/count/min/max (and avg as sum+count) compose associatively
+// and commutatively.
 
 #ifndef SMADB_EXEC_SMA_GAGGR_H_
 #define SMADB_EXEC_SMA_GAGGR_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -71,13 +78,23 @@ struct SmaGAggrOptions {
 
 class SmaGAggr final : public Operator {
  public:
-  /// Binds the query (pred / group_by / aggs over `table`) against `smas`.
-  /// Fails with NotSupported when some aggregate has no matching SMA — the
-  /// planner then falls back to GAggr over SmaScan.
+  /// SMA_GAggr: binds the query (pred / group_by / aggs over `table`)
+  /// against `smas`. Fails with NotSupported when some aggregate has no
+  /// matching SMA — the planner then falls back to GAggr over SMA_Scan.
   static util::Result<std::unique_ptr<SmaGAggr>> Make(
       storage::Table* table, expr::PredicatePtr pred,
       std::vector<size_t> group_by, std::vector<AggSpec> aggs,
       const sma::SmaSet* smas, SmaGAggrOptions options = {});
+
+  /// GAggr over SMA_Scan: fetches every bucket that does not disqualify,
+  /// a qualifying one without predicate evaluation. `smas` may be null:
+  /// every bucket then grades ambivalent, which is GAggr over the plain
+  /// scan. Fails when `aggs` is empty, a group-by column is out of range or
+  /// an aggregate's argument is not integral-family (AggResultSchema).
+  static util::Result<std::unique_ptr<SmaGAggr>> MakeScan(
+      storage::Table* table, expr::PredicatePtr pred,
+      std::vector<size_t> group_by, std::vector<AggSpec> aggs,
+      const sma::SmaSet* smas, size_t degree_of_parallelism);
 
   const storage::Schema& output_schema() const override { return schema_; }
 
@@ -91,10 +108,14 @@ class SmaGAggr final : public Operator {
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);
-    BindProfile("SmaGAggr");
+    BindProfile(name());
   }
 
+  /// Merged bucket census across all workers (the same at every dop).
   const SmaScanStats& stats() const { return stats_; }
+  size_t degree_of_parallelism() const {
+    return std::max<size_t>(1, options_.degree_of_parallelism);
+  }
 
   /// Ambivalent buckets left uninspected by sma_only mode (0 otherwise).
   uint64_t buckets_skipped() const {
@@ -127,6 +148,13 @@ class SmaGAggr final : public Operator {
         schema_(std::move(schema)),
         options_(options) {}
 
+  /// True for SMA_GAggr, whose qualifying buckets answer from SMA entries;
+  /// false for the scan form (MakeScan), which fetches them.
+  bool answers() const { return !sources_.empty(); }
+
+  /// Profile node and checkpoint name.
+  const char* name() const { return answers() ? "SmaGAggr" : "ScanAggr"; }
+
   /// Finds a SMA for (func, arg signature) whose grouping refines the
   /// query's; builds the binding. Null sma on no match.
   AggBinding BindAggregate(sma::AggFunc func, const expr::Expr* arg) const;
@@ -143,10 +171,10 @@ class SmaGAggr final : public Operator {
   /// mid-run failure, and the degraded sma_only rung alike.
   util::Status InitImpl();
 
-  /// Phase 2 over morsel `m`: grades its buckets and answers the
-  /// qualifying ones from SMA entries under one shared latch acquire, skips
-  /// disqualifying ones, then folds each maximal stretch of ambivalent
-  /// buckets through one reader range (sma_only mode skips them instead).
+  /// Phase 2 over morsel `m`: grades its buckets under one shared latch
+  /// acquire, answering SMA_GAggr's qualifying ones from SMA entries in the
+  /// same hold, skips disqualifying ones, then folds the fetched ones
+  /// through the worker's StretchReader (sma_only mode skips them instead).
   util::Status ProcessMorsel(const BucketSource& source, uint64_t m,
                              Worker* worker);
 
@@ -170,12 +198,14 @@ class SmaGAggr final : public Operator {
 
   // One binding per aggregate (avg binds its sum SMA; count binds null and
   // rides on count_binding_), plus the mandatory count(*) binding.
+  // The scan form binds nothing.
   std::vector<AggBinding> bindings_;
   AggBinding count_binding_;
-  uint64_t covered_buckets_ = 0;  // min SMA coverage across bindings
+  // Min SMA coverage across bindings; the scan form demotes no bucket.
+  uint64_t covered_buckets_ = UINT64_MAX;
   // The distinct SMAs direct answers read: sources_[0] is count_binding_,
   // then one per distinct aggregate SMA (avg shares its sum's);
-  // agg_source_[i] indexes aggregate i's source.
+  // agg_source_[i] indexes aggregate i's source. Empty in the scan form.
   std::vector<const AggBinding*> sources_;
   std::vector<size_t> agg_source_;
 

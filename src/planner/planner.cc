@@ -1,6 +1,5 @@
 #include "planner/planner.h"
 
-#include "exec/parallel_aggr.h"
 #include "obs/profile.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -9,10 +8,8 @@
 namespace smadb::plan {
 
 using exec::Operator;
-using exec::ParallelScanAggr;
 using exec::SmaGAggr;
 using exec::SmaScan;
-using exec::TableScan;
 using sma::Grade;
 using storage::TupleBuffer;
 using storage::TupleRef;
@@ -31,6 +28,23 @@ void AnnotateGovernor(PlanChoice* plan, const util::QueryContext* ctx) {
   if (!gov.empty()) plan->explanation += "; governor: " + gov;
   const std::string notes = ctx->DegradationNotes();
   if (!notes.empty()) plan->explanation += "; " + notes;
+}
+
+// A plan can be retried from base data iff it depended on SMA-files and the
+// failure is typed as bad/unreadable storage (a demotion cannot outrun an
+// InvalidArgument, and rerunning on kResourceExhausted would just re-pin).
+bool DemotableFailure(const Status& s) {
+  return s.code() == StatusCode::kCorruption ||
+         s.code() == StatusCode::kIOError;
+}
+
+bool ReadsSmas(PlanKind kind) {
+  return kind == PlanKind::kSmaGAggr || kind == PlanKind::kSmaScanAggr ||
+         kind == PlanKind::kSmaScan;
+}
+
+uint64_t ElapsedNs(const util::Stopwatch& w) {
+  return static_cast<uint64_t>(w.ElapsedSeconds() * 1e9);
 }
 
 }  // namespace
@@ -74,7 +88,8 @@ Status Planner::Census(storage::Table* table, const expr::PredicatePtr& pred,
                        PlanChoice* choice,
                        const util::QueryContext* ctx) const {
   exec::BucketSource source(table, pred, smas_);
-  if (!source.has_sma_support()) {
+  const std::unique_ptr<sma::BucketGrader> grader = source.NewGrader();
+  if (!grader->has_sma_support()) {
     // No SMA grades anything; report everything ambivalent without reading.
     choice->ambivalent = table->num_buckets();
     return Status::OK();
@@ -82,7 +97,6 @@ Status Planner::Census(storage::Table* table, const expr::PredicatePtr& pred,
   // The executors' grading, morsel by morsel: same grader, same latch
   // groups, same snapshot demotion, so the census matches theirs.
   exec::SmaScanStats stats;
-  auto grader = source.NewGrader();
   std::vector<sma::Grade> grades(
       exec::BucketsPerMorsel(table->bucket_pages()));
   for (uint64_t m = 0; m < source.num_morsels(); ++m) {
@@ -98,16 +112,46 @@ Status Planner::Census(storage::Table* table, const expr::PredicatePtr& pred,
   return Status::OK();
 }
 
-PlanChoice Planner::Demoted(const storage::Table* table, bool select,
-                            const std::string& reason) const {
+Result<bool> Planner::CensusOrScan(storage::Table* table,
+                                   const expr::PredicatePtr& pred,
+                                   bool select, PlanChoice* choice,
+                                   const util::QueryContext* ctx) const {
+  if (smas_ == nullptr || smas_->size() == 0) {
+    *choice = FullScan(table, select, "no SMAs available");
+    return false;
+  }
+  const std::string trust_issue = smas_->TrustIssue();
+  if (!trust_issue.empty()) {
+    *choice = Demoted(table, select, trust_issue);
+    return false;
+  }
+  const Status census = Census(table, pred, choice, ctx);
+  if (census.ok()) return true;
+  if (census.code() == StatusCode::kCorruption) DistrustCorrupted(census);
+  if (DemotableFailure(census)) {
+    // Grading failed reading a SMA-file; base data is still authoritative.
+    *choice = Demoted(table, select,
+                      "grading failed (" + census.message() + ")");
+    return false;
+  }
+  return census;
+}
+
+PlanChoice Planner::FullScan(const storage::Table* table, bool select,
+                             const std::string& explanation) const {
   PlanChoice choice;
   choice.kind = select ? PlanKind::kScan : PlanKind::kScanAggr;
   choice.ambivalent = table->num_buckets();
   choice.fetch_fraction = 1.0;
   choice.dop = select ? 1 : PlanDop(table, choice.ambivalent);
-  choice.explanation = "demoted to sequential scan: " + reason;
+  choice.explanation = explanation;
   if (!select) choice.explanation += util::Format(", dop=%zu", choice.dop);
   return choice;
+}
+
+PlanChoice Planner::Demoted(const storage::Table* table, bool select,
+                            const std::string& reason) const {
+  return FullScan(table, select, "demoted to sequential scan: " + reason);
 }
 
 void Planner::DistrustCorrupted(const Status& s) const {
@@ -139,30 +183,10 @@ size_t Planner::PlanDop(const storage::Table* table,
 Result<PlanChoice> Planner::Choose(const AggQuery& query,
                                    const util::QueryContext* ctx) const {
   PlanChoice choice;
-  if (smas_ == nullptr || smas_->size() == 0) {
-    choice.kind = PlanKind::kScanAggr;
-    choice.ambivalent = query.table->num_buckets();
-    choice.fetch_fraction = 1.0;
-    choice.dop = PlanDop(query.table, choice.ambivalent);
-    choice.explanation =
-        util::Format("no SMAs available, dop=%zu", choice.dop);
-    return choice;
-  }
-  const std::string trust_issue = smas_->TrustIssue();
-  if (!trust_issue.empty()) {
-    return Demoted(query.table, /*select=*/false, trust_issue);
-  }
-  const Status census = Census(query.table, query.pred, &choice, ctx);
-  if (!census.ok()) {
-    if (census.code() == StatusCode::kCorruption) DistrustCorrupted(census);
-    if (census.code() == StatusCode::kCorruption ||
-        census.code() == StatusCode::kIOError) {
-      // Grading failed reading a SMA-file; base data is still authoritative.
-      return Demoted(query.table, /*select=*/false,
-                     "grading failed (" + census.message() + ")");
-    }
-    return census;
-  }
+  SMADB_ASSIGN_OR_RETURN(
+      const bool graded,
+      CensusOrScan(query.table, query.pred, /*select=*/false, &choice, ctx));
+  if (!graded) return choice;
   const double total =
       std::max<double>(1.0, static_cast<double>(choice.total_buckets()));
   const double ambivalent_frac =
@@ -210,27 +234,10 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
 Result<PlanChoice> Planner::ChooseSelect(const SelectQuery& query,
                                          const util::QueryContext* ctx) const {
   PlanChoice choice;
-  if (smas_ == nullptr || smas_->size() == 0) {
-    choice.kind = PlanKind::kScan;
-    choice.ambivalent = query.table->num_buckets();
-    choice.fetch_fraction = 1.0;
-    choice.explanation = "no SMAs available";
-    return choice;
-  }
-  const std::string trust_issue = smas_->TrustIssue();
-  if (!trust_issue.empty()) {
-    return Demoted(query.table, /*select=*/true, trust_issue);
-  }
-  const Status census = Census(query.table, query.pred, &choice, ctx);
-  if (!census.ok()) {
-    if (census.code() == StatusCode::kCorruption) DistrustCorrupted(census);
-    if (census.code() == StatusCode::kCorruption ||
-        census.code() == StatusCode::kIOError) {
-      return Demoted(query.table, /*select=*/true,
-                     "grading failed (" + census.message() + ")");
-    }
-    return census;
-  }
+  SMADB_ASSIGN_OR_RETURN(
+      const bool graded,
+      CensusOrScan(query.table, query.pred, /*select=*/true, &choice, ctx));
+  if (!graded) return choice;
   const double total =
       std::max<double>(1.0, static_cast<double>(choice.total_buckets()));
   const double processed_frac =
@@ -271,9 +278,9 @@ Result<std::unique_ptr<Operator>> Planner::Build(const AggQuery& query,
       const sma::SmaSet* smas =
           kind == PlanKind::kSmaScanAggr ? smas_ : nullptr;
       SMADB_ASSIGN_OR_RETURN(
-          std::unique_ptr<ParallelScanAggr> op,
-          ParallelScanAggr::Make(query.table, query.pred, query.group_by,
-                                 query.aggs, smas, dop));
+          std::unique_ptr<SmaGAggr> op,
+          SmaGAggr::MakeScan(query.table, query.pred, query.group_by,
+                             query.aggs, smas, dop));
       return std::unique_ptr<Operator>(std::move(op));
     }
     default:
@@ -286,11 +293,11 @@ Result<std::unique_ptr<Operator>> Planner::BuildSelect(
     const SelectQuery& query, PlanKind kind) const {
   switch (kind) {
     case PlanKind::kSmaScan:
-      return std::unique_ptr<Operator>(
-          std::make_unique<SmaScan>(query.table, query.pred, smas_));
     case PlanKind::kScan:
-      return std::unique_ptr<Operator>(
-          std::make_unique<TableScan>(query.table, query.pred));
+      // Without SMAs every bucket grades ambivalent: the full scan.
+      return std::unique_ptr<Operator>(std::make_unique<SmaScan>(
+          query.table, query.pred,
+          kind == PlanKind::kSmaScan ? smas_ : nullptr));
     default:
       return Status::InvalidArgument(
           "aggregate plan kind passed to BuildSelect");
@@ -316,25 +323,32 @@ Result<QueryResult> RunToCompletion(Operator* op,
   return result;
 }
 
-namespace {
-
-// A plan can be retried from base data iff it depended on SMA-files and the
-// failure is typed as bad/unreadable storage (a demotion cannot outrun an
-// InvalidArgument, and rerunning on kResourceExhausted would just re-pin).
-bool DemotableFailure(const Status& s) {
-  return s.code() == util::StatusCode::kCorruption ||
-         s.code() == util::StatusCode::kIOError;
+Result<QueryResult> Planner::RerunDemoted(
+    const storage::Table* table, bool select, const PlanChoice& choice,
+    const Status& failure,
+    const std::function<Result<std::unique_ptr<Operator>>(size_t)>&
+        build_scan,
+    util::QueryContext* ctx) const {
+  obs::QueryProfile* prof = ctx != nullptr ? ctx->profile() : nullptr;
+  // The SMA plan died mid-run on bad storage. Base data is authoritative:
+  // rerun as a sequential scan (which still surfaces base-table errors).
+  if (failure.code() == StatusCode::kCorruption) DistrustCorrupted(failure);
+  PlanChoice fallback =
+      Demoted(table, select,
+              std::string(PlanKindToString(choice.kind)) +
+                  " failed mid-run (" + failure.message() + ")");
+  obs::QueryProfile::Event(prof, "demoted to sequential scan: " +
+                                     fallback.explanation);
+  SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> rerun,
+                         build_scan(fallback.dop));
+  if (ctx != nullptr) rerun->BindContext(ctx);
+  util::Stopwatch rerun_watch;
+  SMADB_ASSIGN_OR_RETURN(QueryResult result, RunToCompletion(rerun.get(), ctx));
+  obs::QueryProfile::Phase(prof, "execute", ElapsedNs(rerun_watch));
+  result.plan = std::move(fallback);
+  AnnotateGovernor(&result.plan, ctx);
+  return result;
 }
-
-}  // namespace
-
-namespace {
-
-uint64_t ElapsedNs(const util::Stopwatch& w) {
-  return static_cast<uint64_t>(w.ElapsedSeconds() * 1e9);
-}
-
-}  // namespace
 
 Result<QueryResult> Planner::Execute(const AggQuery& query,
                                      util::QueryContext* ctx) const {
@@ -355,30 +369,11 @@ Result<QueryResult> Planner::Execute(const AggQuery& query,
     AnnotateGovernor(&run->plan, ctx);
     return run;
   }
-  const bool sma_plan = choice.kind == PlanKind::kSmaGAggr ||
-                        choice.kind == PlanKind::kSmaScanAggr;
-  if (sma_plan && DemotableFailure(run.status())) {
-    // The SMA plan died mid-run on bad storage. Base data is authoritative:
-    // rerun as a sequential scan (which still surfaces base-table errors).
-    if (run.status().code() == StatusCode::kCorruption) {
-      DistrustCorrupted(run.status());
-    }
-    PlanChoice fallback =
-        Demoted(query.table, /*select=*/false,
-                std::string(PlanKindToString(choice.kind)) +
-                    " failed mid-run (" + run.status().message() + ")");
-    obs::QueryProfile::Event(prof, "demoted to sequential scan: " +
-                                       fallback.explanation);
-    SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> rerun,
-                           Build(query, PlanKind::kScanAggr, fallback.dop));
-    if (ctx != nullptr) rerun->BindContext(ctx);
-    util::Stopwatch rerun_watch;
-    SMADB_ASSIGN_OR_RETURN(QueryResult result,
-                           RunToCompletion(rerun.get(), ctx));
-    obs::QueryProfile::Phase(prof, "execute", ElapsedNs(rerun_watch));
-    result.plan = fallback;
-    AnnotateGovernor(&result.plan, ctx);
-    return result;
+  if (ReadsSmas(choice.kind) && DemotableFailure(run.status())) {
+    return RerunDemoted(
+        query.table, /*select=*/false, choice, run.status(),
+        [&](size_t dop) { return Build(query, PlanKind::kScanAggr, dop); },
+        ctx);
   }
   // Degradation ladder rung 2 (DESIGN.md §10): a SMA_GAggr plan that
   // cannot finish under its deadline or budget still answers from the
@@ -434,29 +429,14 @@ Result<QueryResult> Planner::ExecuteSelect(const SelectQuery& query,
     AnnotateGovernor(&run->plan, ctx);
     return run;
   }
-  if (choice.kind != PlanKind::kSmaScan || !DemotableFailure(run.status())) {
-    // Selections have no SMA-only partial form (rows cannot be conjured
-    // from summaries), so governor errors propagate typed.
-    return run.status();
+  if (ReadsSmas(choice.kind) && DemotableFailure(run.status())) {
+    return RerunDemoted(
+        query.table, /*select=*/true, choice, run.status(),
+        [&](size_t) { return BuildSelect(query, PlanKind::kScan); }, ctx);
   }
-  if (run.status().code() == StatusCode::kCorruption) {
-    DistrustCorrupted(run.status());
-  }
-  PlanChoice fallback =
-      Demoted(query.table, /*select=*/true,
-              std::string(PlanKindToString(choice.kind)) +
-                  " failed mid-run (" + run.status().message() + ")");
-  obs::QueryProfile::Event(prof, "demoted to sequential scan: " +
-                                     fallback.explanation);
-  SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> rerun,
-                         BuildSelect(query, PlanKind::kScan));
-  if (ctx != nullptr) rerun->BindContext(ctx);
-  util::Stopwatch rerun_watch;
-  SMADB_ASSIGN_OR_RETURN(QueryResult result, RunToCompletion(rerun.get(), ctx));
-  obs::QueryProfile::Phase(prof, "execute", ElapsedNs(rerun_watch));
-  result.plan = fallback;
-  AnnotateGovernor(&result.plan, ctx);
-  return result;
+  // Selections have no SMA-only partial form (rows cannot be conjured from
+  // summaries), so governor errors propagate typed.
+  return run.status();
 }
 
 }  // namespace smadb::plan

@@ -13,8 +13,12 @@
 //   GAggr ∘ SMA_Scan     — selection pruning only; fetches qualifying +
 //                          ambivalent buckets.
 //   GAggr ∘ TableScan    — the fallback the paper measures against.
-// Each plan is one operator: SmaGAggr, or ParallelScanAggr for both
-// GAggr forms (the scan and the aggregation fused, a morsel at a time).
+// and for a selection, SMA_Scan or TableScan. Every plan is one operator
+// making the same graded-stretch walk (exec/bucket_source.h): SmaGAggr for
+// the aggregation plans (SmaGAggr::Make for SMA_GAggr, SmaGAggr::MakeScan
+// for both GAggr forms) and SmaScan for the selections. The plan decides
+// only what a qualifying bucket costs; the TableScan forms run without
+// SMAs, so every bucket grades ambivalent.
 //
 // Degradation: SMA plans are only eligible while every SMA of the table is
 // trusted and epoch-fresh (SmaSet::TrustIssue). A corrupt, stale, or
@@ -27,13 +31,13 @@
 #ifndef SMADB_PLANNER_PLANNER_H_
 #define SMADB_PLANNER_PLANNER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
-#include "exec/table_scan.h"
 #include "sma/sma_set.h"
 #include "util/query_context.h"
 
@@ -129,9 +133,11 @@ class Planner {
       const util::QueryContext* ctx = nullptr) const;
 
   /// Instantiates the one operator that runs a choice, with `dop` workers:
-  /// SmaGAggr for kSmaGAggr, and ParallelScanAggr for both scan plans
-  /// (kSmaScanAggr grades buckets against the SMAs, kScanAggr reads every
-  /// bucket). dop 1 runs the same morsel loop inline on the caller.
+  /// SmaGAggr::Make for kSmaGAggr, and SmaGAggr::MakeScan for both scan
+  /// plans (kSmaScanAggr grades buckets against the SMAs, kScanAggr reads
+  /// every bucket). dop 1 runs the same morsel loop inline on the caller.
+  /// BuildSelect runs kSmaScan as SmaScan over the SMAs and kScan as
+  /// SmaScan without them.
   util::Result<std::unique_ptr<exec::Operator>> Build(const AggQuery& query,
                                                       PlanKind kind,
                                                       size_t dop = 1) const;
@@ -156,10 +162,37 @@ class Planner {
                       PlanChoice* choice,
                       const util::QueryContext* ctx) const;
 
+  /// The step Choose and ChooseSelect share before costing the SMA plans:
+  /// takes the census into `*choice` and returns true, or settles
+  /// `*choice` as the sequential scan and returns false — when there are
+  /// no SMAs, while a SMA is untrusted or stale, and when grading fails
+  /// reading a SMA-file. Other census failures propagate.
+  util::Result<bool> CensusOrScan(storage::Table* table,
+                                  const expr::PredicatePtr& pred, bool select,
+                                  PlanChoice* choice,
+                                  const util::QueryContext* ctx) const;
+
+  /// A sequential-scan choice over every bucket, explained by
+  /// `explanation` (plus the dop for an aggregation).
+  PlanChoice FullScan(const storage::Table* table, bool select,
+                      const std::string& explanation) const;
+
   /// The bottom rung of the degradation ladder: a full-scan choice whose
   /// explanation records why the SMA plan was demoted.
   PlanChoice Demoted(const storage::Table* table, bool select,
                      const std::string& reason) const;
+
+  /// The demotion rung Execute and ExecuteSelect share: `choice`'s SMA plan
+  /// died mid-run on bad storage (`failure`), so it condemns the corrupt
+  /// SMA and reruns the query from base data as the sequential scan that
+  /// `build_scan` builds at the fallback's dop.
+  util::Result<QueryResult> RerunDemoted(
+      const storage::Table* table, bool select, const PlanChoice& choice,
+      const util::Status& failure,
+      const std::function<
+          util::Result<std::unique_ptr<exec::Operator>>(size_t dop)>&
+          build_scan,
+      util::QueryContext* ctx) const;
 
   /// Condemns every SMA owning a file named in `s`'s message (checksum
   /// failures name the file), so the next Rebuild() repairs it.

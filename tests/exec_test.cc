@@ -1,16 +1,16 @@
-// Tests for the physical operators: TableScan, SMA_Scan (Fig. 6), GAggr
-// over a scan (ParallelScanAggr, here at dop 1) and SMA_GAggr (Fig. 7). The
-// central properties: SMA_Scan ≡ TableScan, and SMA_GAggr ≡ the brute-force
-// reference aggregate (tests/test_util.h) on every layout and predicate.
+// Tests for the physical operators: SmaScan, which runs SMA_Scan (Fig. 6)
+// and, without SMAs, TableScan; SmaGAggr::MakeScan, GAggr over a scan (here
+// at dop 1); and SMA_GAggr (Fig. 7). The central properties: both selection
+// plans ≡ the brute-force reference selection, and SMA_GAggr ≡ the
+// brute-force reference aggregate (tests/test_util.h) on every layout and
+// predicate.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
-#include "exec/table_scan.h"
 #include "tests/test_util.h"
 
 namespace smadb::exec {
@@ -26,6 +26,10 @@ using testing::DrainRows;
 using testing::ExpectOk;
 using testing::MakeSyntheticTable;
 using testing::ReferenceAggregate;
+using testing::ReferenceCensus;
+using testing::ReferenceGrade;
+using testing::ReferenceSelect;
+using testing::SameCensus;
 using testing::Sorted;
 using testing::TestDb;
 using testing::Unwrap;
@@ -38,17 +42,22 @@ struct ExecTest : ::testing::Test {
 
 // ------------------------------------------------------------- TableScan --
 
+// TableScan is SmaScan without SMAs: every bucket grades ambivalent.
+SmaScan TableScan(storage::Table* t, PredicatePtr pred) {
+  return SmaScan(t, std::move(pred), /*smas=*/nullptr);
+}
+
 TEST_F(ExecTest, TableScanSeesAllTuples) {
   storage::Table* t =
       MakeSyntheticTable(&db, 1234, testing::Layout::kRandom);
-  TableScan scan(t, Predicate::True());
+  SmaScan scan = TableScan(t, Predicate::True());
   EXPECT_EQ(DrainRows(&scan).size(), 1234u);
 }
 
 TEST_F(ExecTest, TableScanEmptyTable) {
   storage::Table* t = Unwrap(
       db.catalog.CreateTable("empty", testing::SyntheticSchema(), {}));
-  TableScan scan(t, Predicate::True());
+  SmaScan scan = TableScan(t, Predicate::True());
   EXPECT_TRUE(DrainRows(&scan).empty());
 }
 
@@ -57,14 +66,14 @@ TEST_F(ExecTest, TableScanFiltersExactly) {
       MakeSyntheticTable(&db, 1000, testing::Layout::kRandom);
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "k", CmpOp::kLt, Value::Int64(100)));
-  TableScan scan(t, pred);
+  SmaScan scan = TableScan(t, pred);
   EXPECT_EQ(DrainRows(&scan).size(), 100u);
 }
 
 TEST_F(ExecTest, TableScanRestartable) {
   storage::Table* t =
       MakeSyntheticTable(&db, 300, testing::Layout::kRandom);
-  TableScan scan(t, Predicate::True());
+  SmaScan scan = TableScan(t, Predicate::True());
   EXPECT_EQ(DrainRows(&scan).size(), 300u);
   EXPECT_EQ(DrainRows(&scan).size(), 300u);  // Init() resets
 }
@@ -85,10 +94,13 @@ TEST_F(ExecTest, SmaScanEquivalentToTableScan) {
       const int32_t c = static_cast<int32_t>(rng.Uniform(0, 3000 / 8));
       const PredicatePtr pred = Unwrap(Predicate::AtomConst(
           &t->schema(), "d", op, Value::MakeDate(util::Date(c))));
-      TableScan plain(t, pred);
+      SCOPED_TRACE(::testing::Message() << "layout " << static_cast<int>(layout)
+                                        << " trial " << trial);
+      const std::vector<std::string> want = ReferenceSelect(t, *pred);
+      SmaScan plain = TableScan(t, pred);
+      EXPECT_EQ(DrainRows(&plain), want);
       SmaScan pruned(t, pred, &smas);
-      EXPECT_EQ(DrainRows(&plain), DrainRows(&pruned))
-          << "layout " << static_cast<int>(layout) << " trial " << trial;
+      EXPECT_EQ(DrainRows(&pruned), want);
     }
   }
 }
@@ -122,9 +134,70 @@ TEST_F(ExecTest, SmaScanWithMultiPageBuckets) {
   AddMinMaxSmas(t, &smas, "d");
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kGe, Value::MakeDate(util::Date(300))));
-  TableScan plain(t, pred);
+  const std::vector<std::string> want = ReferenceSelect(t, *pred);
+  SmaScan plain = TableScan(t, pred);
+  EXPECT_EQ(DrainRows(&plain), want);
   SmaScan pruned(t, pred, &smas);
-  EXPECT_EQ(DrainRows(&plain), DrainRows(&pruned));
+  EXPECT_EQ(DrainRows(&pruned), want);
+}
+
+// A stretch of consecutive fetched buckets mixes qualifying and ambivalent
+// ones wherever a window's edge falls inside a bucket; the whole stretch is
+// then filtered, which every tuple of its qualifying buckets passes. The
+// windows end on a morsel edge, cross one and start on one, at one and
+// three pages per bucket.
+TEST_F(ExecTest, SmaScanStretchesMixQualifyingAndAmbivalentBuckets) {
+  for (const uint32_t bucket_pages : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "bucket_pages " << bucket_pages);
+    storage::Table* t = MakeSyntheticTable(
+        &db, 12000, testing::Layout::kNoisy, /*seed=*/29, bucket_pages,
+        "mix" + std::to_string(bucket_pages));
+    const uint32_t per =
+        static_cast<uint32_t>(BucketsPerMorsel(bucket_pages));
+    ASSERT_GT(t->num_buckets(), per + 4);
+    sma::SmaSet smas(t);
+    AddMinMaxSmas(t, &smas, "d");
+    // Smallest d in bucket `b`.
+    const auto min_day = [&](uint32_t b) {
+      int32_t day = INT32_MAX;
+      ExpectOk(t->ForEachTupleInBucket(
+          b, [&](const TupleRef& tup, storage::Rid) {
+            day = std::min(day, tup.GetDate(1).days());
+          }));
+      return day;
+    };
+    const auto window = [&](int32_t from, int32_t to) {
+      return Predicate::And(
+          Unwrap(Predicate::AtomConst(&t->schema(), "d", CmpOp::kGe,
+                                      Value::MakeDate(util::Date(from)))),
+          Unwrap(Predicate::AtomConst(&t->schema(), "d", CmpOp::kLt,
+                                      Value::MakeDate(util::Date(to)))));
+    };
+    // Morsel 1 starts at bucket `per`.
+    const int32_t before = min_day(per - 4) + 3;
+    const int32_t edge = min_day(per);
+    const int32_t after = min_day(per + 4) + 3;
+    for (const PredicatePtr& pred : {window(before, edge),
+                                     window(before, after),
+                                     window(edge, after)}) {
+      SCOPED_TRACE(pred->ToString());
+      bool mixed = false;
+      for (uint32_t b = 0; b + 1 < t->num_buckets(); ++b) {
+        const sma::Grade g = ReferenceGrade(t, b, *pred);
+        const sma::Grade h = ReferenceGrade(t, b + 1, *pred);
+        mixed |= g != h && g != sma::Grade::kDisqualifies &&
+                 h != sma::Grade::kDisqualifies;
+      }
+      EXPECT_TRUE(mixed) << "no stretch mixes qualifying and ambivalent";
+      const std::vector<std::string> want = ReferenceSelect(t, *pred);
+      ASSERT_FALSE(want.empty());
+      SmaScan pruned(t, pred, &smas);
+      EXPECT_EQ(DrainRows(&pruned), want);
+      EXPECT_TRUE(SameCensus(pruned.stats(), ReferenceCensus(t, *pred)));
+      SmaScan plain = TableScan(t, pred);
+      EXPECT_EQ(DrainRows(&plain), want);
+    }
+  }
 }
 
 TEST_F(ExecTest, SmaScanOnEmptyTable) {
@@ -138,13 +211,13 @@ TEST_F(ExecTest, SmaScanOnEmptyTable) {
 // ------------------------------------------------------------------ GAggr --
 
 // GAggr∘TableScan at dop 1, as the planner builds it for a serial plan:
-// ParallelScanAggr without SMAs, its morsel loop run inline.
-std::unique_ptr<ParallelScanAggr> ScanAggr(storage::Table* t,
-                                           std::vector<size_t> group_by,
-                                           std::vector<AggSpec> aggs) {
-  return Unwrap(ParallelScanAggr::Make(t, Predicate::True(),
-                                       std::move(group_by), std::move(aggs),
-                                       /*smas=*/nullptr, /*dop=*/1));
+// SmaGAggr's scan form without SMAs, its morsel loop run inline.
+std::unique_ptr<SmaGAggr> ScanAggr(storage::Table* t,
+                                   std::vector<size_t> group_by,
+                                   std::vector<AggSpec> aggs) {
+  return Unwrap(SmaGAggr::MakeScan(t, Predicate::True(), std::move(group_by),
+                                   std::move(aggs), /*smas=*/nullptr,
+                                   /*degree_of_parallelism=*/1));
 }
 
 TEST_F(ExecTest, GAggrMatchesBruteForce) {
@@ -216,8 +289,8 @@ TEST_F(ExecTest, GAggrValidation) {
       MakeSyntheticTable(&db, 10, testing::Layout::kRandom);
   const auto make = [&](std::vector<size_t> group_by,
                         std::vector<AggSpec> aggs) {
-    return ParallelScanAggr::Make(t, Predicate::True(), std::move(group_by),
-                                  std::move(aggs), /*smas=*/nullptr, 1)
+    return SmaGAggr::MakeScan(t, Predicate::True(), std::move(group_by),
+                              std::move(aggs), /*smas=*/nullptr, 1)
         .status()
         .code();
   };

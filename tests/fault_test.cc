@@ -577,8 +577,10 @@ TEST_P(FaultQueryTest, CancelDuringTransientRetryFinishesRetryThenCancels) {
   util::fault::Arm("disk.read", {.count = 2,
                                  .kind = FaultKind::kTransient,
                                  .file_filter = "tbl."});
-  // ...and a cancel delivered at a checkpoint a few batches later.
-  util::fault::Arm("governor.cancel", {.count = 1, .skip = 4});
+  // ...and a cancel delivered at the first per-batch checkpoint, which
+  // comes after the first pinned run has absorbed both faults.
+  util::fault::Arm("governor.cancel",
+                   {.count = 1, .file_filter = "StretchReader"});
   util::QueryContext ctx;
   auto op = Unwrap(planner.Build(query, PlanKind::kScanAggr, 1));
   op->BindContext(&ctx);

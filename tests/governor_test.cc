@@ -325,7 +325,7 @@ TEST_F(GovernorPlanTest, GroupTableBudgetExhaustionNamesGroupTable) {
 }
 
 // Partial groups are charged as they grow — per folded morsel in
-// ParallelScanAggr, at every dop — so a unique-key group-by over a table
+// SmaGAggr's scan form, at every dop — so a unique-key group-by over a table
 // far larger than its budget fails before the scan has fetched the table.
 TEST_F(GovernorPlanTest, PartialGroupsAreChargedAsTheyGrow) {
   table = MakeSyntheticTable(&db, 60000, testing::Layout::kClustered,

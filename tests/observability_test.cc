@@ -164,18 +164,24 @@ struct Census {
   }
 };
 
-// Independent grade walk — the same machinery the planner's Census uses,
-// exercised directly so the profile is checked against first principles.
+// Independent grade walk — GradeMorsel, the grading entry point the
+// planner's Census uses, driven directly so the profile is checked against
+// first principles.
 Census GroundTruth(storage::Table* table, const PredicatePtr& pred,
                    const sma::SmaSet* smas) {
   exec::BucketSource source(table, pred, smas);
-  exec::BucketUnit unit;
+  const std::unique_ptr<sma::BucketGrader> grader = source.NewGrader();
   Census c;
-  while (Unwrap(source.NextGraded(&unit))) {
-    switch (unit.grade) {
-      case sma::Grade::kQualifies: ++c.q; break;
-      case sma::Grade::kDisqualifies: ++c.d; break;
-      case sma::Grade::kAmbivalent: ++c.a; break;
+  for (uint64_t m = 0; m < source.num_morsels(); ++m) {
+    const auto [first, end] = source.Morsel(m);
+    std::vector<sma::Grade> grades(end - first);
+    ExpectOk(source.GradeMorsel(grader.get(), first, end, grades.data()));
+    for (const sma::Grade g : grades) {
+      switch (g) {
+        case sma::Grade::kQualifies: ++c.q; break;
+        case sma::Grade::kDisqualifies: ++c.d; break;
+        case sma::Grade::kAmbivalent: ++c.a; break;
+      }
     }
   }
   return c;
@@ -326,8 +332,9 @@ TEST_F(ProfileCensusTest, DegradedRerunCountsEachAttemptOnce) {
   }
 }
 
-// A grouped scan plan is one ParallelScanAggr node at every dop, and its
-// `explain analyze` line reports the merged group state as `peak=`.
+// A grouped scan plan is one ScanAggr node (SmaGAggr's scan form) at every
+// dop, and its `explain analyze` line reports the merged group state as
+// `peak=`.
 TEST_F(ProfileCensusTest, GroupedScanPlanReportsPeakGroupBytes) {
   Setup("pc3");
   query.pred = Predicate::True();
@@ -347,7 +354,7 @@ TEST_F(ProfileCensusTest, GroupedScanPlanReportsPeakGroupBytes) {
       const std::vector<std::string> report = profile.Render();
       const auto line = std::find_if(
           report.begin(), report.end(), [](const std::string& l) {
-            return l.find("ParallelScanAggr") != std::string::npos;
+            return l.find("ScanAggr") != std::string::npos;
           });
       ASSERT_NE(line, report.end());
       EXPECT_NE(line->find(" peak="), std::string::npos) << *line;

@@ -23,7 +23,6 @@
 #include "db/database.h"
 #include "exec/batch.h"
 #include "exec/bucket_source.h"
-#include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
 #include "planner/planner.h"
@@ -35,7 +34,6 @@
 namespace smadb {
 namespace {
 
-using exec::ParallelScanAggr;
 using exec::SmaGAggr;
 using exec::SmaScanStats;
 using expr::CmpOp;
@@ -245,11 +243,11 @@ TEST(DopEquivalenceTest, MorselEdgesMatchReferenceRowsAndCensus) {
       for (const size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
         SCOPED_TRACE(::testing::Message() << "dop " << dop);
         auto scan = Unwrap(
-            ParallelScanAggr::Make(t, preds[p], {3}, aggs, nullptr, dop));
+            SmaGAggr::MakeScan(t, preds[p], {3}, aggs, nullptr, dop));
         EXPECT_EQ(Sorted(DrainRows(scan.get())), want);
         EXPECT_TRUE(SameCensus(scan->stats(), all_ambivalent));
         auto sma_scan = Unwrap(
-            ParallelScanAggr::Make(t, preds[p], {3}, aggs, &smas, dop));
+            SmaGAggr::MakeScan(t, preds[p], {3}, aggs, &smas, dop));
         EXPECT_EQ(Sorted(DrainRows(sma_scan.get())), want);
         EXPECT_TRUE(SameCensus(sma_scan->stats(), census));
         exec::SmaGAggrOptions options;
@@ -379,10 +377,14 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
       SCOPED_TRACE(::testing::Message() << "pred " << preds[p]->ToString());
       const SmaScanStats census = testing::ReferenceCensus(t, *preds[p]);
       totals.Merge(census);
-      // SMA_Scan, drained on its own: the serial grading stream.
+      // Both selection plans: SMA_Scan and, without SMAs, TableScan.
+      const std::vector<std::string> rows =
+          testing::ReferenceSelect(t, *preds[p]);
       exec::SmaScan sma_scan(t, preds[p], fx.smas.get());
-      DrainRows(&sma_scan);
+      EXPECT_EQ(DrainRows(&sma_scan), rows);
       EXPECT_TRUE(SameCensus(sma_scan.stats(), census));
+      exec::SmaScan table_scan(t, preds[p], /*smas=*/nullptr);
+      EXPECT_EQ(DrainRows(&table_scan), rows);
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         SCOPED_TRACE(::testing::Message() << "query " << qi);
         const Query& q = queries[qi];
@@ -397,13 +399,13 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
           EXPECT_EQ(Sorted(DrainRows(gaggr.get())), want);
           EXPECT_TRUE(SameCensus(gaggr->stats(), census));
 
-          auto scan_aggr = Unwrap(ParallelScanAggr::Make(
+          auto scan_aggr = Unwrap(SmaGAggr::MakeScan(
               t, preds[p], q.group_by, q.aggs, fx.smas.get(), dop));
           EXPECT_EQ(Sorted(DrainRows(scan_aggr.get())), want);
           EXPECT_TRUE(SameCensus(scan_aggr->stats(), census));
 
           // Without SMAs: full parallel scan, every bucket ambivalent.
-          auto full = Unwrap(ParallelScanAggr::Make(
+          auto full = Unwrap(SmaGAggr::MakeScan(
               t, preds[p], q.group_by, q.aggs, /*smas=*/nullptr, dop));
           EXPECT_EQ(Sorted(DrainRows(full.get())), want);
           EXPECT_EQ(full->stats().ambivalent_buckets, t->num_buckets());
@@ -417,8 +419,8 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
   }
 }
 
-// Every plan kind is one operator at every dop, dop 1 included: both scan
-// plans are ParallelScanAggr, and all return the reference's rows.
+// Every plan kind is one operator at every dop, dop 1 included: SmaGAggr,
+// with the requested dop, and all return the reference's rows.
 TEST(DopEquivalenceTest, PlannerBuildMatchesAcrossKindsAndDop) {
   LineItemFixture fx;
   plan::Planner planner(fx.smas.get());
@@ -433,11 +435,9 @@ TEST(DopEquivalenceTest, PlannerBuildMatchesAcrossKindsAndDop) {
       SCOPED_TRACE(::testing::Message()
                    << plan::PlanKindToString(kind) << " dop " << dop);
       auto op = Unwrap(planner.Build(query, kind, dop));
-      if (kind != plan::PlanKind::kSmaGAggr) {
-        const auto* scan_aggr = dynamic_cast<ParallelScanAggr*>(op.get());
-        ASSERT_NE(scan_aggr, nullptr);
-        EXPECT_EQ(scan_aggr->degree_of_parallelism(), dop);
-      }
+      const auto* aggr = dynamic_cast<SmaGAggr*>(op.get());
+      ASSERT_NE(aggr, nullptr);
+      EXPECT_EQ(aggr->degree_of_parallelism(), dop);
       EXPECT_EQ(Sorted(DrainRows(op.get())), want);
     }
   }

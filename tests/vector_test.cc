@@ -4,12 +4,13 @@
 //     UnionWith merge.
 //   * EvalBatch ≡ Eval — every predicate shape agrees row-for-row with
 //     the scalar evaluator, including AND/OR trees and string atoms.
-//   * Scans ≡ the row path — TableScan and SmaScan return exactly the
-//     tuples of the brute-force, tuple-at-a-time reference in
-//     tests/test_util.h, across predicates × layouts × consumer batch
-//     capacities × bucket sizes.
-//   * Aggregation ≡ the row path — ParallelScanAggr with and without SMAs
-//     (GAggr∘SmaScan, GAggr∘TableScan) and SmaGAggr produce the
+//   * Scans ≡ the row path — SmaScan with and without SMAs (SMA_Scan,
+//     TableScan) returns exactly the tuples of the brute-force,
+//     tuple-at-a-time reference in tests/test_util.h (and, for range
+//     predicates, its bucket census), across predicates × layouts ×
+//     consumer batch capacities × bucket sizes.
+//   * Aggregation ≡ the row path — SmaGAggr's scan form with and without
+//     SMAs (GAggr∘SmaScan, GAggr∘TableScan) and SMA_GAggr produce the
 //     reference's groups (and, for range predicates, its bucket census)
 //     across predicates × layouts × bucket sizes × DOPs, on tables that end
 //     on a short morsel, served through the shared RowEmitter at several
@@ -21,10 +22,8 @@
 
 #include "db/database.h"
 #include "db/session.h"
-#include "exec/parallel_aggr.h"
 #include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
-#include "exec/table_scan.h"
 #include "planner/planner.h"
 #include "tests/test_util.h"
 #include "util/fault.h"
@@ -266,10 +265,17 @@ TEST_P(BatchScanEquivalenceP, EveryOperatorReturnsTheRowPathTuples) {
     for (size_t p = 0; p < preds.size(); ++p) {
       SCOPED_TRACE(::testing::Message() << "pred " << p);
       const std::vector<std::string> want = ReferenceSelect(t, *preds[p]);
-      exec::TableScan scan(t, preds[p]);
+      exec::SmaScan scan(t, preds[p], /*smas=*/nullptr);
       EXPECT_EQ(DrainBatches(&scan, capacity), want);
+      EXPECT_EQ(scan.stats().ambivalent_buckets, t->num_buckets());
       exec::SmaScan sma_scan(t, preds[p], &smas);
       EXPECT_EQ(DrainBatches(&sma_scan, capacity), want);
+      // PredicateSweep puts True and the ranges on d first: their census is
+      // exact.
+      if (p < 4) {
+        EXPECT_TRUE(
+            SameCensus(sma_scan.stats(), ReferenceCensus(t, *preds[p])));
+      }
     }
   }
 }
@@ -285,8 +291,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // A pipeline breaker serves its materialized rows as batches of whatever
-// capacity the consumer configured (here 7 rows), through the RowEmitter
-// that SmaGAggr and ParallelScanAggr share.
+// capacity the consumer configured (here 7 rows), through SmaGAggr's
+// RowEmitter.
 TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
   TestDb db(16384);
   storage::Table* t = MakeSyntheticTable(&db, 1500, Layout::kNoisy, 31);
@@ -295,8 +301,8 @@ TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
                                      AggSpec::Count("cnt")};
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(100))));
-  auto op = Unwrap(exec::ParallelScanAggr::Make(t, pred, {0}, aggs,
-                                                /*smas=*/nullptr, 1));
+  auto op = Unwrap(
+      exec::SmaGAggr::MakeScan(t, pred, {0}, aggs, /*smas=*/nullptr, 1));
   const std::vector<std::string> rows = DrainBatches(op.get(), 7);
   EXPECT_GT(rows.size(), 7u);  // several batches, the last one partial
   EXPECT_EQ(Sorted(rows), ReferenceAggregate(t, *pred, {0}, aggs));
@@ -309,7 +315,7 @@ TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   storage::Table* t = MakeSyntheticTable(&db, 500, Layout::kClustered, 41);
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(30))));
-  exec::TableScan scan(t, pred);
+  exec::SmaScan scan(t, pred, /*smas=*/nullptr);
   std::vector<bool> mask(t->schema().num_fields(), false);
   mask[0] = true;  // consumer reads k
   pred->AddReferencedColumns(&mask);
@@ -390,7 +396,7 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
       const sma::SmaSet* const parallel_smas[] = {&smas, nullptr};
       for (const sma::SmaSet* set : parallel_smas) {
         auto parallel = Unwrap(
-            exec::ParallelScanAggr::Make(t, pred, {3}, aggs, set, dop));
+            exec::SmaGAggr::MakeScan(t, pred, {3}, aggs, set, dop));
         EXPECT_EQ(Sorted(DrainBatches(parallel.get(), capacity)), want);
         if (set != nullptr && exact_census) {
           EXPECT_TRUE(SameCensus(parallel->stats(), census));
