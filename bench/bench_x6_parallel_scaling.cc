@@ -8,14 +8,19 @@
 // aggregates at the end, so every DOP returns bit-identical results
 // (verified below).
 //
-// Two sweeps:
+// Three sweeps:
 //   * warm — a 65 536-frame pool holds everything, so the plans are
 //     CPU-bound;
 //   * pool — the full scan streams through the default 2 048-frame pool
 //     (the paper's 8 MB buffer), cold for every run, as smabench's
 //     `adhoc_scan` does: every page is read from the simulated disk, and
 //     the modeled 1997-disk seconds show whether the workers' page reads
-//     stay sequential.
+//     stay sequential;
+//   * pool_filter — `adhoc_scan`'s filter query (two restrictions on
+//     columns without SMAs, three aggregates) through the same cold pool.
+//     Q1's eight aggregates keep each worker busy folding; this query
+//     folds little per page, so its speedup shows how well pool misses
+//     overlap (the pool and backend mutexes on the miss path).
 //
 // `--smoke` (first argument) runs a tiny scale once and exits 1 when any
 // DOP's rows differ from DOP 1's; it gates correctness, not timing.
@@ -25,6 +30,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "db/sql.h"
 #include "planner/planner.h"
 #include "tpch/loader.h"
 #include "workloads/q1.h"
@@ -52,6 +58,23 @@ Loaded Load(bench::BenchDb* db, double sf) {
   return l;
 }
 
+// smabench `adhoc_scan`'s filter query at one of its settings: every bucket
+// is ambivalent, so each plan is a full scan.
+plan::AggQuery FilterQuery(storage::Table* lineitem) {
+  db::ParsedQuery parsed = Check(db::ParseQuery(
+      &lineitem->schema(),
+      "select l_returnflag, l_linestatus, sum(l_extendedprice) as sum_price, "
+      "avg(l_quantity) as avg_qty, count(*) as n from lineitem where "
+      "l_quantity < 30 and l_discount >= 0.02 "
+      "group by l_returnflag, l_linestatus"));
+  plan::AggQuery q;
+  q.table = lineitem;
+  q.pred = parsed.pred;
+  q.group_by = parsed.group_by;
+  q.aggs = parsed.aggs;
+  return q;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,18 +92,17 @@ int main(int argc, char** argv) {
   // Runs one plan at every DOP; `cold` drops the pool before each run.
   // Returns the wall seconds per DOP and flags rows that differ from DOP 1.
   const auto sweep = [&](bench::BenchDb* db, const Loaded& l,
-                         plan::PlanKind kind, bool cold,
-                         const std::string& key) {
-    const plan::AggQuery q1 = Check(workloads::MakeQ1Query(l.lineitem, 90));
+                         const plan::AggQuery& query, plan::PlanKind kind,
+                         bool cold, const std::string& key) {
     plan::Planner planner(l.smas.get());
-    std::printf("\n%s%s\n%-8s %10s %10s %12s %10s\n",
+    std::printf("\n%s: %s%s\n%-8s %10s %10s %12s %10s\n", key.c_str(),
                 std::string(plan::PlanKindToString(kind)).c_str(),
                 cold ? ", cold through the pool" : ", warm", "dop", "wall",
                 "speedup", "modeled_s", "rows");
     std::string reference;
     double serial_wall = 0;
     for (const size_t dop : kDops) {
-      auto op = Check(planner.Build(q1, kind, dop));
+      auto op = Check(planner.Build(query, kind, dop));
       if (cold) {
         Check(db->pool.DropAll());
         db->disk.ResetAccessPositions();
@@ -120,14 +142,20 @@ int main(int argc, char** argv) {
     // The scan-aggregate plan carries the parallel work (every bucket is
     // fetched and folded); SMA_GAggr is also swept to show that the pruned
     // plan keeps its lead at every DOP.
-    sweep(&warm, l, plan::PlanKind::kScanAggr, /*cold=*/false, "warm_scan");
-    sweep(&warm, l, plan::PlanKind::kSmaGAggr, /*cold=*/false,
+    const plan::AggQuery q1 = Check(workloads::MakeQ1Query(l.lineitem, 90));
+    sweep(&warm, l, q1, plan::PlanKind::kScanAggr, /*cold=*/false,
+          "warm_scan");
+    sweep(&warm, l, q1, plan::PlanKind::kSmaGAggr, /*cold=*/false,
           "warm_sma_gaggr");
   }
   {
     bench::BenchDb pool(/*pool_pages=*/2048);  // the paper's 8 MB buffer
     const Loaded l = Load(&pool, sf);
-    sweep(&pool, l, plan::PlanKind::kScanAggr, /*cold=*/true, "pool_scan");
+    const plan::AggQuery q1 = Check(workloads::MakeQ1Query(l.lineitem, 90));
+    sweep(&pool, l, q1, plan::PlanKind::kScanAggr, /*cold=*/true,
+          "pool_scan");
+    sweep(&pool, l, FilterQuery(l.lineitem), plan::PlanKind::kScanAggr,
+          /*cold=*/true, "pool_filter");
   }
 
   bench::PrintPaperNote(

@@ -316,6 +316,27 @@ void Database::InitMetrics() {
         }
         return n;
       });
+  // The two engine-wide mutexes on the page-miss path, counted the same way.
+  registry_->RegisterCallback(
+      "smadb_pool_mutex_contended", "Buffer-pool mutex acquires that blocked",
+      [this] {
+        return static_cast<int64_t>(pool_->mutex_contention().contended);
+      });
+  registry_->RegisterCallback(
+      "smadb_pool_mutex_wait_ns", "Nanoseconds blocked on the buffer-pool mutex",
+      [this] {
+        return static_cast<int64_t>(pool_->mutex_contention().wait_ns);
+      });
+  registry_->RegisterCallback(
+      "smadb_disk_mutex_contended", "Backend mutex acquires that blocked",
+      [this] {
+        return static_cast<int64_t>(disk_->mutex_contention().contended);
+      });
+  registry_->RegisterCallback(
+      "smadb_disk_mutex_wait_ns", "Nanoseconds blocked on the backend mutex",
+      [this] {
+        return static_cast<int64_t>(disk_->mutex_contention().wait_ns);
+      });
   // Existing stat structs fold in as callback gauges — sampled at snapshot
   // time, zero cost on the query path.
   registry_->RegisterCallback(

@@ -204,7 +204,9 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
       (options_.force_sma || ambivalent_frac < options_.breakeven_fraction)) {
     choice.kind = PlanKind::kSmaGAggr;
     choice.fetch_fraction = ambivalent_frac;
-    choice.dop = PlanDop(query.table, choice.qualifying + choice.ambivalent);
+    // Qualifying buckets are answered from SMA entries: only the ambivalent
+    // ones are fetch work.
+    choice.dop = PlanDop(query.table, choice.ambivalent);
     choice.explanation = util::Format(
         "SMA_GAggr fetches %.1f%% of buckets (break-even %.0f%%)",
         ambivalent_frac * 100.0, options_.breakeven_fraction * 100.0);

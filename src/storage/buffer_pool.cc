@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <thread>
 
@@ -40,13 +41,59 @@ void PageGuard::Release() {
   page_ = nullptr;
 }
 
+BufferPool::PageTable::PageTable(size_t capacity) {
+  // At most half full: every probe chain ends at an empty slot soon.
+  const size_t slots = std::bit_ceil(std::max<size_t>(2 * capacity, 2));
+  slots_.resize(slots);
+  mask_ = slots - 1;
+  shift_ = 64 - std::countr_zero(slots);
+}
+
+uint32_t BufferPool::PageTable::Find(uint64_t key) const {
+  for (size_t i = Home(key);; i = (i + 1) & mask_) {
+    const Slot& slot = slots_[i];
+    if (slot.frame == kNoFrame) return kNoFrame;
+    if (slot.key == key) return slot.frame;
+  }
+}
+
+void BufferPool::PageTable::Insert(uint64_t key, uint32_t frame) {
+  size_t i = Home(key);
+  while (slots_[i].frame != kNoFrame) i = (i + 1) & mask_;
+  slots_[i] = {key, frame};
+  ++size_;
+}
+
+void BufferPool::PageTable::Erase(uint64_t key) {
+  size_t hole = Home(key);
+  while (slots_[hole].key != key || slots_[hole].frame == kNoFrame) {
+    assert(slots_[hole].frame != kNoFrame);
+    hole = (hole + 1) & mask_;
+  }
+  // Shift later entries of the chain back into the hole, unless their home
+  // lies cyclically after the hole (moving them would hide them).
+  for (size_t j = (hole + 1) & mask_; slots_[j].frame != kNoFrame;
+       j = (j + 1) & mask_) {
+    const size_t home = Home(slots_[j].key);
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].frame = kNoFrame;
+  --size_;
+}
+
 BufferPool::BufferPool(DiskBackend* disk, BufferPoolOptions options)
-    : disk_(disk), options_(options), frames_(options.capacity_pages) {
-  assert(options.capacity_pages > 0);
+    : disk_(disk),
+      options_(options),
+      frames_(options.capacity_pages),
+      table_(options.capacity_pages) {
+  assert(options.capacity_pages > 0 && options.capacity_pages < kNoFrame);
   free_list_.reserve(options.capacity_pages);
   // Hand out low indices first.
   for (size_t i = options.capacity_pages; i > 0; --i) {
-    free_list_.push_back(i - 1);
+    free_list_.push_back(static_cast<uint32_t>(i - 1));
   }
 }
 
@@ -73,14 +120,16 @@ void PageRun::Release() {
   size_ = 0;
 }
 
-Status BufferPool::LoadFrames(FileId file, const PageRun& run) {
-  // The loader owns its loading frames' metadata and bytes until it
-  // publishes them, so reading them here without the mutex is race-free.
+Status BufferPool::LoadFrames(FileId file, const PageRun& run,
+                              uint32_t loads) {
+  // The loader owns its loading frames' bytes until it publishes them, so
+  // filling them here without the mutex is race-free; which frames those
+  // are comes from `loads`, not from the shared frame metadata.
   Page* pages[kRunPages];
   uint32_t crcs[kRunPages];
   for (uint32_t i = 0; i < run.size_;) {
     uint32_t n = 0;  // the stretch of loading frames from page first_ + i
-    while (i + n < run.size_ && frames_[run.frames_[i + n]].loading) {
+    while (i + n < run.size_ && (loads & (1u << (i + n)))) {
       pages[n] = &frames_[run.frames_[i + n]].page;
       ++n;
     }
@@ -151,9 +200,7 @@ Result<bool> BufferPool::PinLocked(std::unique_lock<std::mutex>* lock,
   while (true) {
     // Re-checked after every wait: another thread may have loaded the page
     // (or freed a frame) while we slept.
-    auto it = table_.find(key);
-    if (it != table_.end()) {
-      const size_t idx = it->second;
+    if (const uint32_t idx = table_.Find(key); idx != kNoFrame) {
       Frame& fr = frames_[idx];
       if (fr.loading) {
         // Its loader holds no latch and finishes in bounded time, so the
@@ -170,18 +217,15 @@ Result<bool> BufferPool::PinLocked(std::unique_lock<std::mutex>* lock,
           if (first) return charge;
           return false;
         }
-        if (fr.in_lru) {
-          lru_.erase(fr.lru_pos);
-          fr.in_lru = false;
-        }
+        if (fr.in_lru) LruUnlinkLocked(idx);
       }
       hits_.fetch_add(1, std::memory_order_relaxed);
       ++fr.pin_count;
-      run->frames_[run->size_++] = static_cast<uint32_t>(idx);
+      run->frames_[run->size_++] = idx;
       return true;
     }
     if (!budget_left()) return false;
-    Result<size_t> idx_r = GetFreeFrameLocked();
+    Result<uint32_t> idx_r = GetFreeFrameLocked();
     if (!idx_r.ok()) {
       if (idx_r.status().code() != StatusCode::kResourceExhausted) {
         return idx_r.status();
@@ -200,7 +244,7 @@ Result<bool> BufferPool::PinLocked(std::unique_lock<std::mutex>* lock,
       frame_available_.wait_for(*lock, options_.pinned_wait_quantum);
       continue;
     }
-    const size_t idx = *idx_r;
+    const uint32_t idx = *idx_r;
     if (Status charge = ChargePinLocked(); !charge.ok()) {
       free_list_.push_back(idx);
       if (first) return charge;
@@ -214,24 +258,23 @@ Result<bool> BufferPool::PinLocked(std::unique_lock<std::mutex>* lock,
     fr.dirty = false;
     fr.used = true;
     fr.loading = true;
-    fr.in_lru = false;
-    table_[key] = idx;
-    run->frames_[run->size_++] = static_cast<uint32_t>(idx);
-    ++*loads;
+    table_.Insert(key, idx);
+    *loads |= 1u << run->size_;
+    run->frames_[run->size_++] = idx;
     return true;
   }
 }
 
 void BufferPool::AbandonLocked(PageRun* run) {
   for (uint32_t i = 0; i < run->size_; ++i) {
-    const size_t idx = run->frames_[i];
+    const uint32_t idx = run->frames_[i];
     Frame& fr = frames_[idx];
     if (!fr.loading) {
       UnpinLocked(idx);
       continue;
     }
     // Only this run pins its loading frames: drop them uncached.
-    table_.erase(Key(fr.file, fr.page_no));
+    table_.Erase(Key(fr.file, fr.page_no));
     fr.loading = false;
     fr.used = false;
     fr.pin_count = 0;
@@ -251,7 +294,7 @@ Result<PageRun> BufferPool::PinRun(FileId file, uint32_t first, uint32_t n) {
   run.first_ = first;
   uint32_t loads = 0;
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    auto lock = Lock();
     while (run.size_ < n) {
       Result<bool> pinned = PinLocked(&lock, file, &run, &loads);
       if (!pinned.ok()) {
@@ -262,14 +305,14 @@ Result<PageRun> BufferPool::PinRun(FileId file, uint32_t first, uint32_t n) {
     }
   }
   if (loads == 0) return run;
-  const Status loaded = LoadFrames(file, run);
-  std::lock_guard<std::mutex> lock(mu_);
+  const Status loaded = LoadFrames(file, run, loads);
+  const auto lock = Lock();
   if (!loaded.ok()) {
     AbandonLocked(&run);
     return loaded;
   }
   for (uint32_t i = 0; i < run.size_; ++i) {
-    frames_[run.frames_[i]].loading = false;
+    if (loads & (1u << i)) frames_[run.frames_[i]].loading = false;
   }
   load_done_.notify_all();
   return run;
@@ -278,14 +321,14 @@ Result<PageRun> BufferPool::PinRun(FileId file, uint32_t first, uint32_t n) {
 Result<PageGuard> BufferPool::Fetch(FileId file, uint32_t page_no) {
   SMADB_ASSIGN_OR_RETURN(PageRun run, PinRun(file, page_no, 1));
   // Hand the run's one pin to a guard.
-  const size_t frame = run.frames_[0];
+  const uint32_t frame = run.frames_[0];
   run.size_ = 0;
   return PageGuard(this, frame, &frames_[frame].page);
 }
 
 Result<PageGuard> BufferPool::NewPage(FileId file, uint32_t* page_no_out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Result<size_t> idx_r = GetFreeFrameLocked();
+  auto lock = Lock();
+  Result<uint32_t> idx_r = GetFreeFrameLocked();
   int wait_rounds = 0;
   while (!idx_r.ok() &&
          idx_r.status().code() == StatusCode::kResourceExhausted &&
@@ -315,57 +358,85 @@ Result<PageGuard> BufferPool::NewPage(FileId file, uint32_t* page_no_out) {
   const uint32_t page_no = *page_no_r;
   if (page_no_out != nullptr) *page_no_out = page_no;
   Frame& fr = frames_[*idx_r];
-  fr.page.Zero();
+  frames_[*idx_r].page.Zero();
   fr.file = file;
   fr.page_no = page_no;
   fr.pin_count = 1;
   fr.dirty = true;  // must reach disk eventually
   fr.used = true;
-  fr.in_lru = false;
-  table_[Key(file, page_no)] = *idx_r;
-  return PageGuard(this, *idx_r, &fr.page);
+  table_.Insert(Key(file, page_no), *idx_r);
+  return PageGuard(this, *idx_r, &frames_[*idx_r].page);
 }
 
-void BufferPool::Unpin(size_t frame) {
-  std::lock_guard<std::mutex> lock(mu_);
+void BufferPool::Unpin(uint32_t frame) {
+  const auto lock = Lock();
   UnpinLocked(frame);
 }
 
 void BufferPool::UnpinRun(const PageRun& run) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   for (uint32_t i = 0; i < run.size_; ++i) UnpinLocked(run.frames_[i]);
 }
 
-void BufferPool::UnpinLocked(size_t frame) {
+void BufferPool::UnpinLocked(uint32_t frame) {
   Frame& fr = frames_[frame];
   assert(fr.pin_count > 0);
   if (--fr.pin_count == 0) {
     ReleasePinLocked();
-    lru_.push_front(frame);
-    fr.lru_pos = lru_.begin();
-    fr.in_lru = true;
+    LruPushFrontLocked(frame);
     frame_available_.notify_one();
   }
 }
 
-void BufferPool::MarkDirty(size_t frame) {
-  std::lock_guard<std::mutex> lock(mu_);
+void BufferPool::LruPushFrontLocked(uint32_t frame) {
+  Frame& fr = frames_[frame];
+  assert(!fr.in_lru);
+  fr.lru_prev = kNoFrame;
+  fr.lru_next = lru_head_;
+  if (lru_head_ != kNoFrame) {
+    frames_[lru_head_].lru_prev = frame;
+  } else {
+    lru_tail_ = frame;
+  }
+  lru_head_ = frame;
+  fr.in_lru = true;
+}
+
+void BufferPool::LruUnlinkLocked(uint32_t frame) {
+  Frame& fr = frames_[frame];
+  assert(fr.in_lru);
+  if (fr.lru_prev != kNoFrame) {
+    frames_[fr.lru_prev].lru_next = fr.lru_next;
+  } else {
+    lru_head_ = fr.lru_next;
+  }
+  if (fr.lru_next != kNoFrame) {
+    frames_[fr.lru_next].lru_prev = fr.lru_prev;
+  } else {
+    lru_tail_ = fr.lru_prev;
+  }
+  fr.lru_prev = kNoFrame;
+  fr.lru_next = kNoFrame;
+  fr.in_lru = false;
+}
+
+void BufferPool::MarkDirty(uint32_t frame) {
+  const auto lock = Lock();
   frames_[frame].dirty = true;
 }
 
-Result<size_t> BufferPool::GetFreeFrameLocked() {
+Result<uint32_t> BufferPool::GetFreeFrameLocked() {
   if (!free_list_.empty()) {
-    const size_t idx = free_list_.back();
+    const uint32_t idx = free_list_.back();
     free_list_.pop_back();
     return idx;
   }
   // Evict the least recently used unpinned frame.
-  if (lru_.empty()) {
+  if (lru_tail_ == kNoFrame) {
     return Status::ResourceExhausted("buffer pool exhausted: all frames pinned");
   }
-  const size_t victim = lru_.back();
-  lru_.pop_back();
-  frames_[victim].in_lru = false;
+  const uint32_t victim = lru_tail_;
+  LruUnlinkLocked(victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   SMADB_RETURN_NOT_OK(EvictFrameLocked(victim));
   return victim;
@@ -378,26 +449,27 @@ Status BufferPool::BarrierLocked() {
   return Status::OK();
 }
 
-Status BufferPool::EvictFrameLocked(size_t idx) {
+Status BufferPool::EvictFrameLocked(uint32_t idx) {
   Frame& fr = frames_[idx];
   assert(fr.used && fr.pin_count == 0);
   if (fr.dirty) {
     // WAL-before-data: the log must be durable before the mutation it
     // describes can reach the backend.
     SMADB_RETURN_NOT_OK(BarrierLocked());
-    SMADB_RETURN_NOT_OK(disk_->WritePage(fr.file, fr.page_no, fr.page));
+    SMADB_RETURN_NOT_OK(disk_->WritePage(fr.file, fr.page_no, frames_[idx].page));
     dirty_writebacks_.fetch_add(1, std::memory_order_relaxed);
     fr.dirty = false;
   }
-  table_.erase(Key(fr.file, fr.page_no));
+  table_.Erase(Key(fr.file, fr.page_no));
   fr.used = false;
   return Status::OK();
 }
 
 Status BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   bool barriered = false;
-  for (Frame& fr : frames_) {
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    Frame& fr = frames_[i];
     if (fr.used && fr.dirty) {
       if (!barriered) {
         // One WAL barrier covers the whole flush: nothing can dirty a frame
@@ -405,7 +477,7 @@ Status BufferPool::FlushAll() {
         SMADB_RETURN_NOT_OK(BarrierLocked());
         barriered = true;
       }
-      SMADB_RETURN_NOT_OK(disk_->WritePage(fr.file, fr.page_no, fr.page));
+      SMADB_RETURN_NOT_OK(disk_->WritePage(fr.file, fr.page_no, frames_[i].page));
       dirty_writebacks_.fetch_add(1, std::memory_order_relaxed);
       fr.dirty = false;
     }
@@ -413,40 +485,18 @@ Status BufferPool::FlushAll() {
   return Status::OK();
 }
 
-Status BufferPool::DropAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < frames_.size(); ++i) {
+template <typename Drop>
+Status BufferPool::DropFramesLocked(Drop drop, bool writeback,
+                                    const char* what) {
+  for (uint32_t i = 0; i < frames_.size(); ++i) {
     Frame& fr = frames_[i];
-    if (!fr.used) continue;
+    if (!fr.used || !drop(fr)) continue;
     if (fr.pin_count > 0) {
-      return Status::Internal(
-          util::Format("DropAll with pinned page (file %u page %u)", fr.file,
-                       fr.page_no));
+      return Status::Internal(util::Format("%s with pinned page (file %u page %u)",
+                                           what, fr.file, fr.page_no));
     }
-    if (fr.in_lru) {
-      lru_.erase(fr.lru_pos);
-      fr.in_lru = false;
-    }
-    SMADB_RETURN_NOT_OK(EvictFrameLocked(i));
-    free_list_.push_back(i);
-  }
-  frame_available_.notify_all();
-  return Status::OK();
-}
-
-Status BufferPool::DropFileLocked(FileId file, bool writeback) {
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    Frame& fr = frames_[i];
-    if (!fr.used || fr.file != file) continue;
-    if (fr.pin_count > 0) {
-      return Status::Internal(
-          util::Format("DropFile with pinned page (file %u page %u)", fr.file,
-                       fr.page_no));
-    }
-    if (fr.in_lru) {
-      lru_.erase(fr.lru_pos);
-      fr.in_lru = false;
-    }
+    if (fr.in_lru) LruUnlinkLocked(i);
+    // Without write-back the mutation is dropped, as a crash would.
     if (!writeback) fr.dirty = false;
     SMADB_RETURN_NOT_OK(EvictFrameLocked(i));
     free_list_.push_back(i);
@@ -455,36 +505,28 @@ Status BufferPool::DropFileLocked(FileId file, bool writeback) {
   return Status::OK();
 }
 
+Status BufferPool::DropAll() {
+  const auto lock = Lock();
+  return DropFramesLocked([](const Frame&) { return true; },
+                          /*writeback=*/true, "DropAll");
+}
+
 Status BufferPool::DropFile(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return DropFileLocked(file, /*writeback=*/true);
+  const auto lock = Lock();
+  return DropFramesLocked([file](const Frame& fr) { return fr.file == file; },
+                          /*writeback=*/true, "DropFile");
 }
 
 Status BufferPool::DiscardFile(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return DropFileLocked(file, /*writeback=*/false);
+  const auto lock = Lock();
+  return DropFramesLocked([file](const Frame& fr) { return fr.file == file; },
+                          /*writeback=*/false, "DropFile");
 }
 
 Status BufferPool::DiscardAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    Frame& fr = frames_[i];
-    if (!fr.used) continue;
-    if (fr.pin_count > 0) {
-      return Status::Internal(
-          util::Format("DiscardAll with pinned page (file %u page %u)",
-                       fr.file, fr.page_no));
-    }
-    if (fr.in_lru) {
-      lru_.erase(fr.lru_pos);
-      fr.in_lru = false;
-    }
-    fr.dirty = false;  // drop the mutation on the floor, like a crash would
-    SMADB_RETURN_NOT_OK(EvictFrameLocked(i));
-    free_list_.push_back(i);
-  }
-  frame_available_.notify_all();
-  return Status::OK();
+  const auto lock = Lock();
+  return DropFramesLocked([](const Frame&) { return true; },
+                          /*writeback=*/false, "DiscardAll");
 }
 
 }  // namespace smadb::storage

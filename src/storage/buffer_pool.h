@@ -25,12 +25,17 @@
 // Thread safety: all frame-table / LRU / free-list state is guarded by one
 // mutex and the hit/miss counters are atomics, so any number of worker
 // threads may pin / release pages concurrently (the morsel-parallel
-// operators do). Only a frame's loader touches its bytes while it is
-// loading. Page *contents* follow pin discipline: a pinned frame cannot
-// move or be evicted, and query workers only read data pages, so no
-// page-level latch is needed; writers (bulk load, maintenance) latch the
-// bucket they change. Write-back of dirty frames (eviction, FlushAll) still
-// runs under the pool mutex.
+// operators do). That bookkeeping allocates nothing after construction:
+// frames carry their LRU links as frame indices, and the page table is a
+// flat open-addressing array sized once, so a pin, an eviction, a publish
+// and an unpin are a few index updates in the mutex hold. Only a frame's
+// loader touches its bytes while it is loading, and the backend transfers
+// them without any mutex of the pool or its own (see DiskBackend). Page
+// *contents* follow pin discipline: a pinned frame cannot move or be
+// evicted, and query workers only read data pages, so no page-level latch
+// is needed; writers (bulk load, maintenance) latch the bucket they change.
+// Write-back of dirty frames (eviction, FlushAll) still runs under the pool
+// mutex.
 
 #ifndef SMADB_STORAGE_BUFFER_POOL_H_
 #define SMADB_STORAGE_BUFFER_POOL_H_
@@ -41,11 +46,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "storage/contention.h"
 #include "storage/disk.h"
 #include "storage/page.h"
 #include "util/query_context.h"
@@ -103,7 +107,7 @@ class BufferPool;
 class PageGuard {
  public:
   PageGuard() = default;
-  PageGuard(BufferPool* pool, size_t frame, Page* page)
+  PageGuard(BufferPool* pool, uint32_t frame, Page* page)
       : pool_(pool), frame_(frame), page_(page) {}
   PageGuard(PageGuard&& o) noexcept { *this = std::move(o); }
   /// Releases the currently held pin (if any) before adopting `o`'s;
@@ -123,7 +127,7 @@ class PageGuard {
 
  private:
   BufferPool* pool_ = nullptr;
-  size_t frame_ = 0;
+  uint32_t frame_ = 0;
   Page* page_ = nullptr;
 };
 
@@ -162,6 +166,9 @@ class PageRun {
   uint32_t size_ = 0;
   std::array<uint32_t, kRunPages> frames_;  // frame of page first_ + i
 };
+
+// A run's misses are a bitmask over its pages (BufferPool::PinLocked).
+static_assert(kRunPages <= 32);
 
 /// Fixed-capacity LRU buffer pool; thread-safe (see header comment).
 class BufferPool {
@@ -243,9 +250,11 @@ class BufferPool {
 
   size_t capacity() const { return frames_.size(); }
   size_t num_cached() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return table_.size();
   }
+  /// Acquires of the pool mutex that had to block, and their wait.
+  ContentionStats mutex_contention() const { return mu_contention_.stats(); }
   DiskBackend* disk() const { return disk_; }
   const BufferPoolOptions& options() const { return options_; }
 
@@ -253,32 +262,80 @@ class BufferPool {
   friend class PageGuard;
   friend class PageRun;
 
+  // No frame: an empty page-table slot, or the end of the LRU list.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
   struct Frame {
     Page page;
     FileId file = kInvalidFile;
     uint32_t page_no = 0;
     uint32_t pin_count = 0;
+    // Neighbours in the LRU list (towards the most / least recent end),
+    // valid iff in_lru.
+    uint32_t lru_prev = kNoFrame;
+    uint32_t lru_next = kNoFrame;
     bool dirty = false;
     bool used = false;
     // Pinned by the thread reading its bytes outside the mutex; no one else
     // pins it until the load is published.
     bool loading = false;
-    std::list<size_t>::iterator lru_pos;  // valid iff pinned == 0 && used
-    bool in_lru = false;
+    bool in_lru = false;  // unpinned and cached: a candidate victim
+  };
+
+  // Maps (file, page) to the frame caching it: linear probing over a
+  // power-of-two array kept at most half full, sized once for the pool's
+  // capacity. Erase shifts the rest of the probe chain back instead of
+  // leaving a tombstone, so lookups never slow down with churn.
+  class PageTable {
+   public:
+    explicit PageTable(size_t capacity);
+    // The frame caching `key`, or kNoFrame.
+    uint32_t Find(uint64_t key) const;
+    // `key` must be absent.
+    void Insert(uint64_t key, uint32_t frame);
+    // `key` must be present.
+    void Erase(uint64_t key);
+    size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      uint64_t key = 0;
+      uint32_t frame = kNoFrame;
+    };
+    size_t Home(uint64_t key) const {
+      // Fibonacci hashing: the product's top bits index the array.
+      return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    std::vector<Slot> slots_;
+    size_t mask_;
+    int shift_;
+    size_t size_ = 0;
   };
 
   static uint64_t Key(FileId f, uint32_t p) {
     return (static_cast<uint64_t>(f) << 32) | p;
   }
 
-  void Unpin(size_t frame);
+  // Locks mu_, counting the acquire when it has to block.
+  std::unique_lock<std::mutex> Lock() const {
+    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+    mu_contention_.Acquire(lock);
+    return lock;
+  }
+
+  void Unpin(uint32_t frame);
   void UnpinRun(const PageRun& run);
-  void MarkDirty(size_t frame);
+  void MarkDirty(uint32_t frame);
   // The Locked helpers require mu_ to be held by the caller.
-  void UnpinLocked(size_t frame);
+  void UnpinLocked(uint32_t frame);
+  // Puts an unpinned frame at the most recent end of the LRU list / takes
+  // it out of the list.
+  void LruPushFrontLocked(uint32_t frame);
+  void LruUnlinkLocked(uint32_t frame);
   // Pins the page after `run`'s last (its first page when empty); a miss
-  // takes a frame marked loading and bumps `*loads`. Returns false when a
-  // later page ends the run instead.
+  // takes a frame marked loading and sets the page's bit (its offset in
+  // the run) in `*loads`. Returns false when a later page ends the run
+  // instead.
   util::Result<bool> PinLocked(std::unique_lock<std::mutex>* lock,
                                FileId file, PageRun* run, uint32_t* loads);
   // Counts a frame's 0 -> 1 pin, charging it to the pin tracker; the
@@ -288,28 +345,32 @@ class BufferPool {
   // Undoes a failed PinRun: its loading frames are dropped (uncached, back
   // on the free list) and its other pins released.
   void AbandonLocked(PageRun* run);
-  util::Result<size_t> GetFreeFrameLocked();
-  util::Status EvictFrameLocked(size_t idx);
-  // Drops every cached page of `file`; writes dirty frames back first iff
-  // `writeback`.
-  util::Status DropFileLocked(FileId file, bool writeback);
+  util::Result<uint32_t> GetFreeFrameLocked();
+  util::Status EvictFrameLocked(uint32_t idx);
+  // Evicts every cached frame `drop` selects, after write-back iff
+  // `writeback`; `what` names the caller in the error for a pinned frame.
+  template <typename Drop>
+  util::Status DropFramesLocked(Drop drop, bool writeback, const char* what);
   // Runs the pre_writeback barrier (if configured).
   util::Status BarrierLocked();
 
-  // Reads `run`'s loading frames with one ReadPages per stretch of
-  // consecutive ones, bounded retry, and checksum verification. Runs
-  // without the mutex.
-  util::Status LoadFrames(FileId file, const PageRun& run);
+  // Reads `run`'s loading frames (the offsets set in `loads`) with one
+  // ReadPages per stretch of consecutive ones, bounded retry, and checksum
+  // verification. Runs without the mutex.
+  util::Status LoadFrames(FileId file, const PageRun& run, uint32_t loads);
 
   DiskBackend* disk_;
   BufferPoolOptions options_;
-  mutable std::mutex mu_;  // guards frames_ metadata, free_list_, lru_, table_
+  // Guards frames_, free_list_, the LRU list and table_.
+  mutable std::mutex mu_;
+  mutable ContentionCounter mu_contention_;
   std::condition_variable frame_available_;  // signaled when a pin releases
   std::condition_variable load_done_;  // signaled when loads publish or drop
   std::vector<Frame> frames_;
-  std::vector<size_t> free_list_;
-  std::list<size_t> lru_;  // front = most recent
-  std::unordered_map<uint64_t, size_t> table_;
+  std::vector<uint32_t> free_list_;
+  uint32_t lru_head_ = kNoFrame;  // most recently unpinned
+  uint32_t lru_tail_ = kNoFrame;  // least recently unpinned: the next victim
+  PageTable table_;
   size_t pinned_frames_ = 0;  // frames with pin_count > 0
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

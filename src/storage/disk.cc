@@ -124,7 +124,7 @@ void DiskBackend::AccountWrite(int64_t* last, uint32_t page_no) {
 // SimulatedDisk.
 
 Result<FileId> SimulatedDisk::CreateFile(std::string name) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (name.empty()) {
     return Status::InvalidArgument(
         "file name must be non-empty (empty marks a removed file)");
@@ -149,7 +149,7 @@ Result<FileId> SimulatedDisk::CreateFile(std::string name) {
 }
 
 Result<FileId> SimulatedDisk::FindFile(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   for (size_t i = 0; i < files_.size(); ++i) {
     if (!files_[i].name.empty() && files_[i].name == name) {
       return static_cast<FileId>(i);
@@ -159,7 +159,7 @@ Result<FileId> SimulatedDisk::FindFile(std::string_view name) const {
 }
 
 Status SimulatedDisk::RemoveFile(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (file >= files_.size() || files_[file].name.empty()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
@@ -174,7 +174,7 @@ Status SimulatedDisk::RemoveFile(FileId file) {
 }
 
 Result<uint32_t> SimulatedDisk::AllocatePage(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (file >= files_.size() || files_[file].name.empty()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
@@ -194,7 +194,7 @@ Result<uint32_t> SimulatedDisk::AllocatePage(FileId file) {
 }
 
 Status SimulatedDisk::FreePage(FileId file, uint32_t page_no) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   File& f = files_[file];
   if (std::find(f.free_pages.begin(), f.free_pages.end(), page_no) !=
@@ -228,21 +228,29 @@ Status SimulatedDisk::ReadPages(FileId file, uint32_t first, uint32_t n,
                                 Page* const* out, uint32_t* crcs,
                                 uint32_t* delivered) {
   if (delivered != nullptr) *delivered = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  SMADB_RETURN_NOT_OK(CheckBounds(file, first, n));
-  File& f = files_[file];
-  // Failpoints: an error stops the read at its page, which is never
-  // transferred or accounted; bit flips corrupt only the delivered copy
-  // (the stored page — and its checksum — stay intact, so the flip is
-  // silent until verified).
+  const std::shared_lock<std::shared_mutex> transfer(transfer_mu_);
+  const File* f = nullptr;
   uint32_t clean = 0;
   std::vector<uint32_t> flips;
-  const Status fault = ConsultReadFaults(f.name, first, n, &clean, &flips);
-  for (uint32_t i = 0; i < clean; ++i) {
-    *out[i] = *f.pages[first + i];
-    if (crcs != nullptr) crcs[i] = f.checksums[first + i];
-    AccountRead(&f.last_read, first + i);
+  Status fault;
+  {
+    const auto lock = Lock();
+    SMADB_RETURN_NOT_OK(CheckBounds(file, first, n));
+    File& held = files_[file];
+    // Failpoints: an error stops the read at its page, which is never
+    // transferred or accounted; bit flips corrupt only the delivered copy
+    // (the stored page — and its checksum — stay intact, so the flip is
+    // silent until verified).
+    fault = ConsultReadFaults(held.name, first, n, &clean, &flips);
+    for (uint32_t i = 0; i < clean; ++i) {
+      if (crcs != nullptr) crcs[i] = held.checksums[first + i];
+      AccountRead(&held.last_read, first + i);
+    }
+    f = &held;
   }
+  // The copy needs only the shared transfer lock: no mutation can touch
+  // the file's pages until it is released.
+  for (uint32_t i = 0; i < clean; ++i) *out[i] = *f->pages[first + i];
   for (const uint32_t i : flips) {
     FaultFlipBit(out[i], FaultFlipBitOf(file, first + i));
   }
@@ -252,7 +260,7 @@ Status SimulatedDisk::ReadPages(FileId file, uint32_t first, uint32_t n,
 
 Status SimulatedDisk::WritePage(FileId file, uint32_t page_no,
                                 const Page& page) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   File& f = files_[file];
   bool flip = false;
@@ -270,7 +278,7 @@ Status SimulatedDisk::WritePage(FileId file, uint32_t page_no,
 }
 
 Status SimulatedDisk::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   SMADB_RETURN_NOT_OK(ConsultSyncFaults());
   ++stats_.syncs;
   return Status::OK();
@@ -278,21 +286,21 @@ Status SimulatedDisk::Sync() {
 
 Result<uint32_t> SimulatedDisk::PageChecksum(FileId file,
                                              uint32_t page_no) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   return files_[file].checksums[page_no];
 }
 
 Status SimulatedDisk::CorruptPageForTesting(FileId file, uint32_t page_no,
                                             uint64_t bit) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   FaultFlipBit(files_[file].pages[page_no].get(), bit);
   return Status::OK();
 }
 
 Status SimulatedDisk::TruncateFile(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (file >= files_.size()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
@@ -305,7 +313,7 @@ Status SimulatedDisk::TruncateFile(FileId file) {
 }
 
 Result<uint32_t> SimulatedDisk::NumPages(FileId file) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   if (file >= files_.size()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }

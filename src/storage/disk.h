@@ -28,9 +28,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "storage/contention.h"
 #include "storage/page.h"
 #include "util/status.h"
 
@@ -144,9 +146,17 @@ void FaultFlipBit(Page* page, uint64_t bit);
 /// its own mutex released, and DDL (CreateFile), metric callbacks (stats,
 /// FileBytes) and recovery helpers reach the backend directly too, so every
 /// implementation guards its structures with the backend mutex `mu_`. One
-/// ReadPages call holds it for its whole run, which keeps the run's
-/// classification (one positioning access, then sequential pages)
-/// independent of how many threads read the same file.
+/// ReadPages call makes its bookkeeping in one `mu_` hold — the bounds
+/// check, the page-by-page failpoints, the stored CRCs and the run's
+/// classification (one positioning access, then sequential pages, however
+/// many threads read the same file) — and then transfers the bytes with
+/// `mu_` released, so runs of many readers copy or read in parallel. The
+/// transfer holds the reader-writer lock `transfer_mu_` shared; every
+/// mutation of the pages or of the file table (WritePage, AllocatePage,
+/// FreePage, CreateFile, RemoveFile, TruncateFile, CorruptPageForTesting)
+/// takes it exclusively, before `mu_`, so a transfer never sees a page
+/// change under it or its stored CRC. No other engine mutex is taken while
+/// either is held.
 class DiskBackend {
  public:
   DiskBackend() = default;
@@ -235,13 +245,16 @@ class DiskBackend {
 
   /// Snapshot of the counters (copy: metric readers race with I/O threads).
   IoStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return stats_;
   }
   void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     stats_ = IoStats();
   }
+
+  /// Acquires of the backend mutex that had to block, and their wait.
+  ContentionStats mutex_contention() const { return mu_contention_.stats(); }
 
   /// Forgets per-file head positions so the next access of every file
   /// classifies independently of earlier runs (fair A/B timing).
@@ -275,9 +288,32 @@ class DiskBackend {
   void AccountRead(int64_t* last, uint32_t page_no);
   void AccountWrite(int64_t* last, uint32_t page_no);
 
+  /// Locks `mu_`, counting the acquire when it has to block.
+  std::unique_lock<std::mutex> Lock() const {
+    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+    mu_contention_.Acquire(lock);
+    return lock;
+  }
+
+  /// What every mutation holds: `transfer_mu_` exclusively, then `mu_`.
+  struct MutationLock {
+    std::unique_lock<std::shared_mutex> transfers;
+    std::unique_lock<std::mutex> state;
+  };
+  MutationLock LockForMutation() {
+    std::unique_lock<std::shared_mutex> transfers(transfer_mu_);
+    return {std::move(transfers), Lock()};
+  }
+
+  /// Held shared by ReadPages from before its bookkeeping until its bytes
+  /// are transferred, and exclusively by every mutation: a page's bytes,
+  /// its stored CRC and the file table stay fixed under a transfer. First
+  /// in the backend's lock order: transfer_mu_ -> mu_.
+  mutable std::shared_mutex transfer_mu_;
   /// Guards `stats_` and every implementation's file table. Leaf lock: no
   /// other engine mutex is acquired while held.
   mutable std::mutex mu_;
+  mutable ContentionCounter mu_contention_;
   IoStats stats_;
 };
 
@@ -306,11 +342,11 @@ class SimulatedDisk final : public DiskBackend {
   // Deque keeps File references stable across CreateFile, so the returned
   // name cannot dangle when DDL races a diagnostic path.
   const std::string& FileName(FileId file) const override {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return files_[file].name;
   }
   size_t NumFiles() const override {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return files_.size();
   }
 
@@ -320,12 +356,12 @@ class SimulatedDisk final : public DiskBackend {
                                      uint64_t bit) override;
 
   uint64_t FileBytes(FileId file) const override {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return static_cast<uint64_t>(files_[file].pages.size()) * kPageSize;
   }
 
   void ResetAccessPositions() override {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     for (File& f : files_) {
       f.last_read = -2;
       f.last_write = -2;

@@ -297,7 +297,7 @@ Status FileDiskManager::CheckBounds(FileId file, uint32_t page_no,
 }
 
 Result<FileId> FileDiskManager::CreateFile(std::string name) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (name.empty()) {
     return Status::InvalidArgument(
         "file name must be non-empty (empty marks a removed file)");
@@ -343,7 +343,7 @@ Result<FileId> FileDiskManager::CreateFile(std::string name) {
 }
 
 Result<FileId> FileDiskManager::FindFile(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   for (size_t i = 0; i < files_.size(); ++i) {
     if (!files_[i].name.empty() && files_[i].name == name) {
       return static_cast<FileId>(i);
@@ -353,7 +353,7 @@ Result<FileId> FileDiskManager::FindFile(std::string_view name) const {
 }
 
 Status FileDiskManager::RemoveFile(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (file >= files_.size() || files_[file].name.empty()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
@@ -390,7 +390,7 @@ Status FileDiskManager::RawWrite(FileId id, File& f, uint32_t page_no,
 }
 
 Result<uint32_t> FileDiskManager::AllocatePage(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (file >= files_.size() || files_[file].name.empty()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
@@ -410,7 +410,7 @@ Result<uint32_t> FileDiskManager::AllocatePage(FileId file) {
 }
 
 Status FileDiskManager::FreePage(FileId file, uint32_t page_no) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   File& f = files_[file];
   if (std::find(f.free_pages.begin(), f.free_pages.end(), page_no) !=
@@ -430,19 +430,36 @@ Status FileDiskManager::ReadPages(FileId file, uint32_t first, uint32_t n,
                                   Page* const* out, uint32_t* crcs,
                                   uint32_t* delivered) {
   if (delivered != nullptr) *delivered = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  SMADB_RETURN_NOT_OK(CheckBounds(file, first, n));
-  File& f = files_[file];
-  // The pages before the first injected error go out in one preadv.
+  const std::shared_lock<std::shared_mutex> transfer(transfer_mu_);
+  const File* f = nullptr;
   uint32_t clean = 0;
   std::vector<uint32_t> flips;
-  const Status fault = ConsultReadFaults(f.name, first, n, &clean, &flips);
-  SMADB_RETURN_NOT_OK(PReadPages(f.pages_fd, out, clean,
-                                 static_cast<uint64_t>(first) * kPageSize,
-                                 f.name));
-  for (uint32_t i = 0; i < clean; ++i) {
-    if (crcs != nullptr) crcs[i] = f.checksums[first + i];
-    AccountRead(&f.last_read, first + i);
+  Status fault;
+  IoStats counted;  // this run's share of stats_
+  {
+    const auto lock = Lock();
+    SMADB_RETURN_NOT_OK(CheckBounds(file, first, n));
+    File& held = files_[file];
+    fault = ConsultReadFaults(held.name, first, n, &clean, &flips);
+    const IoStats before = stats_;
+    for (uint32_t i = 0; i < clean; ++i) {
+      if (crcs != nullptr) crcs[i] = held.checksums[first + i];
+      AccountRead(&held.last_read, first + i);
+    }
+    counted = stats_ - before;
+    f = &held;
+  }
+  // The pages before the first injected error go out in one preadv, under
+  // the shared transfer lock only: no mutation can touch the segment (or
+  // close its fd) until it is released.
+  if (Status read = PReadPages(f->pages_fd, out, clean,
+                               static_cast<uint64_t>(first) * kPageSize,
+                               f->name);
+      !read.ok()) {
+    // Nothing was delivered: take the run back out of the counters.
+    const auto lock = Lock();
+    stats_ = stats_ - counted;
+    return read;
   }
   for (const uint32_t i : flips) {
     FaultFlipBit(out[i], FaultFlipBitOf(file, first + i));
@@ -453,7 +470,7 @@ Status FileDiskManager::ReadPages(FileId file, uint32_t first, uint32_t n,
 
 Status FileDiskManager::WritePage(FileId file, uint32_t page_no,
                                   const Page& page) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   File& f = files_[file];
   bool flip = false;
@@ -473,7 +490,7 @@ Status FileDiskManager::WritePage(FileId file, uint32_t page_no,
 }
 
 Status FileDiskManager::TruncateFile(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   if (file >= files_.size()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
@@ -495,7 +512,7 @@ Status FileDiskManager::TruncateFile(FileId file) {
 }
 
 Status FileDiskManager::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   SMADB_RETURN_NOT_OK(ConsultSyncFaults());
   for (size_t id = 0; id < files_.size(); ++id) {
     File& f = files_[id];
@@ -511,7 +528,7 @@ Status FileDiskManager::Sync() {
 }
 
 Result<uint32_t> FileDiskManager::NumPages(FileId file) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   if (file >= files_.size()) {
     return Status::InvalidArgument(util::Format("bad file id %u", file));
   }
@@ -520,14 +537,14 @@ Result<uint32_t> FileDiskManager::NumPages(FileId file) const {
 
 Result<uint32_t> FileDiskManager::PageChecksum(FileId file,
                                                uint32_t page_no) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   return files_[file].checksums[page_no];
 }
 
 Status FileDiskManager::CorruptPageForTesting(FileId file, uint32_t page_no,
                                               uint64_t bit) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = LockForMutation();
   SMADB_RETURN_NOT_OK(CheckBounds(file, page_no));
   File& f = files_[file];
   const std::string base = directory_ + "/seg" + std::to_string(file);
@@ -546,7 +563,7 @@ Status FileDiskManager::CorruptPageForTesting(FileId file, uint32_t page_no,
 }
 
 void FileDiskManager::ResetAccessPositions() {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   for (File& f : files_) {
     f.last_read = -2;
     f.last_write = -2;

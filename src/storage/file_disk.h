@@ -43,7 +43,9 @@ namespace smadb::storage {
 
 /// Durable page store over a directory of per-file segments. See file
 /// comment for the layout and crash contract. Thread-safe, like every
-/// DiskBackend: all state is behind the backend mutex.
+/// DiskBackend: all state is behind the backend mutex, and ReadPages
+/// issues its preadv after releasing it, under the shared transfer lock
+/// that every mutation takes exclusively.
 class FileDiskManager final : public DiskBackend {
  public:
   /// Opens (or creates) the backend rooted at `directory`. An existing
@@ -61,7 +63,7 @@ class FileDiskManager final : public DiskBackend {
   util::Status RemoveFile(FileId file) override;
   util::Result<uint32_t> AllocatePage(FileId file) override;
   util::Status FreePage(FileId file, uint32_t page_no) override;
-  /// One preadv per run (more only on a short read).
+  /// One preadv per run (more only on a short read), outside `mu_`.
   util::Status ReadPages(FileId file, uint32_t first, uint32_t n,
                          Page* const* out, uint32_t* crcs,
                          uint32_t* delivered) override;
@@ -74,11 +76,11 @@ class FileDiskManager final : public DiskBackend {
   // Deque keeps File references stable across CreateFile, so the returned
   // name cannot dangle when DDL races a diagnostic path.
   const std::string& FileName(FileId file) const override {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return files_[file].name;
   }
   size_t NumFiles() const override {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return files_.size();
   }
 
@@ -88,7 +90,7 @@ class FileDiskManager final : public DiskBackend {
                                      uint64_t bit) override;
 
   uint64_t FileBytes(FileId file) const override {
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto lock = Lock();
     return static_cast<uint64_t>(files_[file].num_pages) * kPageSize;
   }
 

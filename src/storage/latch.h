@@ -18,7 +18,8 @@
 // cannot deadlock each other or any single-bucket locker. Lock order with
 // the rest of the engine: Database::write_mu_ -> bucket latch ->
 // BufferPool::mu_ -> Wal::mu_ (the pool's pre_writeback barrier is the
-// pool->wal edge; nothing goes the other way).
+// pool->wal edge; nothing goes the other way). The backend's locks come
+// after the pool mutex: DiskBackend::transfer_mu_ -> DiskBackend::mu_.
 //
 // Sharding makes collisions possible (group 0 and group `shards` share a
 // mutex). That is a throughput hit, never a correctness one: a collision
@@ -29,13 +30,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "storage/contention.h"
 #include "storage/disk.h"
 
 namespace smadb::storage {
@@ -79,7 +80,9 @@ class BucketLatchTable {
 
   /// Optional wait-time histogram (nanoseconds per contended acquire);
   /// null = counters only. Set once at attach time, before concurrency.
-  void set_wait_histogram(obs::Histogram* h) { wait_histogram_ = h; }
+  void set_wait_histogram(obs::Histogram* h) {
+    contention_.set_wait_histogram(h);
+  }
 
   size_t shards() const { return shards_; }
 
@@ -138,10 +141,7 @@ class BucketLatchTable {
   SharedGuard LockShared(uint64_t bucket) {
     std::shared_mutex& m = mutexes_[GroupOf(bucket) % shards_];
     std::shared_lock<std::shared_mutex> lock(m, std::try_to_lock);
-    if (!lock.owns_lock()) {
-      const uint64_t ns = TimedAcquire([&] { lock.lock(); });
-      NoteContention(ns);
-    }
+    contention_.Acquire(lock);
     shared_acquires_.fetch_add(1, std::memory_order_relaxed);
     return SharedGuard(std::move(lock));
   }
@@ -151,10 +151,7 @@ class BucketLatchTable {
   ExclusiveGuard LockExclusive(uint64_t bucket) {
     std::shared_mutex& m = mutexes_[GroupOf(bucket) % shards_];
     std::unique_lock<std::shared_mutex> lock(m, std::try_to_lock);
-    if (!lock.owns_lock()) {
-      const uint64_t ns = TimedAcquire([&] { lock.lock(); });
-      NoteContention(ns);
-    }
+    contention_.Acquire(lock);
     exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
     return ExclusiveGuard(std::move(lock));
   }
@@ -173,38 +170,19 @@ class BucketLatchTable {
     LatchStats s;
     s.shared_acquires = shared_acquires_.load(std::memory_order_relaxed);
     s.exclusive_acquires = exclusive_acquires_.load(std::memory_order_relaxed);
-    s.contended = contended_.load(std::memory_order_relaxed);
-    s.wait_ns = wait_ns_.load(std::memory_order_relaxed);
+    const ContentionStats c = contention_.stats();
+    s.contended = c.contended;
+    s.wait_ns = c.wait_ns;
     return s;
   }
 
  private:
-  template <typename Fn>
-  static uint64_t TimedAcquire(Fn&& acquire) {
-    const auto t0 = std::chrono::steady_clock::now();
-    acquire();
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-
-  void NoteContention(uint64_t ns) {
-    contended_.fetch_add(1, std::memory_order_relaxed);
-    wait_ns_.fetch_add(ns, std::memory_order_relaxed);
-    if (wait_histogram_ != nullptr) {
-      wait_histogram_->Observe(static_cast<int64_t>(ns));
-    }
-  }
-
   const uint64_t group_buckets_;
   const size_t shards_;
   std::unique_ptr<std::shared_mutex[]> mutexes_;
   std::atomic<uint64_t> shared_acquires_{0};
   std::atomic<uint64_t> exclusive_acquires_{0};
-  std::atomic<uint64_t> contended_{0};
-  std::atomic<uint64_t> wait_ns_{0};
-  obs::Histogram* wait_histogram_ = nullptr;
+  ContentionCounter contention_;
 };
 
 }  // namespace smadb::storage

@@ -383,6 +383,8 @@ TEST_F(NetTest, StatementTranscriptIsPinned) {
        "smadb_buckets_disqualifying_total =\n"
        "smadb_buckets_qualifying_total =\n"
        "smadb_checkpoints_total =\n"
+       "smadb_disk_mutex_contended =\n"
+       "smadb_disk_mutex_wait_ns =\n"
        "smadb_disk_near_reads =\n"
        "smadb_disk_page_reads =\n"
        "smadb_disk_page_writes =\n"
@@ -413,6 +415,8 @@ TEST_F(NetTest, StatementTranscriptIsPinned) {
        "smadb_pool_evictions =\n"
        "smadb_pool_hits =\n"
        "smadb_pool_misses =\n"
+       "smadb_pool_mutex_contended =\n"
+       "smadb_pool_mutex_wait_ns =\n"
        "smadb_queries_cancelled_total =\n"
        "smadb_queries_deadline_total =\n"
        "smadb_queries_degraded_total =\n"
@@ -925,9 +929,12 @@ TEST_F(NetTest, MetricsRegistryMirrorsServerCounters) {
   EXPECT_GE(r->GetCounter("smadb_net_connections_total", "")->value(), 1);
   EXPECT_GE(r->GetCounter("smadb_net_requests_total", "")->value(), 1);
   EXPECT_GT(r->GetCounter("smadb_net_bytes_in_total", "")->value(), 0);
-  EXPECT_GT(r->GetCounter("smadb_net_bytes_out_total", "")->value(), 0);
-  // Latency is observed by the I/O thread when it processes the request's
-  // completion — after the worker sent `OK` — so wait rather than assert.
+  // The worker adds the bytes it sent once send() returns, which can be
+  // after the client read `OK`; likewise latency is observed by the I/O
+  // thread when it processes the request's completion. Wait for both.
+  EXPECT_TRUE(WaitFor([&] {
+    return r->GetCounter("smadb_net_bytes_out_total", "")->value() > 0;
+  }));
   EXPECT_TRUE(WaitFor([&] {
     return r->GetHistogram("smadb_net_request_latency_us", "")->count() >= 1;
   }));

@@ -491,6 +491,26 @@ TEST(PlannerDopTest, LargeScanGetsRequestedDop) {
   EXPECT_EQ(parallel_result.ToString(), serial_result.ToString());
 }
 
+// SMA_GAggr answers qualifying buckets from SMA entries, so only its
+// ambivalent buckets are fetch work: when they fit in one morsel the plan
+// stays serial, however many buckets qualify.
+TEST(PlannerDopTest, SmaGAggrDopCountsOnlyFetchedBuckets) {
+  LineItemFixture fx;
+  plan::PlannerOptions options;
+  options.degree_of_parallelism = 4;
+  plan::Planner planner(fx.smas.get(), options);
+
+  plan::AggQuery query = Unwrap(workloads::MakeQ1Query(fx.table));
+  const plan::PlanChoice choice = Unwrap(planner.Choose(query));
+  ASSERT_EQ(choice.kind, plan::PlanKind::kSmaGAggr) << choice.explanation;
+  const uint64_t per = exec::BucketsPerMorsel(fx.table->bucket_pages());
+  ASSERT_GT(choice.qualifying, per) << "qualifying buckets span morsels";
+  ASSERT_LE(choice.ambivalent, per) << "ambivalent buckets fit one morsel";
+  EXPECT_EQ(choice.dop, 1u) << choice.explanation;
+  EXPECT_NE(choice.explanation.find("dop=1"), std::string::npos)
+      << choice.explanation;
+}
+
 TEST(PlannerDopTest, ExecuteSelectMirrorsExecute) {
   TestDb db(4096);
   storage::Table* t = testing::MakeSyntheticTable(
